@@ -61,8 +61,8 @@ class ChannelSample:
                 raise ValueError("p_label must be a nonnegative length-K vector")
         if self.rbar is not None:
             self.rbar = float(self.rbar)
-            if not self.rbar >= 0:
-                raise ValueError("rbar must be nonnegative")
+            if not self.rbar > 0:
+                raise ValueError(f"rbar must be positive, got {self.rbar}")
 
 
 @dataclass

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 usage or input error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import sys
@@ -185,8 +184,7 @@ def _run_method(method, stream, cfg, rng, out_dir):
         rows, err = exc.rows, str(exc)
     if rows:
         harness.write_metrics_csv(out_dir / f"metrics_{method}.csv", [_zeroed(r) for r in rows])
-    secs = time.perf_counter() - start
-    return method, rows, err, secs
+    return rows, err, time.perf_counter() - start
 
 
 def cmd_run(args) -> int:
@@ -204,19 +202,9 @@ def cmd_run(args) -> int:
     out_dir = _ensure_dir(args.out)
     rngs = method_rngs(cfg.seed)
 
-    results = []
-    if args.parallel and len(ordered) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(ordered)) as pool:
-            futures = [
-                pool.submit(_run_method, m, stream, cfg, rngs[m], out_dir) for m in ordered
-            ]
-            results = [f.result() for f in futures]
-    else:
-        for m in ordered:
-            results.append(_run_method(m, stream, cfg, rngs[m], out_dir))
-
     failed = False
-    for method, rows, err, secs in results:
+    for method in ordered:
+        rows, err, secs = _run_method(method, stream, cfg, rngs[method], out_dir)
         if err is not None:
             failed = True
             print(f"{method}: ABORTED after {len(rows)} rounds ({secs:.1f}s): {err}", file=sys.stderr)
@@ -285,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", required=True, help="dataset file from gen")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--methods", help="comma-separated subset of methods")
-    run.add_argument("--parallel", action="store_true", help="run methods concurrently")
     run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="score a checkpoint or the solver on a dataset")

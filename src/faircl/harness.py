@@ -54,10 +54,8 @@ class StrategyConfig:
     minibatch_size: int = 50
     alpha: float = trainer.DEFAULT_ALPHA
     beta: float = trainer.DEFAULT_BETA
-    scsc_iters: int | None = None
     gda_alpha_theta: float | None = None
     gda_alpha_lambda: float | None = None
-    gda_iters: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -132,27 +130,19 @@ def ratio_histogram(policy, test_sets, bin_width: float, noise: float = 1.0):
     return [(i * bin_width, (i + 1) * bin_width, int(c)) for i, c in enumerate(counts)]
 
 
-def _epoch_equivalent_iters(explicit, epochs, pool_size, minibatch_size):
-    if explicit is not None:
-        return explicit
-    return epochs * math.ceil(pool_size / minibatch_size)
-
-
 def _train_round(cfg, params, train_set, rng):
     method = cfg.method
     if method in SGD_METHODS:
         return trainer.sgd_train(
             params, cfg.loss, train_set, cfg.epochs, cfg.minibatch_size, cfg.alpha, rng
         ), None
+    # the step count of cfg.epochs passes over the pool
+    iters = cfg.epochs * math.ceil(len(train_set) / cfg.minibatch_size)
     if method in SCSC_METHODS:
-        iters = _epoch_equivalent_iters(
-            cfg.scsc_iters, cfg.epochs, len(train_set), cfg.minibatch_size
-        )
         state = trainer.init_state(params, cfg.alpha, cfg.beta, rng)
         state = trainer.scsc_train(state, cfg.loss, train_set, iters, cfg.minibatch_size)
         return state.params, None
     # Minimax: fresh uniform dual each round, final dual drives selection
-    iters = _epoch_equivalent_iters(cfg.gda_iters, cfg.epochs, len(train_set), cfg.minibatch_size)
     a_theta = cfg.alpha if cfg.gda_alpha_theta is None else cfg.gda_alpha_theta
     a_lambda = 10.0 * a_theta if cfg.gda_alpha_lambda is None else cfg.gda_alpha_lambda
     params, dual = trainer.gda_train(
@@ -171,10 +161,12 @@ def _make_buffer(cfg, rng):
     return memory_mod.MemoryBuffer(0, memory_mod.JOINT_UNBOUNDED)
 
 
-def run_continual(stream, cfg: StrategyConfig, rng, init_params=None, on_row=None):
+def run_continual(stream, cfg: StrategyConfig, rng, init_params=None):
     """Stream the batches through one strategy.
 
     Returns (rows, params): one MetricsRow per batch plus the final model.
+    A trainer failure, or a |u| guard trip in training or selection, raises
+    TrainingAborted carrying the rows of the rounds completed before it.
     """
     k = stream.k_pairs
     if init_params is None:
@@ -190,20 +182,24 @@ def run_continual(stream, cfg: StrategyConfig, rng, init_params=None, on_row=Non
         seen += len(batch)
         train_set = buf.items + list(batch)
         dual = None
-        if train_set:
-            try:
+        try:
+            if train_set:
                 params, dual = _train_round(cfg, params, train_set, rng)
-            except (trainer.DivergenceError, objective.TrackingCollapseError) as exc:
-                raise TrainingAborted(f"{cfg.method}: {exc}", rows) from exc
-        if cfg.method == "Reservoir":
-            memory_mod.update_reservoir(buf, batch)
-        elif cfg.method == "Bilevel" and train_set:
-            u = objective.lower_values(cfg.loss, params, train_set)
-            memory_mod.update_bilevel(buf, train_set, u)
-        elif cfg.method == "Minimax" and dual is not None:
-            memory_mod.update_bilevel(buf, train_set, dual.lam)
-        elif cfg.method in ("JointEqual", "JointWeighted"):
-            memory_mod.update_joint(buf, batch)
+            if cfg.method == "Reservoir":
+                memory_mod.update_reservoir(buf, batch)
+            elif cfg.method == "Bilevel" and train_set:
+                u = objective.lower_values(cfg.loss, params, train_set)
+                memory_mod.update_bilevel(buf, train_set, u)
+            elif cfg.method == "Minimax" and dual is not None:
+                memory_mod.update_bilevel(buf, train_set, dual.lam)
+            elif cfg.method in ("JointEqual", "JointWeighted"):
+                memory_mod.update_joint(buf, batch)
+        except (
+            trainer.DivergenceError,
+            objective.TrackingCollapseError,
+            objective.GuardExceededError,
+        ) as exc:
+            raise TrainingAborted(f"{cfg.method}: {exc}", rows) from exc
         rates, ratios = evaluate(network_policy(params), stream.test_sets, cfg.loss.noise)
         row = MetricsRow(
             seen_samples=seen,
@@ -214,8 +210,6 @@ def run_continual(stream, cfg: StrategyConfig, rng, init_params=None, on_row=Non
             wall_ms=int(round((time.perf_counter() - start) * 1000)),
         )
         rows.append(row)
-        if on_row is not None:
-            on_row(row)
     return rows, params
 
 

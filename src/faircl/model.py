@@ -45,6 +45,7 @@ class ForwardTrace:
     pre_acts: list  # z of each layer, (n, fan_out)
     outputs: np.ndarray  # (n, K) powers
     single: bool  # True when forward was called with a 1-D x
+    layer_sizes: tuple  # of the params forward ran with
 
 
 def param_count(layer_sizes) -> int:
@@ -110,7 +111,7 @@ def forward(params: ModelParams, x):
     z = np.dot(a, w_out.T) + b_out
     pre_acts.append(z)
     a = params.p_max * _sigmoid(z)
-    trace = ForwardTrace(inputs, pre_acts, a, single)
+    trace = ForwardTrace(inputs, pre_acts, a, single, params.layer_sizes)
     return (a[0] if single else a), trace
 
 
@@ -125,9 +126,9 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
         u = u[None, :]
     if u.shape != trace.outputs.shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match outputs {trace.outputs.shape}")
-    layers = params.layers
-    if len(trace.inputs) != len(layers) or trace.inputs[0].shape[1] != params.layer_sizes[0]:
+    if trace.layer_sizes != params.layer_sizes:
         raise ValueError("trace does not match params")
+    layers = params.layers
 
     s = trace.outputs / params.p_max
     dz = u * params.p_max * s * (1.0 - s)
@@ -142,11 +143,6 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
             # the mask z > 0 only at a NaN z, whose dz row is all NaN anyway
             dz = np.dot(dz, layers[i][0]) * np.heaviside(trace.pre_acts[i - 1], 0.0)
     return flat
-
-
-def updated(params: ModelParams, delta: np.ndarray) -> ModelParams:
-    """New snapshot with values + delta; inputs are never mutated."""
-    return ModelParams(params.layer_sizes, params.values + delta, params.p_max)
 
 
 def save_params(params: ModelParams, path):

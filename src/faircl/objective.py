@@ -16,8 +16,9 @@ composition F = f(g(theta); theta) with
   f(z; theta) = (1/(n z)) sum_i e^{u_i} ell_i
 
 which is the form the stochastic compositional trainer consumes: g_eval and
-f_eval below are its (minibatch) value/gradient oracles, and full_objective
-evaluates F with its exact gradient
+f_eval below are its (minibatch) value/gradient oracles, eval_composition
+is the one followed by the other at z = g, and full_objective evaluates F
+with its exact gradient
 
   grad F = grad g * d f/d z + grad_theta f,
 
@@ -25,6 +26,12 @@ algebraically equal to the softmax-weighted expression. full_objective
 applies a joint max-shift to the exponentials of f and g (their ratio is
 unchanged); g_eval reports the raw unshifted mean, which is what the
 trainer's tracking variable follows.
+
+Every oracle takes its per-sample terms from one _batch_terms pass. The
+value-only callers (g_value, lower_values, pool_stats) take their rates from
+wsr.sum_rate_many and build no pull-back terms; those rates are bitwise
+equal to the ones the gradient paths take from wsr.rate_and_grad_many, so
+both modes give the same values.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ Y_FLOOR = 1e-8
 
 class TrackingCollapseError(RuntimeError):
     """The compositional denominator fell below its floor."""
+
+
+class GuardExceededError(ValueError):
+    """Some |u| exceeded U_GUARD, so e^u is no longer a usable weight."""
 
 
 @dataclass
@@ -85,7 +96,8 @@ class _BatchTerms:
     trace: model.ForwardTrace
 
 
-def _batch_terms(spec, params, samples, need_ell=True, need_u=True) -> _BatchTerms:
+def _batch_terms(spec, params, samples, need_ell=True, need_u=True, grad=True) -> _BatchTerms:
+    # with grad=False, up_ell and up_u stay None
     if not samples:
         raise ValueError("empty sample batch")
     # one |h| serves both the network input (model.features, row-major) and
@@ -96,17 +108,20 @@ def _batch_terms(spec, params, samples, need_ell=True, need_u=True) -> _BatchTer
     need_rate = spec.upper == "neg_sum_rate" or (need_u and spec.lower == "weighted_neg_sum_rate")
     rates = grad_p = None
     if need_rate:
-        rates, grad_p = wsr.rate_and_grad_many(mag * mag, outputs, noise=spec.noise)
+        if grad:
+            rates, grad_p = wsr.rate_and_grad_many(mag * mag, outputs, noise=spec.noise)
+        else:
+            rates = wsr.sum_rate_many(mag * mag, outputs, noise=spec.noise)
 
     ell = up_ell = None
     if need_ell or spec.lower == "same_as_upper":
         if spec.upper == "mse":
             diff = outputs - _stack_labels(samples)
             ell = np.add.reduce(diff * diff, 1)
-            up_ell = 2.0 * diff
+            up_ell = 2.0 * diff if grad else None
         else:
             ell = -rates
-            up_ell = -grad_p
+            up_ell = -grad_p if grad else None
 
     u = up_u = None
     if need_u:
@@ -115,13 +130,16 @@ def _batch_terms(spec, params, samples, need_ell=True, need_u=True) -> _BatchTer
         else:
             neg_alpha = _neg_alphas(spec, samples)
             u = neg_alpha * rates
-            up_u = neg_alpha[:, None] * grad_p
+            up_u = neg_alpha[:, None] * grad_p if grad else None
         abs_u = np.abs(u)
         if np.fmax.reduce(abs_u) > U_GUARD:  # NaN-skipping, as a comparison per entry
-            worst = float(np.max(abs_u))
-            raise ValueError(f"|u| guard exceeded: max |u| = {worst:.3g} > {U_GUARD}")
+            raise _guard_error(abs_u)
 
     return _BatchTerms(ell, up_ell, u, up_u, trace)
+
+
+def _guard_error(abs_u):
+    return GuardExceededError(f"|u| guard exceeded: max |u| = {np.max(abs_u):.3g} > {U_GUARD}")
 
 
 def _stack_labels(samples):
@@ -171,7 +189,7 @@ def weighted_upper(spec: LossSpec, params, batch, weights):
 
 def lower_values(spec: LossSpec, params, samples) -> np.ndarray:
     """u values for a whole pool, no gradients; used for memory selection."""
-    return _batch_terms(spec, params, samples, need_ell=False).u.copy()
+    return _batch_terms(spec, params, samples, need_ell=False, grad=False).u.copy()
 
 
 def softmax_weights(u_values) -> np.ndarray:
@@ -179,8 +197,9 @@ def softmax_weights(u_values) -> np.ndarray:
     u = np.asarray(u_values, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("u_values must be a nonempty vector")
-    if np.any(np.abs(u) > U_GUARD):
-        raise ValueError(f"|u| guard exceeded: max |u| = {np.max(np.abs(u)):.3g} > {U_GUARD}")
+    abs_u = np.abs(u)
+    if np.any(abs_u > U_GUARD):
+        raise _guard_error(abs_u)
     return _softmax(u)
 
 
@@ -191,7 +210,7 @@ def _softmax(u):
 
 def g_value(spec: LossSpec, params, batch) -> float:
     """Raw mean of e^{u_i} over the batch, no gradients."""
-    t = _batch_terms(spec, params, batch, need_ell=False)
+    t = _batch_terms(spec, params, batch, need_ell=False, grad=False)
     return float(np.mean(np.exp(t.u)))
 
 
@@ -203,10 +222,10 @@ def g_eval(spec: LossSpec, params, batch):
     return float(np.add.reduce(e) / len(batch)), grad
 
 
-def f_eval(spec: LossSpec, params, batch, z: float, floor: float = Y_FLOOR):
+def f_eval(spec: LossSpec, params, batch, z: float):
     """(value, d/dz, grad_theta) of f(z; theta) = sum_i e^{u_i} ell_i / (n z)."""
-    if not z >= floor:
-        raise TrackingCollapseError(f"f evaluated at z={z!r}, below the {floor} floor")
+    if not z >= Y_FLOOR:
+        raise TrackingCollapseError(f"f evaluated at z={z!r}, below the {Y_FLOOR} floor")
     t = _batch_terms(spec, params, batch)
     e = np.exp(t.u)
     n = len(batch)
@@ -218,24 +237,13 @@ def f_eval(spec: LossSpec, params, batch, z: float, floor: float = Y_FLOOR):
 
 
 def eval_composition(spec: LossSpec, params, batch, z: float | None = None) -> CompositionalEval:
-    """All compositional pieces of one batch, sharing a single forward pass.
+    """All compositional pieces of one batch: g_eval, then f_eval at z.
 
     With z omitted, f is evaluated at the batch's own raw g value, so
     f_value is the batch's compositional objective.
     """
-    t = _batch_terms(spec, params, batch)
-    e = np.exp(t.u)
-    n = len(batch)
-    gv = float(e.mean())
-    grad_g = model.backward(params, t.trace, (e / n)[:, None] * t.up_u)
-    if z is None:
-        z = gv
-    if not z >= Y_FLOOR:
-        raise TrackingCollapseError(f"f evaluated at z={z!r}, below the {Y_FLOOR} floor")
-    fv = float(np.sum(e * t.ell) / (n * z))
-    grad1 = -fv / z
-    upstream = (e[:, None] * (t.ell[:, None] * t.up_u + t.up_ell)) / (n * z)
-    grad2 = model.backward(params, t.trace, upstream)
+    gv, grad_g = g_eval(spec, params, batch)
+    fv, grad1, grad2 = f_eval(spec, params, batch, gv if z is None else z)
     return CompositionalEval(gv, fv, grad_g, grad1, grad2)
 
 
@@ -255,6 +263,6 @@ def full_objective(spec: LossSpec, params, dataset):
 
 def pool_stats(spec: LossSpec, params, dataset):
     """(F, raw g) over a dataset, values only; cheap instrumentation hook."""
-    t = _batch_terms(spec, params, dataset)
+    t = _batch_terms(spec, params, dataset, grad=False)
     lam = _softmax(t.u)  # _batch_terms applied the |u| guard
     return float(lam @ t.ell), float(np.mean(np.exp(t.u)))

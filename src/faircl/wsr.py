@@ -135,7 +135,8 @@ def rate_and_grad_many(gains: np.ndarray, powers: np.ndarray, noise=1.0):
 
 def _wmmse_from(prob: RateProblem, v0: np.ndarray, max_iters: int, tol: float):
     # one run of the clipped alternating u/w/v sweeps from a given amplitude
-    # vector; returns the best (p, rate) iterate seen including the start
+    # vector; returns the best (p, rate) iterate seen including the start.
+    # sqrt(p_max)**2 can round above p_max, so powers are clamped to the box
     g = prob.gains
     a_direct = np.sqrt(np.diag(g))
     alpha = prob.weights
@@ -143,7 +144,7 @@ def _wmmse_from(prob: RateProblem, v0: np.ndarray, max_iters: int, tol: float):
     v_cap = np.sqrt(prob.p_max)
 
     v = v0
-    best_p = v**2
+    best_p = np.minimum(v * v, prob.p_max)
     best_rate = sum_rate(prob, best_p)
     prev_rate = best_rate
     for _ in range(max_iters):
@@ -154,7 +155,7 @@ def _wmmse_from(prob: RateProblem, v0: np.ndarray, max_iters: int, tol: float):
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(den > 0.0, num / den, 0.0)
         v = np.clip(v, 0.0, v_cap)
-        p = v * v
+        p = np.minimum(v * v, prob.p_max)
         rate = sum_rate(prob, p)
         if rate > best_rate:
             best_rate = rate

@@ -234,6 +234,11 @@ def test_load_malformed_record_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(channels.DatasetFormatError, match="line 3"):
         channels.load_dataset(path)
+    # a zero reference rate is rejected at load, before anything divides by it
+    lines[2] = json.dumps(dict(json.loads(lines[1]), rbar=0.0))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(channels.DatasetFormatError, match="line 3.*rbar"):
+        channels.load_dataset(path)
 
 
 def test_load_missing_field_named(tmp_path):

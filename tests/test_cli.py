@@ -161,12 +161,21 @@ def test_run_method_rng_independent_of_filter(tmp_path, cfg_path, data_path):
     assert (both / "metrics_Bilevel.csv").read_bytes() == (solo / "metrics_Bilevel.csv").read_bytes()
 
 
-def test_run_parallel_matches_serial(tmp_path, cfg_path, data_path):
-    ser, par = tmp_path / "ser", tmp_path / "par"
-    assert run_cmd(cfg_path, data_path, ser) == 0
-    assert run_cmd(cfg_path, data_path, par, "--parallel") == 0
-    for name in ("metrics_TL.csv", "metrics_Bilevel.csv"):
-        assert (ser / name).read_bytes() == (par / name).read_bytes()
+def test_run_guard_trip_is_runtime_failure(tmp_path, capsys):
+    # squared-error u on a [0, 9] power box runs far past the |u| guard
+    raw = config_to_dict(
+        tiny_config(
+            k_pairs=4, p_max=9.0, loss=LossSpec(upper="mse", lower="same_as_upper")
+        )
+    )
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(raw))
+    data, out = tmp_path / "data.jsonl", tmp_path / "runs"
+    assert gen(path, data) == 0
+    capsys.readouterr()
+    assert run_cmd(path, data, out) == 2
+    assert "Bilevel: ABORTED" in capsys.readouterr().err
+    assert len((out / "metrics_TL.csv").read_text().splitlines()) == 5
 
 
 def test_run_shared_seen_column(tmp_path, cfg_path, data_path):

@@ -136,6 +136,10 @@ def test_backward_upstream_shape_check():
     _, trace = model.forward(params, rng.standard_normal((3, 4)))
     with pytest.raises(ValueError):
         model.backward(params, trace, np.zeros((2, 2)))
+    # same input and output widths, other hidden width
+    other = model.init((4, 7, 2), 1.0, rng)
+    with pytest.raises(ValueError, match="trace does not match params"):
+        model.backward(other, trace, np.zeros((3, 2)))
 
 
 def test_checkpoint_round_trip_exact(tmp_path):

@@ -374,6 +374,24 @@ def test_weighted_upper_gradient_and_shape_check():
         objective.weighted_upper(LossSpec(), params, batch, w[:3])
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=[f"{s.upper}/{s.lower}/{s.alpha_mode}" for s in SPECS])
+def test_value_only_paths_skip_rate_gradients(spec, monkeypatch):
+    rng = np.random.default_rng(24)
+    params = rand_params(rng)
+    batch = labeled_batch(rng, 6)
+    g_ref = objective.g_eval(spec, params, batch)[0]
+    u_ref = objective._batch_terms(spec, params, batch).u
+    f_ref = objective.full_objective(spec, params, batch)[0]
+
+    def no_gradients(*args, **kwargs):
+        raise AssertionError("value-only path asked for rate gradients")
+
+    monkeypatch.setattr(wsr, "rate_and_grad_many", no_gradients)
+    assert objective.g_value(spec, params, batch) == g_ref
+    assert np.array_equal(objective.lower_values(spec, params, batch), u_ref)
+    assert objective.pool_stats(spec, params, batch) == (f_ref, g_ref)
+
+
 def test_pool_stats_matches_full_objective():
     rng = np.random.default_rng(21)
     params = rand_params(rng)

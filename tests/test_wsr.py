@@ -144,6 +144,12 @@ def test_wmmse_never_below_full_power_start():
         prob = rayleigh_problem(4, rng)
         _, rate = wmmse_checked(prob)
         assert rate >= wsr.sum_rate(prob, np.full(4, prob.p_max)) - 1e-9
+    # budgets whose np.sqrt(p_max) ** 2 rounds above p_max
+    for p_max in (0.5, 2.0, 10.0):
+        for _ in range(10):
+            prob = rayleigh_problem(4, rng, p_max=p_max)
+            _, rate = wmmse_checked(prob)
+            assert rate >= wsr.sum_rate(prob, np.full(4, p_max))
 
 
 def test_wmmse_dominant_interference_shuts_one_user_off():
