@@ -184,10 +184,27 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
 
 
 def add_wmmse_labels(samples, noise=1.0, p_max=1.0) -> None:
-    """Populate p_label and rbar on every sample, in place."""
-    for s in samples:
-        prob = wsr.problem_from_channel(s.h, noise=noise, p_max=p_max)
-        s.p_label, s.rbar = wsr.wmmse(prob)
+    """Populate p_label and rbar on every sample (all of one K), in place.
+
+    Raises ValueError, and labels no sample, if a label's rate is not
+    positive (a channel whose direct gains are all zero): rbar divides
+    every evaluation ratio, and load_dataset rejects it.
+    """
+    samples = list(samples)
+    if not samples:
+        return
+    # |h|^2 written sample by sample into one stack: no n-sized complex copy
+    k = samples[0].k_pairs
+    gains = np.empty((len(samples), k, k))
+    for g, s in zip(gains, samples):
+        np.abs(s.h, out=g)
+    np.square(gains, out=gains)
+    powers, rates = wsr.wmmse_many(gains, noise=noise, p_max=p_max)
+    for i, rate in enumerate(rates):
+        if not rate > 0:
+            raise ValueError(f"sample {i}: WMMSE label rate {rate} is not positive")
+    for s, p, rate in zip(samples, powers, rates):
+        s.p_label, s.rbar = p, float(rate)
 
 
 # ------------------------------------------------------------- persistence

@@ -90,9 +90,8 @@ def wmmse_policy(noise: float = 1.0, p_max: float = 1.0):
     """Power allocation by the iterative solver itself."""
 
     def policy(samples):
-        return np.stack(
-            [wsr.wmmse(wsr.problem_from_channel(s.h, noise=noise, p_max=p_max))[0] for s in samples]
-        )
+        gains = np.stack([np.abs(s.h) ** 2 for s in samples])
+        return wsr.wmmse_many(gains, noise=noise, p_max=p_max)[0]
 
     return policy
 

@@ -35,21 +35,31 @@ class RateProblem:
         k = self.gains.shape[0]
         if self.gains.ndim != 2 or self.gains.shape != (k, k):
             raise ValueError(f"gains must be square, got shape {self.gains.shape}")
-        if not np.all(np.isfinite(self.gains)) or np.any(self.gains < 0):
-            raise ValueError("gains must be finite and nonnegative")
-        self.weights = np.broadcast_to(np.asarray(self.weights, dtype=float), (k,)).copy()
-        self.noise = np.broadcast_to(np.asarray(self.noise, dtype=float), (k,)).copy()
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be positive and finite")
-        if np.any(self.noise <= 0) or not np.all(np.isfinite(self.noise)):
-            raise ValueError("noise powers must be positive and finite")
-        self.p_max = float(self.p_max)
-        if not self.p_max > 0:
-            raise ValueError("p_max must be positive")
+        self.weights, self.noise, self.p_max = _checked_terms(self.gains, self.weights, self.noise, self.p_max)
 
     @property
     def k_pairs(self) -> int:
         return self.gains.shape[0]
+
+
+def _checked_terms(gains: np.ndarray, weights, noise, p_max):
+    # the checks RateProblem and wmmse_many share, for gains of shape
+    # (..., K, K); returns weights and noise broadcast to (K,) and p_max.
+    # min propagates NaN, so one reduction each catches NaN, -inf, +inf and
+    # negative entries without an n-sized temporary
+    if gains.size and not (gains.min() >= 0.0 and gains.max() < np.inf):
+        raise ValueError("gains must be finite and nonnegative")
+    k = gains.shape[-1]
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), (k,)).copy()
+    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k,)).copy()
+    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be positive and finite")
+    if np.any(noise <= 0) or not np.all(np.isfinite(noise)):
+        raise ValueError("noise powers must be positive and finite")
+    p_max = float(p_max)
+    if not p_max > 0:
+        raise ValueError("p_max must be positive")
+    return weights, noise, p_max
 
 
 def problem_from_channel(h, noise=1.0, p_max=1.0, weights=1.0) -> RateProblem:
@@ -61,7 +71,7 @@ def problem_from_channel(h, noise=1.0, p_max=1.0, weights=1.0) -> RateProblem:
 def _check_box(p: np.ndarray, p_max: float):
     # NaN-skipping extremes: the same verdict as the elementwise comparisons,
     # in which a NaN entry fails neither, with two calls instead of four
-    if p.size and (np.fmin.reduce(p) < 0.0 or np.fmax.reduce(p) > p_max):
+    if p.size and (np.fmin.reduce(p, None) < 0.0 or np.fmax.reduce(p, None) > p_max):
         raise ValueError(f"power vector outside [0, {p_max}] box")
 
 
@@ -133,68 +143,117 @@ def rate_and_grad_many(gains: np.ndarray, powers: np.ndarray, noise=1.0):
     return rates, direct / tot - cross + c * direct
 
 
-def _wmmse_from(prob: RateProblem, v0: np.ndarray, max_iters: int, tol: float):
-    # one run of the clipped alternating u/w/v sweeps from a given amplitude
-    # vector; returns the best (p, rate) iterate seen including the start.
-    # sqrt(p_max)**2 can round above p_max, so powers are clamped to the box
-    g = prob.gains
-    a_direct = np.sqrt(np.diag(g))
-    alpha = prob.weights
-    sigma2 = prob.noise
-    v_cap = np.sqrt(prob.p_max)
+# gathered gain entries per block of samples: bounds the solver's working
+# set (gains, iterates and temporaries of every live row) independently of n
+_BLOCK_GAIN_ENTRIES = 1 << 16
 
-    v = v0
-    best_p = np.minimum(v * v, prob.p_max)
-    best_rate = sum_rate(prob, best_p)
+
+def wmmse_many(gains, noise=1.0, p_max=1.0, weights=1.0, max_iters: int = 500, tol: float = 1e-6):
+    """WMMSE power control for a stack of scalar interference channels.
+
+    gains: (n, K, K) as in RateProblem; noise/weights: scalar or (K,).
+    Returns (powers (n, K), rates (n,)).
+
+    Alternates closed-form receiver, weight, and transmit-amplitude updates
+    with v clipped to [0, sqrt(p_max)] and powers clamped to min(v*v, p_max),
+    since sqrt(p_max)**2 can round above p_max. Each run stops once the rate
+    changes by less than tol between sweeps, and keeps the best iterate it
+    saw, its start included. The sweeps are run from the full-power point and
+    from every single-user corner, and the first strict maximum across the
+    starts, in that order, is returned: the full-power point is a spurious
+    KKT trap of the clipped iteration on a nontrivial fraction of
+    strong-interference draws, and the corner starts (which the updates keep
+    on their corner's support) cover the shut-a-user-off solutions those
+    draws need. The reported rate therefore never drops below the
+    full-power operating point.
+
+    Every (sample, start) pair is one row, and each sweep updates all rows
+    still running at once; a row leaves once it stops. Samples are solved in
+    fixed-size blocks, so the working set does not grow with n. Each row
+    performs the same floating-point operations, in the same order, as a
+    solve of its sample alone, so results do not depend on n or on the block
+    a sample falls in.
+    """
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 3 or gains.shape[1] != gains.shape[2]:
+        raise ValueError(f"gains must be a stack of square matrices, got shape {gains.shape}")
+    weights, noise, p_max = _checked_terms(gains, weights, noise, p_max)
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    n, k = gains.shape[0], gains.shape[2]
+    powers = np.empty((n, k))
+    rates = np.empty(n)
+    size = max(1, _BLOCK_GAIN_ENTRIES // max(1, (k + 1) * k * k))
+    for lo in range(0, n, size):
+        hi = min(n, lo + size)
+        powers[lo:hi], rates[lo:hi] = _wmmse_block(gains[lo:hi], noise, p_max, weights, max_iters, tol)
+    return powers, rates
+
+
+def _wmmse_block(gains, noise, p_max, alpha, max_iters, tol):
+    # rows s*(K+1) .. s*(K+1)+K of sample s start from full power, then from
+    # the corners 0..K-1. Products are matmuls over (K, 1) columns and rates
+    # come from sum_rate_many, which keeps each row's bits those of a
+    # one-sample solve (an einsum for the products would not)
+    n, k = gains.shape[0], gains.shape[2]
+    v_cap = np.sqrt(p_max)
+    starts = np.vstack([np.full(k, v_cap), np.diag(np.full(k, v_cap))])
+    g = np.repeat(gains, k + 1, axis=0)
+    v = np.tile(starts, (n, 1))
+    a_direct = np.sqrt(g.diagonal(0, 1, 2))
+    best_p = np.minimum(v * v, p_max)
+    _check_box(best_p, p_max)
+    best_rate = sum_rate_many(g, best_p, noise, alpha)
     prev_rate = best_rate
+    out_p = np.empty_like(best_p)
+    out_rate = np.empty_like(best_rate)
+    rows = np.arange(g.shape[0])
     for _ in range(max_iters):
-        u = a_direct * v / (g @ (v * v) + sigma2)
+        u = a_direct * v / (np.matmul(g, (v * v)[..., None])[..., 0] + noise)
         w = 1.0 / (1.0 - u * a_direct * v)
-        num = alpha * w * u * a_direct
-        den = g.T @ (alpha * w * u * u)
+        awu = alpha * w * u
+        den = np.matmul(g.transpose(0, 2, 1), (awu * u)[..., None])[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(den > 0.0, num / den, 0.0)
+            v = np.where(den > 0.0, awu * a_direct / den, 0.0)
         v = np.clip(v, 0.0, v_cap)
-        p = np.minimum(v * v, prob.p_max)
-        rate = sum_rate(prob, p)
-        if rate > best_rate:
-            best_rate = rate
-            best_p = p
-        if abs(rate - prev_rate) < tol:
-            break
+        p = np.minimum(v * v, p_max)
+        _check_box(p, p_max)
+        rate = sum_rate_many(g, p, noise, alpha)
+        better = rate > best_rate
+        best_rate = np.where(better, rate, best_rate)
+        best_p[better] = p[better]
+        done = np.abs(rate - prev_rate) < tol
         prev_rate = rate
-    return best_p, best_rate
+        if done.any():
+            out_p[rows[done]] = best_p[done]
+            out_rate[rows[done]] = best_rate[done]
+            live = ~done
+            if not live.any():
+                break
+            g, a_direct, v, best_p, best_rate, prev_rate, rows = (
+                x[live] for x in (g, a_direct, v, best_p, best_rate, prev_rate, rows)
+            )
+    else:  # rows still running after max_iters sweeps
+        out_p[rows] = best_p
+        out_rate[rows] = best_rate
+
+    # first strict maximum across each sample's starts; a sample whose every
+    # rate is NaN keeps rate -inf and NaN powers
+    out_p = out_p.reshape(n, k + 1, k)
+    out_rate = out_rate.reshape(n, k + 1)
+    powers = np.full((n, k), np.nan)
+    rates = np.full(n, -np.inf)
+    for j in range(k + 1):
+        better = out_rate[:, j] > rates
+        rates[better] = out_rate[better, j]
+        powers[better] = out_p[better, j]
+    return powers, rates
 
 
 def wmmse(prob: RateProblem, max_iters: int = 500, tol: float = 1e-6):
-    """WMMSE power control for the scalar interference channel.
-
-    Alternates closed-form receiver, weight, and transmit-amplitude updates
-    with v clipped to [0, sqrt(p_max)]. Each run stops once the rate changes
-    by less than tol between sweeps. The sweeps are run from the full-power
-    point and from every single-user corner, and the best iterate across all
-    starts is returned: the full-power point is a spurious KKT trap of the
-    clipped iteration on a nontrivial fraction of strong-interference draws,
-    and the corner starts (which the updates keep on their corner's support)
-    cover the shut-a-user-off solutions those draws need. The reported rate
-    therefore never drops below the full-power operating point.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    k = prob.k_pairs
-    v_cap = np.sqrt(prob.p_max)
-    starts = [np.full(k, v_cap)]
-    for i in range(k):
-        corner = np.zeros(k)
-        corner[i] = v_cap
-        starts.append(corner)
-
-    best_p, best_rate = None, -np.inf
-    for v0 in starts:
-        p, rate = _wmmse_from(prob, v0, max_iters, tol)
-        if rate > best_rate:
-            best_p, best_rate = p, rate
-    return best_p, best_rate
+    """WMMSE power control of one problem; see wmmse_many. Returns (p, rate)."""
+    powers, rates = wmmse_many(prob.gains[None], prob.noise, prob.p_max, prob.weights, max_iters, tol)
+    return powers[0], float(rates[0])
 
 
 def brute_force_opt(prob: RateProblem, grid_points_per_dim: int = 201):

@@ -153,6 +153,16 @@ def test_labels_consistent_with_rate():
         assert abs(s.rbar - wsr.sum_rate(prob, s.p_label)) <= 1e-9
 
 
+def test_labels_reject_a_channel_without_direct_gain():
+    # rate 0 at every power: rbar would be 0, which load_dataset rejects
+    good = channels.ChannelSample(2, np.array([[1.0, 0.3], [0.2, 0.8]]))
+    dead = channels.ChannelSample(2, np.array([[0.0, 0.5], [0.4, 0.0]]))
+    with pytest.raises(ValueError, match="sample 1: .* not positive"):
+        channels.add_wmmse_labels([good, dead])
+    assert good.p_label is None and good.rbar is None
+    assert dead.p_label is None and dead.rbar is None
+
+
 # ---------------------------------------------------------------- persistence
 
 

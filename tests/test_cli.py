@@ -100,6 +100,21 @@ def test_gen_rejects_bad_batching(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+def test_gen_zero_rate_label_is_input_error(tmp_path, cfg_path, monkeypatch, capsys):
+    build = channels.build_stream
+
+    def with_dead_channel(*args):
+        stream = build(*args)
+        stream.test_sets[1][2].h[np.diag_indices(2)] = 0.0  # 16 train + 4 + 2 test before it
+        return stream
+
+    monkeypatch.setattr(channels, "build_stream", with_dead_channel)
+    out = tmp_path / "data.jsonl"
+    assert gen(cfg_path, out) == 1
+    assert "sample 22: WMMSE label rate 0.0 is not positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_is_byte_deterministic(tmp_path, cfg_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert gen(cfg_path, a) == 0

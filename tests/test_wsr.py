@@ -1,12 +1,14 @@
 """Rate objective, analytic gradient, WMMSE, and grid-search oracle."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from faircl import wsr
-from oracles import fd_gradient, rel_error
+from faircl import channels, wsr
+from oracles import fd_gradient, rel_error, wmmse_sequential
 
 
 def rayleigh_problem(k, rng, noise=1.0, p_max=1.0):
@@ -177,6 +179,119 @@ def test_wmmse_rejects_bad_iters():
     prob = wsr.RateProblem(np.eye(2), 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         wsr.wmmse(prob, max_iters=0)
+
+
+# ------------------------------------------------------- batched wmmse
+
+
+def stock_gains(k, n, rng):
+    """n samples from each of the four stock families, stacked as |h|^2."""
+    draws = (
+        channels.gen_rayleigh(k, n, rng)
+        + channels.gen_rician(k, n, rng)
+        + channels.gen_geometry(k, n, 10.0, rng)
+        + channels.gen_geometry(k, n, 50.0, rng)
+    )
+    return np.abs(np.array([s.h for s in draws])) ** 2
+
+
+def assert_matches_sequential(gains, noise, p_max, weights, max_iters):
+    powers, rates = wsr.wmmse_many(gains, noise, p_max, weights, max_iters)
+    assert powers.shape == gains.shape[:2] and rates.shape == gains.shape[:1]
+    for i, g in enumerate(gains):
+        p, rate = wmmse_sequential(wsr.RateProblem(g, weights, noise, p_max), max_iters)
+        assert np.array_equal(powers[i], p) and rates[i] == rate, (i, rates[i], rate)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+def test_wmmse_many_bitwise_equal_sequential_reference(k):
+    rng = np.random.default_rng(100 + k)
+    for p_max in (0.5, 1.0, 2.0, 10.0):
+        for noise, weights in ((1.0, 1.0), (0.7, rng.uniform(0.5, 2.0, k))):
+            for max_iters in (1, 500):
+                assert_matches_sequential(stock_gains(k, 2, rng), noise, p_max, weights, max_iters)
+
+
+def test_wmmse_many_blocks_bitwise_equal_sequential_reference(monkeypatch):
+    rng = np.random.default_rng(31)
+    # stock block size at K=10: 59 samples, so 3 blocks, the last ragged
+    gains = stock_gains(10, 33, rng)[:130]
+    assert_matches_sequential(gains, 0.7, 2.0, rng.uniform(0.5, 2.0, 10), 500)
+    # small blocks at K=3: 180 // (4 * 9) = 5 samples per block
+    monkeypatch.setattr(wsr, "_BLOCK_GAIN_ENTRIES", 180)
+    gains = stock_gains(3, 6, rng)[:23]
+    for max_iters in (1, 500):
+        assert_matches_sequential(gains, 1.3, 0.5, 1.0, max_iters)
+
+
+def test_wmmse_is_one_row_of_wmmse_many():
+    rng = np.random.default_rng(37)
+    gains = stock_gains(4, 3, rng)
+    powers, rates = wsr.wmmse_many(gains, 0.7, 2.0)
+    for i, g in enumerate(gains):
+        p, rate = wsr.wmmse(wsr.RateProblem(g, 1.0, 0.7, 2.0))
+        assert np.array_equal(p, powers[i]) and rate == rates[i] and type(rate) is float
+
+
+def test_wmmse_many_ties_keep_the_first_start():
+    # symmetric strong interference: every corner reaches the same rate
+    gains = np.full((1, 3, 3), 50.0)
+    gains[0][np.diag_indices(3)] = 2.0
+    assert_matches_sequential(gains, 1.0, 1.0, 1.0, 500)
+    powers, _ = wsr.wmmse_many(gains)
+    assert np.array_equal(powers[0], [1.0, 0.0, 0.0])
+
+
+def test_wmmse_many_empty_stack():
+    powers, rates = wsr.wmmse_many(np.zeros((0, 3, 3)))
+    assert powers.shape == (0, 3) and rates.shape == (0,)
+
+
+def test_wmmse_many_rejects_what_rate_problem_rejects():
+    good = np.ones((2, 3, 3))
+
+    def with_gain(x):
+        gains = good.copy()
+        gains[1, 0, 2] = x
+        return gains
+
+    bad_cases = [
+        (-good, 1.0, 1.0),
+        (with_gain(np.nan), 1.0, 1.0),
+        (with_gain(np.inf), 1.0, 1.0),
+        (with_gain(-np.inf), 1.0, 1.0),
+        (good, 0.0, 1.0),
+        (good, -1.0, 1.0),
+        (good, 1.0, 0.0),
+        (good, 1.0, -2.0),
+    ]
+    for gains, noise, p_max in bad_cases:
+        with pytest.raises(ValueError) as want:
+            wsr.RateProblem(gains[1], 1.0, noise, p_max)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            wsr.wmmse_many(gains, noise, p_max)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        wsr.wmmse_many(good, max_iters=0)
+    with pytest.raises(ValueError, match="square"):
+        wsr.wmmse_many(np.ones((2, 3, 2)))
+
+
+def test_wmmse_many_working_set_does_not_grow_with_n():
+    rng = np.random.default_rng(41)
+
+    def peak(n):
+        gains = np.abs(rng.standard_normal((n, 10, 10))) ** 2
+        tracemalloc.start()
+        try:
+            wsr.wmmse_many(gains)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(2000)
+    # one unblocked batch of 2000 K=10 samples gathers 17.6 MB of gains alone
+    assert large < 4e6
+    assert large < 1.5 * small
 
 
 # ---------------------------------------------------------------- grid oracle
