@@ -39,6 +39,9 @@ DISTRIBUTIONS = (RAYLEIGH, RICIAN, GEOMETRY)
 DATASET_VERSION = 1
 
 
+_LABEL_RULE = "p_label must be a nonnegative length-K vector"
+
+
 @dataclass(eq=False)
 class ChannelSample:
     """One network snapshot: channel matrix plus optional solver labels."""
@@ -50,19 +53,51 @@ class ChannelSample:
     episode_id: int = 0
 
     def __post_init__(self):
+        k = self.k_pairs
         self.h = np.asarray(self.h, dtype=complex)
-        if self.h.shape != (self.k_pairs, self.k_pairs):
-            raise ValueError(f"h must be {self.k_pairs}x{self.k_pairs}, got {self.h.shape}")
-        if not np.all(np.isfinite(self.h.real)) or not np.all(np.isfinite(self.h.imag)):
-            raise ValueError("h must be finite")
+        if self.h.shape != (k, k):
+            raise ValueError(f"h must be {k}x{k}, got {self.h.shape}")
+        labels = rbar = None
         if self.p_label is not None:
             self.p_label = np.asarray(self.p_label, dtype=float)
-            if self.p_label.shape != (self.k_pairs,) or np.any(self.p_label < 0):
-                raise ValueError("p_label must be a nonnegative length-K vector")
+            if self.p_label.shape != (k,):
+                raise ValueError(_LABEL_RULE)
+            labels = self.p_label[None]
         if self.rbar is not None:
             self.rbar = float(self.rbar)
-            if not self.rbar > 0:
-                raise ValueError(f"rbar must be positive, got {self.rbar}")
+            rbar = np.array([self.rbar])
+        bad = _first_invalid(self.h[None], labels, rbar)
+        if bad is not None:
+            raise ValueError(bad[1])
+
+    @classmethod
+    def _checked_row(cls, k_pairs, h, p_label, rbar, episode_id):
+        # a row of a stack that _first_invalid has passed: no second check
+        s = cls.__new__(cls)
+        s.k_pairs, s.h, s.p_label, s.rbar, s.episode_id = k_pairs, h, p_label, rbar, episode_id
+        return s
+
+
+def _first_invalid(h, p_label=None, rbar=None):
+    """(index, message) of the first sample of a stack that breaks a rule, or None.
+
+    h is (n, K, K) complex, p_label (n, K) and rbar (n,); None skips a field.
+    Shapes are the caller's to check. A sample breaks the first of these
+    rules, in this order, that fails for it: finite h, nonnegative p_label,
+    finite p_label, positive rbar, finite rbar.
+    """
+    rules = [(~np.isfinite(h).all((1, 2)), lambda i: "h must be finite")]
+    if p_label is not None:
+        rules.append(((p_label < 0).any(1), lambda i: _LABEL_RULE))
+        rules.append((~np.isfinite(p_label).all(1), lambda i: "p_label must be finite"))
+    if rbar is not None:
+        rules.append((~(rbar > 0), lambda i: f"rbar must be positive, got {float(rbar[i])}"))
+        rules.append((~np.isfinite(rbar), lambda i: f"rbar must be finite, got {float(rbar[i])}"))
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return i, next(message(i) for mask, message in rules if mask[i])
 
 
 @dataclass
@@ -265,31 +300,95 @@ def save_dataset(stream: EpisodeStream, path) -> None:
             write_samples(fh, stream.test_sets[ep])
 
 
-def _parse_record(line: str, lineno: int, k: int) -> ChannelSample:
+def _put(row: np.ndarray, value) -> bool:
+    """Write a JSON value into a preallocated row; False if its shape differs.
+
+    Only a list of exactly len(row) entries is assigned directly: numpy
+    would broadcast a length-1 or nested list into the row. Anything else
+    goes through np.asarray, which raises the conversion error it raises
+    for that value or gives its actual shape.
+    """
+    if type(value) is list and len(value) == len(row):
+        try:
+            row[...] = value
+            return True
+        except (ValueError, TypeError):
+            pass
+    value = np.asarray(value, dtype=float)
+    if value.shape != row.shape:
+        return False
+    row[...] = value
+    return True
+
+
+def _checked_stack(h_re, h_im, p_label, rbar, k):
+    """The (n, K, K) complex channel stack, once every row passes the sample rules."""
+    h = (h_re + 1j * h_im).reshape(len(h_re), k, k)
+    bad = _first_invalid(h, p_label, rbar)
+    if bad is not None:
+        i, message = bad
+        raise DatasetFormatError(f"line {i + 2}: {message}")
+    return h
+
+
+def _parse_records(lines, k) -> list[ChannelSample]:
+    """The samples of the record lines (file line 2 onward), in order.
+
+    Each record is parsed once into preallocated per-field arrays, with
+    exact shape checks; the value rules then run over all rows at once, and
+    the samples are views of one channel stack. Of several bad records the
+    first is reported, with the error a record-by-record reader gives it.
+    """
+    n, kk = len(lines), k * k
+    h_re, h_im = np.empty((n, kk)), np.empty((n, kk))
+    # rows without a label or rbar keep these values, which pass every rule
+    p_label, rbar = np.zeros((n, k)), np.ones(n)
+    has_label, has_rbar = [False] * n, [False] * n
+    episode = [0] * n
+    checked = 0  # rows whose fields read so far go through the rules
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"line {lineno}: invalid JSON record ({e.msg})") from e
-    for key in ("k", "episode", "h_re", "h_im"):
-        if key not in rec:
-            raise DatasetFormatError(f"line {lineno}: record missing field {key!r}")
-    if rec["k"] != k:
-        raise DatasetFormatError(f"line {lineno}: field 'k' is {rec['k']}, header says {k}")
-    h_re = np.asarray(rec["h_re"], dtype=float)
-    h_im = np.asarray(rec["h_im"], dtype=float)
-    if h_re.shape != (k * k,) or h_im.shape != (k * k,):
-        raise DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {k * k} values")
-    h = (h_re + 1j * h_im).reshape(k, k)
-    try:
-        return ChannelSample(
-            k,
-            h,
-            p_label=rec.get("p_label"),
-            rbar=rec.get("rbar"),
-            episode_id=int(rec["episode"]),
+        for i, line in enumerate(lines):
+            lineno = i + 2
+            checked = i
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DatasetFormatError(f"line {lineno}: invalid JSON record ({e.msg})") from e
+            for key in ("k", "episode", "h_re", "h_im"):
+                if key not in rec:
+                    raise DatasetFormatError(f"line {lineno}: record missing field {key!r}")
+            if rec["k"] != k:
+                raise DatasetFormatError(f"line {lineno}: field 'k' is {rec['k']}, header says {k}")
+            re_ok = _put(h_re[i], rec["h_re"])
+            im_ok = _put(h_im[i], rec["h_im"])
+            if not (re_ok and im_ok):
+                raise DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {kk} values")
+            try:
+                episode[i] = int(rec["episode"])
+                checked = i + 1  # h's rule comes before the label's and rbar's
+                label = rec.get("p_label")
+                if label is not None:
+                    if not _put(p_label[i], label):
+                        raise ValueError(_LABEL_RULE)
+                    has_label[i] = True
+                value = rec.get("rbar")
+                if value is not None:
+                    rbar[i] = float(value)
+                    has_rbar[i] = True
+            except ValueError as e:
+                raise DatasetFormatError(f"line {lineno}: {e}") from e
+    except (ValueError, TypeError):
+        # a fault in an earlier row, or earlier in this one, comes first
+        _checked_stack(h_re[:checked], h_im[:checked], p_label[:checked], rbar[:checked], k)
+        raise
+    h = _checked_stack(h_re, h_im, p_label, rbar, k)
+    rbars = rbar.tolist()
+    return [
+        ChannelSample._checked_row(
+            k, h[i], p_label[i] if has_label[i] else None, rbars[i] if has_rbar[i] else None, episode[i]
         )
-    except ValueError as e:
-        raise DatasetFormatError(f"line {lineno}: {e}") from e
+        for i in range(n)
+    ]
 
 
 def load_dataset(path) -> EpisodeStream:
@@ -322,16 +421,16 @@ def load_dataset(path) -> EpisodeStream:
             f"line {len(lines) + 1}: expected {expected} records after the header, found {len(lines) - 1}"
         )
 
+    samples = _parse_records(lines[1:], k)
     batches: list[tuple[int, list[ChannelSample]]] = []
     test_sets: list[list[ChannelSample]] = []
-    lineno = 2
+    start = 0
     for ep, sp in enumerate(specs):
-        train = [_parse_record(lines[lineno - 1 + i], lineno + i, k) for i in range(sp.n_train)]
-        lineno += sp.n_train
-        test = [_parse_record(lines[lineno - 1 + i], lineno + i, k) for i in range(sp.n_test)]
-        lineno += sp.n_test
+        train = samples[start : start + sp.n_train]
+        start += sp.n_train
+        test_sets.append(samples[start : start + sp.n_test])
+        start += sp.n_test
         size = sp.n_train // sp.n_batches
         for b in range(sp.n_batches):
             batches.append((ep, train[b * size : (b + 1) * size]))
-        test_sets.append(test)
     return EpisodeStream(k, specs, batches, test_sets)

@@ -231,12 +231,14 @@ def cmd_eval(args) -> int:
             )
         policy = harness.network_policy(params)
         label = args.checkpoint
-    rates, ratios = harness.evaluate(policy, stream.test_sets, noise=noise)
+    # the policy runs once per test set; the means and the histogram share its ratios
+    scores = harness.score_sets(policy, stream.test_sets, noise=noise)
+    rates, ratios = harness.episode_means(scores)
     for i, (r, q) in enumerate(zip(rates, ratios)):
         print(f"episode {i}: mean rate {r:.6f} nats, mean ratio {q:.6f}")
     print(f"average rate {np.mean(rates):.6f} ({label})")
     out_dir = _ensure_dir(args.out)
-    hist = harness.ratio_histogram(policy, stream.test_sets, args.bin_width, noise=noise)
+    hist = harness.pooled_histogram(scores, args.bin_width)
     hist_path = out_dir / "histogram.csv"
     with open(hist_path, "w", newline="") as fh:
         fh.write("bin_lo,bin_hi,count\n")

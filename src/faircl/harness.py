@@ -76,12 +76,18 @@ class MetricsRow:
     wall_ms: int
 
 
+def _magnitudes(samples) -> np.ndarray:
+    # one |h| stack: row-major it is the network input (model.features),
+    # squared the gains
+    return np.abs(np.array([s.h for s in samples]))
+
+
 def network_policy(params: model.ModelParams):
     """Power allocation by the trained network."""
 
     def policy(samples):
-        x = np.stack([model.features(s) for s in samples])
-        return model.forward(params, x)[0]
+        mag = _magnitudes(samples)
+        return model.forward(params, mag.reshape(len(mag), -1))[0]
 
     return policy
 
@@ -90,43 +96,53 @@ def wmmse_policy(noise: float = 1.0, p_max: float = 1.0):
     """Power allocation by the iterative solver itself."""
 
     def policy(samples):
-        gains = np.stack([np.abs(s.h) ** 2 for s in samples])
-        return wsr.wmmse_many(gains, noise=noise, p_max=p_max)[0]
+        mag = _magnitudes(samples)
+        return wsr.wmmse_many(mag * mag, noise=noise, p_max=p_max)[0]
 
     return policy
 
 
 def _set_ratios(policy, test_set, noise):
-    gains = np.stack([np.abs(s.h) ** 2 for s in test_set])
+    mag = _magnitudes(test_set)
     for i, s in enumerate(test_set):
         if s.rbar is None:
             raise ValueError(f"test sample {i} has no rbar; evaluation needs solver rates")
     rbar = np.array([s.rbar for s in test_set])
-    rates = wsr.sum_rate_many(gains, np.asarray(policy(test_set), dtype=float), noise=noise)
+    rates = wsr.sum_rate_many(mag * mag, np.asarray(policy(test_set), dtype=float), noise=noise)
     return rates, rates / rbar
 
 
-def evaluate(policy, test_sets, noise: float = 1.0):
-    """(mean rate, mean rate/rbar ratio) per episode test set."""
-    if not test_sets:
+def score_sets(policy, test_sets, noise: float = 1.0):
+    """Per-sample (rates, rate/rbar ratios) of each test set, one policy call per set."""
+    return [_set_ratios(policy, test_set, noise) for test_set in test_sets]
+
+
+def episode_means(scores):
+    """(mean rate, mean ratio) per test set, from score_sets' arrays."""
+    if not scores:
         raise ValueError("no test sets")
-    rates, ratios = [], []
-    for test_set in test_sets:
-        r, q = _set_ratios(policy, test_set, noise)
-        rates.append(float(r.mean()))
-        ratios.append(float(q.mean()))
-    return rates, ratios
+    return [float(r.mean()) for r, _ in scores], [float(q.mean()) for _, q in scores]
 
 
-def ratio_histogram(policy, test_sets, bin_width: float, noise: float = 1.0):
-    """Pooled histogram of per-sample ratios as (bin_lo, bin_hi, count) rows."""
+def pooled_histogram(scores, bin_width: float):
+    """Histogram of score_sets' ratios, pooled, as (bin_lo, bin_hi, count) rows."""
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
-    pooled = np.concatenate([_set_ratios(policy, ts, noise)[1] for ts in test_sets])
+    pooled = np.concatenate([q for _, q in scores])
     idx = np.floor(pooled / bin_width).astype(int)
     n_bins = int(idx.max()) + 1
     counts = np.bincount(idx, minlength=n_bins)
     return [(i * bin_width, (i + 1) * bin_width, int(c)) for i, c in enumerate(counts)]
+
+
+def evaluate(policy, test_sets, noise: float = 1.0):
+    """(mean rate, mean rate/rbar ratio) per episode test set."""
+    return episode_means(score_sets(policy, test_sets, noise))
+
+
+def ratio_histogram(policy, test_sets, bin_width: float, noise: float = 1.0):
+    """Pooled histogram of per-sample ratios as (bin_lo, bin_hi, count) rows."""
+    return pooled_histogram(score_sets(policy, test_sets, noise), bin_width)
 
 
 def _train_round(cfg, params, train_set, rng):

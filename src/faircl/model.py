@@ -152,8 +152,9 @@ def save_params(params: ModelParams, path):
         "p_max": params.p_max,
         "values": params.values.tolist(),
     }
+    # one dumps string: json.dump writes the same text chunk by chunk, slower
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

@@ -143,9 +143,13 @@ def rate_and_grad_many(gains: np.ndarray, powers: np.ndarray, noise=1.0):
     return rates, direct / tot - cross + c * direct
 
 
-# gathered gain entries per block of samples: bounds the solver's working
-# set (gains, iterates and temporaries of every live row) independently of n
-_BLOCK_GAIN_ENTRIES = 1 << 16
+# float64 entries per block of samples. Each (sample, start) row holds its
+# K x K gains and about _ROW_VECTORS live K-vectors (iterates, best point,
+# sweep temporaries), and at small K the vectors outweigh the gains, so both
+# count: the working set, about 1.3 MB, then grows with neither n nor K. A
+# K=10 block is 59 samples, a K=3 block 758
+_BLOCK_ENTRIES = 5 << 15
+_ROW_VECTORS = 15
 
 
 def wmmse_many(gains, noise=1.0, p_max=1.0, weights=1.0, max_iters: int = 500, tol: float = 1e-6):
@@ -183,7 +187,7 @@ def wmmse_many(gains, noise=1.0, p_max=1.0, weights=1.0, max_iters: int = 500, t
     n, k = gains.shape[0], gains.shape[2]
     powers = np.empty((n, k))
     rates = np.empty(n)
-    size = max(1, _BLOCK_GAIN_ENTRIES // max(1, (k + 1) * k * k))
+    size = max(1, _BLOCK_ENTRIES // max(1, (k + 1) * (k * k + _ROW_VECTORS * k)))
     for lo in range(0, n, size):
         hi = min(n, lo + size)
         powers[lo:hi], rates[lo:hi] = _wmmse_block(gains[lo:hi], noise, p_max, weights, max_iters, tol)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from faircl import channels, wsr
+from oracles import load_dataset_per_record
 
 
 def rng(seed=0):
@@ -249,6 +250,16 @@ def test_load_malformed_record_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(channels.DatasetFormatError, match="line 3.*rbar"):
         channels.load_dataset(path)
+    # so are non-finite labels, which training would otherwise divide into
+    for field, value, rule in (
+        ("p_label", [float("nan"), 0.5], "p_label must be finite"),
+        ("p_label", [0.5, float("inf")], "p_label must be finite"),
+        ("rbar", float("inf"), "rbar must be finite, got inf"),
+    ):
+        lines[2] = json.dumps(dict(json.loads(lines[1]), **{field: value}))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(channels.DatasetFormatError, match=f"^line 3: {rule}$"):
+            channels.load_dataset(path)
 
 
 def test_load_missing_field_named(tmp_path):
@@ -269,3 +280,137 @@ def test_load_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(channels.DatasetFormatError, match="line 1"):
         channels.load_dataset(path)
+
+
+# ------------------------------------------- loader against the per-record reference
+
+
+def _bits(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+def _layout_and_bits(stream):
+    layout = (
+        stream.k_pairs,
+        stream.specs,
+        [(e, len(b)) for e, b in stream.batches],
+        [len(t) for t in stream.test_sets],
+    )
+    rows = [
+        (s.k_pairs, type(s.episode_id), s.episode_id, _bits(s.h), _bits(s.p_label), type(s.rbar), repr(s.rbar))
+        for s in stream.all_samples()
+    ]
+    return layout, rows
+
+
+def _write_records(path, header, recs):
+    path.write_text("\n".join([header] + [r if isinstance(r, str) else json.dumps(r) for r in recs]) + "\n")
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("labels", [False, True])
+def test_load_bitwise_equal_per_record_reference(tmp_path, k, labels):
+    specs = [
+        channels.EpisodeSpec(channels.RICIAN, 6, 3, 2),
+        channels.EpisodeSpec(channels.GEOMETRY, 4, 2, 2, area_side_m=10.0),
+    ]
+    stream = channels.build_stream(specs, k, rng(50 + k))
+    if labels:
+        channels.add_wmmse_labels(list(stream.all_samples()), noise=0.7, p_max=2.0)
+    path = tmp_path / "data.jsonl"
+    channels.save_dataset(stream, path)
+    assert _layout_and_bits(channels.load_dataset(path)) == _layout_and_bits(load_dataset_per_record(path))
+    # records the format accepts that save_dataset does not write: integer
+    # and signed-zero entries, a null label, no rbar, a float episode, extras
+    header, *lines = path.read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    recs[0]["h_re"] = [-0.0] * (k * k)
+    recs[1]["h_im"] = list(range(k * k))
+    recs[2]["p_label"] = None
+    recs[3].pop("rbar", None)
+    recs[4]["episode"] = 0.0
+    recs[5]["note"] = "extra"
+    _write_records(path, header, recs)
+    assert _layout_and_bits(channels.load_dataset(path)) == _layout_and_bits(load_dataset_per_record(path))
+
+
+def _corrupt(recs, line, **fields):
+    # the records with fields replaced at a file line (records start at line 2)
+    out = [dict(r) for r in recs]
+    out[line - 2].update(fields)
+    return out
+
+
+def _malformed_corpus(recs):
+    """(name, records) pairs: every list holds at least one bad record."""
+    inf, nan = float("inf"), float("nan")
+    r2, r3 = recs[0], recs[1]
+    no_im = dict(r2)
+    del no_im["h_im"]
+    corpus = [
+        ("bad JSON", ["{not json" if i == 1 else r for i, r in enumerate(recs)]),
+        ("missing field", [no_im] + recs[1:]),
+        ("k mismatch", _corrupt(recs, 4, k=5)),
+        ("length-1 h_re", _corrupt(recs, 3, h_re=[0.5])),
+        ("nested h_re", _corrupt(recs, 3, h_re=[r3["h_re"]])),
+        ("column h_im", _corrupt(recs, 3, h_im=[[v] for v in r3["h_im"]])),
+        ("null h_re", _corrupt(recs, 3, h_re=None)),
+        ("string in h_re", _corrupt(recs, 3, h_re=["x"] + r3["h_re"][1:])),
+        ("object h_im", _corrupt(recs, 3, h_im={"a": 1.0})),
+        ("infinite h", _corrupt(recs, 3, h_re=[inf] + r3["h_re"][1:])),
+        ("NaN h", _corrupt(recs, 5, h_im=r3["h_im"][:-1] + [nan])),
+        ("negative label", _corrupt(recs, 3, p_label=[-0.1, 0.5])),
+        ("-inf label", _corrupt(recs, 3, p_label=[0.5, -inf])),
+        ("short label", _corrupt(recs, 3, p_label=[0.5])),
+        ("nested label", _corrupt(recs, 3, p_label=[[0.5, 0.5]])),
+        ("string label", _corrupt(recs, 3, p_label=["x", "y"])),
+        ("zero rbar", _corrupt(recs, 3, rbar=0.0)),
+        ("negative rbar", _corrupt(recs, 3, rbar=-1.0)),
+        ("NaN rbar", _corrupt(recs, 3, rbar=nan)),
+        ("string rbar", _corrupt(recs, 3, rbar="abc")),
+        ("list rbar", _corrupt(recs, 3, rbar=[1.0])),
+        ("string episode", _corrupt(recs, 3, episode="x")),
+        ("null episode", _corrupt(recs, 3, episode=None)),
+        ("list record", ["[1, 2]" if i == 2 else r for i, r in enumerate(recs)]),
+        ("number record", ["5" if i == 2 else r for i, r in enumerate(recs)]),
+        # two bad lines with different faults: the earlier one is reported
+        ("infinite h, later bad JSON", _corrupt(recs, 3, h_re=[inf] + r3["h_re"][1:])[:3] + ["{"] + recs[4:]),
+        ("bad JSON, later negative label", ["{" if i == 1 else r for i, r in enumerate(_corrupt(recs, 5, p_label=[-1.0, 0.0]))]),
+        ("zero rbar, later missing field", _corrupt(recs, 4, rbar=0.0)[:4] + [no_im] + recs[5:]),
+        ("NaN h, later k mismatch", _corrupt(_corrupt(recs, 2, h_im=[nan] + r2["h_im"][1:]), 6, k=3)),
+        # two faults in one record: the one a record-by-record reader meets first
+        ("infinite h and short label", _corrupt(recs, 3, h_re=[inf] + r3["h_re"][1:], p_label=[0.5])),
+        ("negative label and string rbar", _corrupt(recs, 3, p_label=[-1.0, 0.0], rbar="abc")),
+        ("infinite h and string episode", _corrupt(recs, 3, h_re=[inf] + r3["h_re"][1:], episode="x")),
+        ("length-1 h_re and string h_im", _corrupt(recs, 3, h_re=[0.5], h_im=["x"] * len(r3["h_im"]))),
+    ]
+    return corpus
+
+
+def _outcome(load, path):
+    try:
+        load(path)
+    except Exception as e:  # the type is part of what is compared
+        return type(e), str(e)
+    return None
+
+
+def test_load_malformed_matches_per_record_reference(tmp_path):
+    path = tmp_path / "data.jsonl"
+    channels.save_dataset(small_stream(True), path)
+    header, *lines = path.read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    cases = _malformed_corpus(recs)
+    cases += [
+        ("truncated file", recs[:-2]),
+        ("extra record", recs + recs[:1]),
+    ]
+    for name, bad in cases:
+        _write_records(path, header, bad)
+        want = _outcome(load_dataset_per_record, path)
+        assert want is not None, name
+        assert _outcome(channels.load_dataset, path) == want, name
+    for name, text in (("empty file", ""), ("bad header", "{}\n"), ("bad version", json.dumps({"version": 9, "k": 2, "specs": []}) + "\n")):
+        path.write_text(text)
+        want = _outcome(load_dataset_per_record, path)
+        assert want is not None and _outcome(channels.load_dataset, path) == want, name

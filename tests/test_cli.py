@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from faircl import channels, cli, model
+from faircl import channels, cli, model, wsr
 from faircl.channels import EpisodeSpec
 from faircl.cli import ExperimentConfig, config_from_dict, config_to_dict, main
 from faircl.objective import LossSpec
@@ -193,6 +193,17 @@ def test_run_guard_trip_is_runtime_failure(tmp_path, capsys):
     assert len((out / "metrics_TL.csv").read_text().splitlines()) == 5
 
 
+def test_run_rejects_non_finite_label_at_load(tmp_path, cfg_path, data_path, capsys):
+    lines = data_path.read_text().splitlines()
+    for value in ("NaN", "Infinity"):
+        rec = json.loads(lines[5])
+        rec["p_label"][1] = float(value)
+        data_path.write_text("\n".join(lines[:5] + [json.dumps(rec)] + lines[6:]) + "\n")
+        capsys.readouterr()
+        assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1
+        assert "line 6: p_label must be finite" in capsys.readouterr().err
+
+
 def test_run_shared_seen_column(tmp_path, cfg_path, data_path):
     out = tmp_path / "all"
     assert run_cmd(cfg_path, data_path, out) == 0
@@ -221,6 +232,29 @@ def test_eval_wmmse_policy(tmp_path, data_path, capsys):
     lines = (out / "histogram.csv").read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert sum(int(row.split(",")[2]) for row in lines[1:]) == 8
+
+
+def test_eval_runs_the_policy_once_per_test_set(tmp_path, monkeypatch):
+    # the acceptance gate's CLI config: 2 x 20 test samples
+    raw = config_to_dict(
+        tiny_config(
+            seed=5,
+            episodes=[EpisodeSpec("rayleigh", 80, 20, 4), EpisodeSpec("geometry", 80, 20, 4, area_side_m=10.0)],
+        )
+    )
+    path, data = tmp_path / "gate9.json", tmp_path / "data.jsonl"
+    path.write_text(json.dumps(raw))
+    assert gen(path, data) == 0
+    solve = wsr.wmmse_many
+    solved = []
+
+    def counted(gains, *args, **kw):
+        solved.append(len(gains))
+        return solve(gains, *args, **kw)
+
+    monkeypatch.setattr(wsr, "wmmse_many", counted)
+    assert main(["eval", "--data", str(data), "--out", str(tmp_path / "e"), "--policy", "wmmse"]) == 0
+    assert solved == [20, 20]
 
 
 def test_eval_checkpoint(tmp_path, cfg_path, data_path, capsys):

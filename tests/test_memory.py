@@ -147,5 +147,5 @@ def test_dump_buffer(tmp_path):
     memory.dump_buffer(buf, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 4
-    restored = [channels._parse_record(line, i + 1, 2) for i, line in enumerate(lines)]
+    restored = channels._parse_records(lines, 2)
     assert all(np.array_equal(r.h, s.h) for r, s in zip(restored, pool))

@@ -1,5 +1,7 @@
 """Policy network: shapes, init, forward/backward, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert back.layer_sizes == params.layer_sizes
     assert back.p_max == params.p_max
     np.testing.assert_array_equal(back.values, params.values)
+
+
+def test_checkpoint_bytes_equal_json_dump_form(tmp_path):
+    rng = np.random.default_rng(9)
+    extreme = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 1e16, 0.1, 1 / 3, -2.5e-7, 123456789.0])
+    cases = [
+        model.init((100, 200, 80, 10), 1.0, rng),
+        model.ModelParams((3, 2, 2), rng.standard_normal(14) * 10.0 ** rng.integers(-300, 300, 14), 1e-300),
+        model.ModelParams((3, 3, 1), np.resize(extreme, 16), 1.7976931348623157e308),
+    ]
+    for params in cases:
+        path = tmp_path / "ckpt.json"
+        model.save_params(params, path)
+        doc = {"layer_sizes": list(params.layer_sizes), "p_max": params.p_max, "values": params.values.tolist()}
+        with open(tmp_path / "dump.json", "w") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
 
 def test_checkpoint_missing_field(tmp_path):

@@ -120,8 +120,10 @@ def test_u_guard_raises():
     spec = LossSpec(upper="mse", lower="same_as_upper")
     with pytest.raises(ValueError, match="guard"):
         objective.loss_lower_u(spec, params, sample)
-    # a NaN u elsewhere in the batch does not hide the violation
-    nan_sample = zero_gain_sample(p_label=np.array([np.nan, 0.5]))
+    # a NaN u elsewhere in the batch does not hide the violation; the NaN is
+    # written after construction, which rejects a non-finite label
+    nan_sample = zero_gain_sample(p_label=np.array([0.0, 0.5]))
+    nan_sample.p_label[0] = np.nan
     with pytest.raises(ValueError, match="guard"):
         objective.lower_values(spec, params, [nan_sample, sample])
 

@@ -217,8 +217,8 @@ def test_wmmse_many_blocks_bitwise_equal_sequential_reference(monkeypatch):
     # stock block size at K=10: 59 samples, so 3 blocks, the last ragged
     gains = stock_gains(10, 33, rng)[:130]
     assert_matches_sequential(gains, 0.7, 2.0, rng.uniform(0.5, 2.0, 10), 500)
-    # small blocks at K=3: 180 // (4 * 9) = 5 samples per block
-    monkeypatch.setattr(wsr, "_BLOCK_GAIN_ENTRIES", 180)
+    # small blocks at K=3: 1080 // (4 * (9 + 15 * 3)) = 5 samples per block
+    monkeypatch.setattr(wsr, "_BLOCK_ENTRIES", 1080)
     gains = stock_gains(3, 6, rng)[:23]
     for max_iters in (1, 500):
         assert_matches_sequential(gains, 1.3, 0.5, 1.0, max_iters)
@@ -276,22 +276,32 @@ def test_wmmse_many_rejects_what_rate_problem_rejects():
         wsr.wmmse_many(np.ones((2, 3, 2)))
 
 
+def wmmse_peak_bytes(rng, n, k):
+    """tracemalloc peak of one wmmse_many call on n random K x K gain matrices."""
+    gains = np.abs(rng.standard_normal((n, k, k))) ** 2
+    tracemalloc.start()
+    try:
+        wsr.wmmse_many(gains)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_wmmse_many_working_set_does_not_grow_with_n():
     rng = np.random.default_rng(41)
-
-    def peak(n):
-        gains = np.abs(rng.standard_normal((n, 10, 10))) ** 2
-        tracemalloc.start()
-        try:
-            wsr.wmmse_many(gains)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(200), peak(2000)
+    small, large = wmmse_peak_bytes(rng, 200, 10), wmmse_peak_bytes(rng, 2000, 10)
     # one unblocked batch of 2000 K=10 samples gathers 17.6 MB of gains alone
     assert large < 4e6
     assert large < 1.5 * small
+
+
+def test_wmmse_many_working_set_at_small_k_does_not_grow_with_n():
+    # at K=3 a row's K-vectors outweigh its 9 gains; a budget of gains alone
+    # let one block grow to 1820 samples and 3.4 MB
+    rng = np.random.default_rng(43)
+    small, large = wmmse_peak_bytes(rng, 1000, 3), wmmse_peak_bytes(rng, 4000, 3)
+    assert large < 2e6
+    assert large < 1.25 * small
 
 
 # ---------------------------------------------------------------- grid oracle
