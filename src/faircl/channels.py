@@ -321,9 +321,17 @@ def _put(row: np.ndarray, value) -> bool:
     return True
 
 
-def _checked_stack(h_re, h_im, p_label, rbar, k):
-    """The (n, K, K) complex channel stack, once every row passes the sample rules."""
-    h = (h_re + 1j * h_im).reshape(len(h_re), k, k)
+def _checked_stack(h, p_label, rbar, k):
+    """The (n, K, K) channel stack, once every row passes the sample rules.
+
+    h is (n, K^2) complex and holds each record's h_re and h_im as read. It
+    becomes h_re + 1j*h_im in place, with that sum's signed zeros: 1j*h_im
+    has real part h_im*0.0 and imaginary part h_im + 0.0.
+    """
+    re, im = h.real, h.imag
+    re += im * 0.0
+    im += 0.0
+    h = h.reshape(len(h), k, k)
     bad = _first_invalid(h, p_label, rbar)
     if bad is not None:
         i, message = bad
@@ -335,12 +343,15 @@ def _parse_records(lines, k) -> list[ChannelSample]:
     """The samples of the record lines (file line 2 onward), in order.
 
     Each record is parsed once into preallocated per-field arrays, with
-    exact shape checks; the value rules then run over all rows at once, and
-    the samples are views of one channel stack. Of several bad records the
-    first is reported, with the error a record-by-record reader gives it.
+    exact shape checks, h_re and h_im straight into the complex stack's
+    real and imaginary parts; the value rules then run over all rows at
+    once, and the samples are views of the stack. Of several bad records
+    the first is reported, with the error a record-by-record reader gives
+    it, and every fault names its line.
     """
     n, kk = len(lines), k * k
-    h_re, h_im = np.empty((n, kk)), np.empty((n, kk))
+    h = np.empty((n, kk), dtype=complex)
+    h_re, h_im = h.real, h.imag
     # rows without a label or rbar keep these values, which pass every rule
     p_label, rbar = np.zeros((n, k)), np.ones(n)
     has_label, has_rbar = [False] * n, [False] * n
@@ -354,14 +365,18 @@ def _parse_records(lines, k) -> list[ChannelSample]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetFormatError(f"line {lineno}: invalid JSON record ({e.msg})") from e
+            if not isinstance(rec, dict):
+                rec = {}  # a record that is no JSON object has none of the fields
             for key in ("k", "episode", "h_re", "h_im"):
                 if key not in rec:
                     raise DatasetFormatError(f"line {lineno}: record missing field {key!r}")
             if rec["k"] != k:
                 raise DatasetFormatError(f"line {lineno}: field 'k' is {rec['k']}, header says {k}")
-            re_ok = _put(h_re[i], rec["h_re"])
-            im_ok = _put(h_im[i], rec["h_im"])
-            if not (re_ok and im_ok):
+            try:
+                h_ok = _put(h_re[i], rec["h_re"]) and _put(h_im[i], rec["h_im"])
+            except (ValueError, TypeError):  # an entry that is not a number
+                h_ok = False
+            if not h_ok:
                 raise DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {kk} values")
             try:
                 episode[i] = int(rec["episode"])
@@ -375,13 +390,13 @@ def _parse_records(lines, k) -> list[ChannelSample]:
                 if value is not None:
                     rbar[i] = float(value)
                     has_rbar[i] = True
-            except ValueError as e:
+            except (ValueError, TypeError) as e:
                 raise DatasetFormatError(f"line {lineno}: {e}") from e
     except (ValueError, TypeError):
         # a fault in an earlier row, or earlier in this one, comes first
-        _checked_stack(h_re[:checked], h_im[:checked], p_label[:checked], rbar[:checked], k)
+        _checked_stack(h[:checked], p_label[:checked], rbar[:checked], k)
         raise
-    h = _checked_stack(h_re, h_im, p_label, rbar, k)
+    h = _checked_stack(h, p_label, rbar, k)
     rbars = rbar.tolist()
     return [
         ChannelSample._checked_row(

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channels
-
 BILEVEL_TOP_M = "bilevel_top_m"
 RESERVOIR = "reservoir"
 JOINT_UNBOUNDED = "joint_unbounded"
@@ -93,9 +91,3 @@ def update_joint(buffer: MemoryBuffer, new_batch) -> MemoryBuffer:
     buffer.items.extend(new_batch)
     buffer.seen_count += len(new_batch)
     return buffer
-
-
-def dump_buffer(buffer: MemoryBuffer, path) -> None:
-    """Buffer contents in the dataset record format, one line per sample."""
-    with open(path, "w") as fh:
-        channels.write_samples(fh, buffer.items)

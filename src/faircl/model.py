@@ -36,7 +36,15 @@ class ModelParams:
         self.p_max = float(self.p_max)
         if not self.p_max > 0:
             raise ValueError("p_max must be positive")
-        self.layers = [(values[w0:b0].reshape(shape), values[b0:b1]) for w0, b0, b1, shape in spans]
+        self.layers = _views(values, spans)
+
+    @classmethod
+    def _checked(cls, layer_sizes, values, p_max):
+        # values already hold layer_sizes' count of finite floats: no second check
+        p = cls.__new__(cls)
+        p.layer_sizes, p.values, p.p_max = layer_sizes, values, p_max
+        p.layers = _views(values, _layout(layer_sizes))
+        return p
 
 
 @dataclass(eq=False)
@@ -63,6 +71,10 @@ def _layout(layer_sizes: tuple[int, ...]) -> tuple:
         spans.append((pos, pos + fi * fo, pos + fi * fo + fo, (fo, fi)))
         pos += (fi + 1) * fo
     return tuple(spans)
+
+
+def _views(values, spans) -> list:
+    return [(values[w0:b0].reshape(shape), values[b0:b1]) for w0, b0, b1, shape in spans]
 
 
 def init(layer_sizes, p_max: float, rng: np.random.Generator) -> ModelParams:
@@ -139,9 +151,9 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
         np.dot(dz.T, trace.inputs[i], flat[w0:b0].reshape(shape))
         np.add.reduce(dz, 0, out=flat[b0:b1])
         if i > 0:
-            # ReLU derivative as a float step (0 at z = 0); it differs from
-            # the mask z > 0 only at a NaN z, whose dz row is all NaN anyway
-            dz = np.dot(dz, layers[i][0]) * np.heaviside(trace.pre_acts[i - 1], 0.0)
+            # ReLU derivative as the mask z > 0 (0 at z = 0); a NaN z gives 0
+            # where a float step gives NaN, but its dz row is all NaN anyway
+            dz = np.dot(dz, layers[i][0]) * (trace.pre_acts[i - 1] > 0.0)
     return flat
 
 

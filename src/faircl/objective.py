@@ -27,6 +27,12 @@ applies a joint max-shift to the exponentials of f and g (their ratio is
 unchanged); g_eval reports the raw unshifted mean, which is what the
 trainer's tracking variable follows.
 
+The oracles take a sample list or a Batch of its arrays: a list is stacked,
+and its labels and rbar checked, on entry, while a trainer stacks its pool
+once and passes row takes. step_terms and chain_gradient split the
+compositional trainer's fused step around its y update; they share the g
+and f pull-back formulas with g_eval and f_eval.
+
 Every oracle takes its per-sample terms from one _batch_terms pass. The
 value-only callers (g_value, lower_values, pool_stats) take their rates from
 wsr.sum_rate_many and build no pull-back terms; those rates are bitwise
@@ -88,6 +94,52 @@ class CompositionalEval:
 
 
 @dataclass(eq=False)
+class Batch:
+    """Samples as arrays: the |h| stack plus the fields the losses read.
+
+    mag is (n, K, K); labels (n, K) and neg_alpha (n,), which is -1/rbar
+    or -1, are None where the oracle the batch was built for does not read
+    them. A pool is converted once and its minibatches are row takes.
+    """
+
+    mag: np.ndarray
+    labels: np.ndarray | None
+    neg_alpha: np.ndarray | None
+
+    def __len__(self):
+        return len(self.mag)
+
+    def take(self, idx) -> "Batch":
+        """The rows idx, in that order."""
+        return Batch(self.mag[idx], _take(self.labels, idx), _take(self.neg_alpha, idx))
+
+
+def _take(a, idx):
+    return None if a is None else a[idx]
+
+
+def as_batch(spec, samples, need_ell=True, need_u=True) -> Batch:
+    """A sample list as a Batch, checking the labels and rbar that spec reads.
+
+    need_ell and need_u name the losses the batch will feed, as in the
+    oracles; a Batch passes through unchanged.
+    """
+    if not len(samples):
+        raise ValueError("empty sample batch")
+    if isinstance(samples, Batch):
+        return samples
+    # one |h| serves both the network input (model.features, row-major) and
+    # the gains |h|^2
+    mag = np.abs(np.array([s.h for s in samples]))
+    labels = neg_alpha = None
+    if spec.upper == "mse" and (need_ell or spec.lower == "same_as_upper"):
+        labels = _stack_labels(samples)
+    if need_u and spec.lower == "weighted_neg_sum_rate":
+        neg_alpha = _neg_alphas(spec, samples)
+    return Batch(mag, labels, neg_alpha)
+
+
+@dataclass(eq=False)
 class _BatchTerms:
     ell: np.ndarray | None
     up_ell: np.ndarray | None
@@ -98,12 +150,9 @@ class _BatchTerms:
 
 def _batch_terms(spec, params, samples, need_ell=True, need_u=True, grad=True) -> _BatchTerms:
     # with grad=False, up_ell and up_u stay None
-    if not samples:
-        raise ValueError("empty sample batch")
-    # one |h| serves both the network input (model.features, row-major) and
-    # the gains |h|^2
-    mag = np.abs(np.array([s.h for s in samples]))
-    outputs, trace = model.forward(params, mag.reshape(len(samples), -1))
+    batch = as_batch(spec, samples, need_ell, need_u)
+    mag = batch.mag
+    outputs, trace = model.forward(params, mag.reshape(len(mag), -1))
 
     need_rate = spec.upper == "neg_sum_rate" or (need_u and spec.lower == "weighted_neg_sum_rate")
     rates = grad_p = None
@@ -116,7 +165,7 @@ def _batch_terms(spec, params, samples, need_ell=True, need_u=True, grad=True) -
     ell = up_ell = None
     if need_ell or spec.lower == "same_as_upper":
         if spec.upper == "mse":
-            diff = outputs - _stack_labels(samples)
+            diff = outputs - batch.labels
             ell = np.add.reduce(diff * diff, 1)
             up_ell = 2.0 * diff if grad else None
         else:
@@ -128,7 +177,7 @@ def _batch_terms(spec, params, samples, need_ell=True, need_u=True, grad=True) -
         if spec.lower == "same_as_upper":
             u, up_u = ell, up_ell
         else:
-            neg_alpha = _neg_alphas(spec, samples)
+            neg_alpha = batch.neg_alpha
             u = neg_alpha * rates
             up_u = neg_alpha[:, None] * grad_p if grad else None
         abs_u = np.abs(u)
@@ -159,6 +208,22 @@ def _neg_alphas(spec, samples):
         if r is None or not r > 0:
             raise ValueError(f"sample {i} is degenerate: rbar must be positive, got {r}")
     return -1.0 / np.array(rbar)
+
+
+def _g_pullback(u, up_u):
+    # g = (1/n) sum_i e^{u_i} and the upstream rows that pull its gradient back
+    n = len(u)
+    e = np.exp(u)
+    return float(np.add.reduce(e) / n), (e / n)[:, None] * up_u
+
+
+def _f_pullback(u, up_u, ell, up_ell, z):
+    # f(z) = sum_i e^{u_i} ell_i / (n z), d f/d z, and the upstream rows of grad_theta f
+    n = len(u)
+    e = np.exp(u)
+    value = float(np.add.reduce(e * ell) / (n * z))
+    upstream = (e[:, None] * (ell[:, None] * up_u + up_ell)) / (n * z)
+    return value, -value / z, upstream
 
 
 def loss_upper(spec: LossSpec, params, sample):
@@ -211,15 +276,14 @@ def _softmax(u):
 def g_value(spec: LossSpec, params, batch) -> float:
     """Raw mean of e^{u_i} over the batch, no gradients."""
     t = _batch_terms(spec, params, batch, need_ell=False, grad=False)
-    return float(np.mean(np.exp(t.u)))
+    return float(np.add.reduce(np.exp(t.u)) / len(t.u))  # np.mean's bits, less overhead
 
 
 def g_eval(spec: LossSpec, params, batch):
     """(value, grad) of g(theta) = (1/n) sum_i e^{u_i} on a batch."""
     t = _batch_terms(spec, params, batch, need_ell=False)
-    e = np.exp(t.u)
-    grad = model.backward(params, t.trace, (e / len(batch))[:, None] * t.up_u)
-    return float(np.add.reduce(e) / len(batch)), grad
+    value, upstream = _g_pullback(t.u, t.up_u)
+    return value, model.backward(params, t.trace, upstream)
 
 
 def f_eval(spec: LossSpec, params, batch, z: float):
@@ -227,13 +291,8 @@ def f_eval(spec: LossSpec, params, batch, z: float):
     if not z >= Y_FLOOR:
         raise TrackingCollapseError(f"f evaluated at z={z!r}, below the {Y_FLOOR} floor")
     t = _batch_terms(spec, params, batch)
-    e = np.exp(t.u)
-    n = len(batch)
-    value = float(np.add.reduce(e * t.ell) / (n * z))
-    grad1 = -value / z
-    upstream = (e[:, None] * (t.ell[:, None] * t.up_u + t.up_ell)) / (n * z)
-    grad2 = model.backward(params, t.trace, upstream)
-    return value, grad1, grad2
+    value, grad1, upstream = _f_pullback(t.u, t.up_u, t.ell, t.up_ell, z)
+    return value, grad1, model.backward(params, t.trace, upstream)
 
 
 def eval_composition(spec: LossSpec, params, batch, z: float | None = None) -> CompositionalEval:
@@ -245,6 +304,47 @@ def eval_composition(spec: LossSpec, params, batch, z: float | None = None) -> C
     gv, grad_g = g_eval(spec, params, batch)
     fv, grad1, grad2 = f_eval(spec, params, batch, gv if z is None else z)
     return CompositionalEval(gv, fv, grad_g, grad1, grad2)
+
+
+@dataclass(eq=False)
+class StepTerms:
+    """One forward at params over the stacked [phi; xi] rows of a compositional step."""
+
+    g_value: float  # raw g on phi
+    g_upstream: np.ndarray  # phi's rows of the upstream pulling back grad g
+    rows: _BatchTerms  # every per-sample term of [phi; xi]
+    n_phi: int
+
+
+def step_terms(spec: LossSpec, params, batch_phi, batch_xi) -> StepTerms:
+    """g on phi and what chain_gradient needs of phi and xi, from one forward."""
+    phi = as_batch(spec, batch_phi)
+    xi = as_batch(spec, batch_xi)
+    stacked = Batch(
+        np.concatenate((phi.mag, xi.mag)), _concat(phi.labels, xi.labels), _concat(phi.neg_alpha, xi.neg_alpha)
+    )
+    t = _batch_terms(spec, params, stacked)
+    m = len(phi)
+    g, g_up = _g_pullback(t.u[:m], t.up_u[:m])
+    return StepTerms(g, g_up, t, m)
+
+
+def _concat(a, b):
+    return None if a is None else np.concatenate((a, b))
+
+
+def chain_gradient(params, terms: StepTerms, z: float) -> np.ndarray:
+    """grad g * d f/d z + grad_theta f at z, with g on phi and f on xi.
+
+    One backward over the stacked rows: model.backward is linear in its
+    upstream, so scaling phi's g rows by d f/d z and stacking xi's f rows
+    below them sums the two pull-backs, up to summation order.
+    """
+    if not z >= Y_FLOOR:
+        raise TrackingCollapseError(f"f evaluated at z={z!r}, below the {Y_FLOOR} floor")
+    t, m = terms.rows, terms.n_phi
+    _, grad1, f_up = _f_pullback(t.u[m:], t.up_u[m:], t.ell[m:], t.up_ell[m:], z)
+    return model.backward(params, t.trace, np.concatenate((grad1 * terms.g_upstream, f_up)))
 
 
 def full_objective(spec: LossSpec, params, dataset):

@@ -15,13 +15,21 @@ Four training modes share the objective module's oracles:
               descends the dual-weighted loss while the dual ascends by a
               multiplicative update that keeps it on the simplex exactly.
 
+Each loop converts its pool to arrays once (objective.as_batch), checking
+labels and rbar there, and takes minibatches as row indices. A
+compositional step is fused: one forward at theta over the stacked
+[phi; xi] rows gives g on phi and every term of f on xi, one value-only
+forward at the previous theta gives g's old value on phi, and once y is
+refreshed one backward pulls back the stacked upstream, phi's g rows scaled
+by d f/d z over xi's rows of grad_theta f. The network's backward is linear
+in its upstream, so this is the chain-rule gradient up to summation order.
+
 y must stay above a small floor; a collapse aborts with diagnostics rather
 than being clamped, since downstream quantities divide by y.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -32,7 +40,6 @@ from .objective import TrackingCollapseError, Y_FLOOR
 
 DEFAULT_ALPHA = 1e-3
 DEFAULT_BETA = 0.1
-DEFAULT_L0 = 10.0
 
 
 class DivergenceError(RuntimeError):
@@ -89,14 +96,6 @@ class TraceRow:
     tracking_error: float | None = None
 
 
-def theorem_schedule(iters: int, l0: float = DEFAULT_L0):
-    """(alpha, beta) = (1/(L0 sqrt(K)), 1/sqrt(K)) for a K-step run."""
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
-    beta = 1.0 / np.sqrt(iters)
-    return beta / l0, beta
-
-
 def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, rng=None) -> TrainerState:
     """Fresh state at step 0; y is set from the first minibatch seen."""
     if rng is None:
@@ -106,28 +105,34 @@ def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, rng=None) -> Trai
 
 def _descend(params, delta) -> model.ModelParams:
     values = params.values + delta
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DivergenceError("parameter update produced non-finite values; reduce alpha")
-    return model.ModelParams(params.layer_sizes, values, params.p_max)
+    # params passed the layout check, and values the finite check just made
+    return model.ModelParams._checked(params.layer_sizes, values, params.p_max)
 
 
 def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
-    """One compositional update: refresh y, then descend at z = y."""
+    """One fused compositional update: refresh y, then descend at z = y.
+
+    The batches are sample lists or objective.Batch rows.
+    """
     if state.y is None:
         raise ValueError("tracking variable not initialized; run scsc_train or set y")
     if not state.y >= Y_FLOOR:
         raise TrackingCollapseError(
             f"tracking collapsed at step {state.step}: y = {state.y!r} (floor {Y_FLOOR})"
         )
-    g_cur, grad_g = objective.g_eval(spec, state.params, batch_phi)
-    g_prev = objective.g_value(spec, state.params_prev, batch_phi)
+    phi = objective.as_batch(spec, batch_phi)
+    terms = objective.step_terms(spec, state.params, phi, batch_xi)
+    g_cur = terms.g_value
+    g_prev = objective.g_value(spec, state.params_prev, phi)
     y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
     if not y_new >= Y_FLOOR:
         raise TrackingCollapseError(
             f"tracking collapsed at step {state.step}: y = {y_new!r} (floor {Y_FLOOR})"
         )
-    _, grad1, grad2 = objective.f_eval(spec, state.params, batch_xi, z=y_new)
-    params_new = _descend(state.params, -state.alpha * (grad_g * grad1 + grad2))
+    grad = objective.chain_gradient(state.params, terms, y_new)
+    params_new = _descend(state.params, -state.alpha * grad)
     return dataclasses.replace(
         state, params=params_new, params_prev=state.params, y=y_new, step=state.step + 1
     )
@@ -146,12 +151,11 @@ def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int,
         raise ValueError("minibatch_size must be at least 1")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    pool = objective.as_batch(spec, pool)
     n = len(pool)
     for _ in range(iters):
-        xi_idx = state.rng.integers(0, n, minibatch_size)
-        phi_idx = state.rng.integers(0, n, minibatch_size)
-        xi = [pool[i] for i in xi_idx]
-        phi = [pool[i] for i in phi_idx]
+        xi = pool.take(state.rng.integers(0, n, minibatch_size))
+        phi = pool.take(state.rng.integers(0, n, minibatch_size))
         if state.y is None:
             y0 = objective.g_value(spec, state.params, phi)
             if not y0 >= Y_FLOOR:
@@ -180,6 +184,7 @@ def gd_train(params, spec, dataset, iters: int, alpha: float, trace=None) -> mod
         raise ValueError("empty dataset")
     if iters < 0 or alpha < 0:
         raise ValueError("iters and alpha must be nonnegative")
+    dataset = objective.as_batch(spec, dataset)
     for k in range(iters):
         value, grad = objective.full_objective(spec, params, dataset)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -198,11 +203,12 @@ def sgd_train(params, spec, dataset, epochs: int, minibatch: int, alpha: float, 
         raise ValueError("minibatch must be at least 1")
     if epochs < 0 or alpha < 0:
         raise ValueError("epochs and alpha must be nonnegative")
-    n = len(dataset)
+    pool = objective.as_batch(spec, dataset, need_u=False)
+    n = len(pool)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for s in range(0, n, minibatch):
-            batch = [dataset[i] for i in perm[s : s + minibatch]]
+            batch = pool.take(perm[s : s + minibatch])
             ells, grad = objective.weighted_upper(
                 spec, params, batch, np.full(len(batch), 1.0 / len(batch))
             )
@@ -227,29 +233,13 @@ def gda_train(params, dual: DualWeights, spec, dataset, iters: int, alpha_theta:
         raise ValueError("two-timescale ascent needs alpha_lambda > alpha_theta")
     if alpha_theta < 0 or iters < 0:
         raise ValueError("alpha_theta and iters must be nonnegative")
+    pool = objective.as_batch(spec, dataset, need_u=False)
     lam = dual.lam.copy()
     for _ in range(iters):
-        ells, grad = objective.weighted_upper(spec, params, dataset, lam)
+        ells, grad = objective.weighted_upper(spec, params, pool, lam)
         if not np.all(np.isfinite(ells)):
             raise DivergenceError("training loss diverged; reduce alpha_theta")
         params = _descend(params, -alpha_theta * grad)
         lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
         lam = lam / lam.sum()
     return params, DualWeights(lam)
-
-
-def write_trace_csv(path, rows) -> None:
-    """Trace rows as CSV; absent fields are left empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "objective", "grad_norm", "y", "tracking_error"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.step,
-                    repr(r.objective),
-                    "" if r.grad_norm is None else repr(r.grad_norm),
-                    "" if r.y is None else repr(r.y),
-                    "" if r.tracking_error is None else repr(r.tracking_error),
-                ]
-            )

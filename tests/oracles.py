@@ -6,15 +6,17 @@ The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many must match bit for bit. The
 record-by-record dataset reader below is the reference for the array-backed
 channels.load_dataset: the same samples on valid files, the same error on
-malformed ones.
+malformed ones. The list-based training loops at the end are the references
+for the array-backed trainer.
 """
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 
-from faircl import channels, wsr
+from faircl import channels, model, objective, wsr
 
 
 def fd_gradient(fn, x, step=1e-5):
@@ -173,3 +175,64 @@ def load_dataset_per_record(path):
             batches.append((ep, train[b * size : (b + 1) * size]))
         test_sets.append(test)
     return channels.EpisodeStream(k, specs, batches, test_sets)
+
+
+# ---------------------------------------------------------------------------
+# The training loops as they were before the array-backed, fused trainer:
+# sample lists restacked on every oracle call, and the compositional step as
+# three forwards and two backwards. The fused step must match this one's y
+# bit for bit and its parameters to rounding; the SGD and descent/ascent
+# loops, whose arithmetic did not change, must match bit for bit.
+
+
+def _descend_checked(params, delta):
+    return model.ModelParams(params.layer_sizes, params.values + delta, params.p_max)
+
+
+def scsc_step_unfused(state, spec, batch_xi, batch_phi):
+    """One compositional update from g_eval, g_value and f_eval on sample lists."""
+    g_cur, grad_g = objective.g_eval(spec, state.params, batch_phi)
+    g_prev = objective.g_value(spec, state.params_prev, batch_phi)
+    y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
+    _, grad1, grad2 = objective.f_eval(spec, state.params, batch_xi, z=y_new)
+    params = _descend_checked(state.params, -state.alpha * (grad_g * grad1 + grad2))
+    return dataclasses.replace(state, params=params, params_prev=state.params, y=y_new, step=state.step + 1)
+
+
+def sgd_train_lists(params, spec, dataset, epochs, minibatch, alpha, rng):
+    """Epoch SGD with every minibatch a fresh sample list."""
+    n = len(dataset)
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for s in range(0, n, minibatch):
+            batch = [dataset[i] for i in perm[s : s + minibatch]]
+            _, grad = objective.weighted_upper(spec, params, batch, np.full(len(batch), 1.0 / len(batch)))
+            params = _descend_checked(params, -alpha * grad)
+    return params
+
+
+def gda_train_lists(params, lam, spec, dataset, iters, alpha_theta, alpha_lambda):
+    """Descent/ascent with the whole sample list restacked every iteration."""
+    lam = np.array(lam, dtype=float)
+    for _ in range(iters):
+        ells, grad = objective.weighted_upper(spec, params, dataset, lam)
+        params = _descend_checked(params, -alpha_theta * grad)
+        lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
+        lam = lam / lam.sum()
+    return params, lam
+
+
+def lower_values_lists(spec, params, samples):
+    """u of every sample from one value-only pass over a restacked list."""
+    mag = np.abs(np.array([s.h for s in samples]))
+    out, _ = model.forward(params, mag.reshape(len(samples), -1))
+    if spec.lower == "same_as_upper":
+        if spec.upper == "mse":
+            diff = out - np.array([s.p_label for s in samples])
+            return np.add.reduce(diff * diff, 1)
+        return -wsr.sum_rate_many(mag * mag, out, noise=spec.noise)
+    if spec.alpha_mode == "unit":
+        neg_alpha = np.full(len(samples), -1.0)
+    else:
+        neg_alpha = -1.0 / np.array([s.rbar for s in samples])
+    return neg_alpha * wsr.sum_rate_many(mag * mag, out, noise=spec.noise)

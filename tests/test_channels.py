@@ -321,7 +321,9 @@ def test_load_bitwise_equal_per_record_reference(tmp_path, k, labels):
     channels.save_dataset(stream, path)
     assert _layout_and_bits(channels.load_dataset(path)) == _layout_and_bits(load_dataset_per_record(path))
     # records the format accepts that save_dataset does not write: integer
-    # and signed-zero entries, a null label, no rbar, a float episode, extras
+    # and signed-zero entries, a null label, no rbar, a float episode, extras;
+    # h_re + 1j*h_im turns a -0.0 h_im into +0.0, and a -0.0 h_re into +0.0
+    # where h_im > 0
     header, *lines = path.read_text().splitlines()
     recs = [json.loads(line) for line in lines]
     recs[0]["h_re"] = [-0.0] * (k * k)
@@ -330,6 +332,7 @@ def test_load_bitwise_equal_per_record_reference(tmp_path, k, labels):
     recs[3].pop("rbar", None)
     recs[4]["episode"] = 0.0
     recs[5]["note"] = "extra"
+    recs[6]["h_im"] = [-0.0] * (k * k)
     _write_records(path, header, recs)
     assert _layout_and_bits(channels.load_dataset(path)) == _layout_and_bits(load_dataset_per_record(path))
 
@@ -395,6 +398,20 @@ def _outcome(load, path):
     return None
 
 
+# Where the record-by-record reader lets a raw TypeError, or a ValueError
+# that names no line, escape, load_dataset raises a DatasetFormatError with
+# the line number instead.
+_H_VALUES = "fields 'h_re'/'h_im' must hold 4 values"
+_NAMED_LINE = {
+    "string in h_re": f"line 3: {_H_VALUES}",
+    "object h_im": f"line 3: {_H_VALUES}",
+    "length-1 h_re and string h_im": f"line 3: {_H_VALUES}",
+    "list rbar": "line 3: float() argument must be a string or a real number, not 'list'",
+    "null episode": "line 3: int() argument must be a string, a bytes-like object or a real number, not 'NoneType'",
+    "number record": "line 4: record missing field 'k'",
+}
+
+
 def test_load_malformed_matches_per_record_reference(tmp_path):
     path = tmp_path / "data.jsonl"
     channels.save_dataset(small_stream(True), path)
@@ -409,7 +426,11 @@ def test_load_malformed_matches_per_record_reference(tmp_path):
         _write_records(path, header, bad)
         want = _outcome(load_dataset_per_record, path)
         assert want is not None, name
+        if name in _NAMED_LINE:
+            assert not issubclass(want[0], channels.DatasetFormatError), name
+            want = (channels.DatasetFormatError, _NAMED_LINE[name])
         assert _outcome(channels.load_dataset, path) == want, name
+    assert {name for name, _ in cases} >= _NAMED_LINE.keys()
     for name, text in (("empty file", ""), ("bad header", "{}\n"), ("bad version", json.dumps({"version": 9, "k": 2, "specs": []}) + "\n")):
         path.write_text(text)
         want = _outcome(load_dataset_per_record, path)

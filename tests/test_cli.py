@@ -204,6 +204,22 @@ def test_run_rejects_non_finite_label_at_load(tmp_path, cfg_path, data_path, cap
         assert "line 6: p_label must be finite" in capsys.readouterr().err
 
 
+def test_run_rejects_malformed_record_with_its_line(tmp_path, cfg_path, data_path, capsys):
+    # values that once escaped the loader as a raw TypeError or a ValueError
+    # naming no line: each is an input error, exit 1, with its line
+    lines = data_path.read_text().splitlines()
+    rec = json.loads(lines[5])
+    for field, value in (("h_im", {}), ("episode", None), ("rbar", [1.0]), ("h_re", ["x"] + rec["h_re"][1:])):
+        bad = json.dumps(dict(rec, **{field: value}))
+        data_path.write_text("\n".join(lines[:5] + [bad] + lines[6:]) + "\n")
+        capsys.readouterr()
+        assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1, field
+        assert "line 6: " in capsys.readouterr().err, field
+    data_path.write_text("\n".join(lines[:5] + ["5"] + lines[6:]) + "\n")
+    assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1
+    assert "line 6: record missing field 'k'" in capsys.readouterr().err
+
+
 def test_run_shared_seen_column(tmp_path, cfg_path, data_path):
     out = tmp_path / "all"
     assert run_cmd(cfg_path, data_path, out) == 0

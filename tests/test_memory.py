@@ -136,16 +136,3 @@ def test_buffer_validation():
         MemoryBuffer(3, "fifo")
     with pytest.raises(ValueError, match="capacity"):
         MemoryBuffer(-1, memory.NO_MEMORY)
-
-
-def test_dump_buffer(tmp_path):
-    buf = MemoryBuffer(4, memory.BILEVEL_TOP_M)
-    pool = samples(4)
-    channels.add_wmmse_labels(pool)
-    memory.update_bilevel(buf, pool, np.arange(4.0))
-    path = tmp_path / "buffer.jsonl"
-    memory.dump_buffer(buf, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4
-    restored = channels._parse_records(lines, 2)
-    assert all(np.array_equal(r.h, s.h) for r, s in zip(restored, pool))

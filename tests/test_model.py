@@ -221,9 +221,9 @@ def _forward_reference(params, x):
     return params.p_max * _sigmoid_two_branch(a @ w.T + b)
 
 
-def _backward_concatenated(params, trace, upstream):
+def _backward_concatenated(params, trace, upstream, relu_grad=lambda z: z > 0.0):
     # reference: per-layer gradients joined with np.concatenate, ReLU
-    # derivative as the boolean mask z > 0
+    # derivative as the boolean mask z > 0 unless relu_grad says otherwise
     u = np.atleast_2d(upstream)
     s = trace.outputs / params.p_max
     dz = u * params.p_max * s * (1.0 - s)
@@ -231,8 +231,13 @@ def _backward_concatenated(params, trace, upstream):
     for i in reversed(range(len(params.layers))):
         grads[i] = (dz.T @ trace.inputs[i], dz.sum(axis=0))
         if i > 0:
-            dz = (dz @ params.layers[i][0]) * (trace.pre_acts[i - 1] > 0.0)
+            dz = (dz @ params.layers[i][0]) * relu_grad(trace.pre_acts[i - 1])
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+
+
+def _heaviside_grad(z):
+    # the float step, 0 at z = +-0 and NaN at a NaN z
+    return np.heaviside(z, 0.0)
 
 
 @pytest.mark.parametrize("sizes", [(4, 2), (4, 5, 2), (9, 6, 4, 3)])
@@ -245,4 +250,26 @@ def test_forward_backward_bitwise_equal_to_reference_forms(sizes):
         out, trace = model.forward(params, x)
         assert np.array_equal(out, _forward_reference(params, x))
         up = rng.standard_normal((n, sizes[-1]))
-        assert np.array_equal(model.backward(params, trace, up), _backward_concatenated(params, trace, up))
+        got = model.backward(params, trace, up)
+        assert np.array_equal(got, _backward_concatenated(params, trace, up))
+        for pre in trace.pre_acts[:-1]:
+            pre[0, ::2] = -0.0  # both zeros sit at the kink; neither passes
+        got = model.backward(params, trace, up)
+        assert np.array_equal(got, _backward_concatenated(params, trace, up, _heaviside_grad))
+
+
+@pytest.mark.parametrize("sizes", [(4, 5, 2), (9, 6, 4, 3)])
+def test_relu_mask_matches_heaviside_at_nan_pre_activations(sizes):
+    # a NaN input row makes its hidden pre-activations NaN; the mask gives 0
+    # there and the float step NaN, but the row's dz is NaN from the top down
+    rng = np.random.default_rng(14)
+    params = model.init(sizes, 0.7, rng)
+    x = rng.standard_normal((4, sizes[0]))
+    x[1] = np.nan
+    x[2] = 0.0
+    _, trace = model.forward(params, x)
+    assert np.isnan(trace.pre_acts[0][1]).all()
+    up = rng.standard_normal((4, sizes[-1]))
+    got = model.backward(params, trace, up)
+    want = _backward_concatenated(params, trace, up, _heaviside_grad)
+    assert np.array_equal(got, want, equal_nan=True)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from faircl import channels, model, objective, trainer
+from faircl import channels, memory, model, objective, trainer
 from faircl.objective import LossSpec, TrackingCollapseError
-from faircl.trainer import DivergenceError, DualWeights, TraceRow
+from faircl.trainer import DivergenceError, DualWeights
+
+from oracles import gda_train_lists, lower_values_lists, rel_error, scsc_step_unfused, sgd_train_lists
 
 K = 2
 SIZES = (K * K, 6, K)
@@ -258,16 +260,6 @@ def test_gda_validation():
 
 # ---------------------------------------------------------------- plumbing
 
-def test_theorem_schedule():
-    alpha, beta = trainer.theorem_schedule(400)
-    assert beta == 0.05
-    assert alpha == pytest.approx(0.005)
-    alpha2, _ = trainer.theorem_schedule(400, l0=20.0)
-    assert alpha2 == pytest.approx(0.0025)
-    with pytest.raises(ValueError):
-        trainer.theorem_schedule(0)
-
-
 def test_state_validation():
     p = zero_params()
     with pytest.raises(ValueError, match="alpha"):
@@ -276,14 +268,107 @@ def test_state_validation():
         trainer.TrainerState(p, p, None, 0, 0.1, 1.5, np.random.default_rng(0))
 
 
-def test_trace_csv_round_trip(tmp_path):
-    rows = [
-        TraceRow(step=0, objective=1.25, grad_norm=0.5),
-        TraceRow(step=1, objective=1.0, y=0.75, tracking_error=1e-3),
-    ]
-    path = tmp_path / "trace.csv"
-    trainer.write_trace_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,objective,grad_norm,y,tracking_error"
-    assert lines[1] == "0,1.25,0.5,,"
-    assert lines[2] == "1,1.0,,0.75,0.001"
+# ------------------------------------------- array-backed against list-based
+
+# the four loss configurations of the acceptance gates
+SPEC_GRID = (
+    LossSpec(),
+    LossSpec(upper="neg_sum_rate"),
+    LossSpec(alpha_mode="unit"),
+    LossSpec(upper="neg_sum_rate", lower="same_as_upper"),
+)
+# (K, hidden sizes, minibatch): a tiny, the small and the stock network
+SHAPES = ((2, (6,), 4), (3, (16,), 20), (10, (200, 80), 50))
+
+
+def reference_case(k, hidden, spec_index, n=60):
+    rng = np.random.default_rng(100 * k + spec_index)
+    pool = labeled_batch(rng, n, k)
+    sizes = (k * k, *hidden, k)
+    return rng, pool, model.init(sizes, 1.0, rng), model.init(sizes, 1.0, rng)
+
+
+@pytest.mark.parametrize("k, hidden, mb", SHAPES)
+@pytest.mark.parametrize("spec_index", range(4))
+def test_fused_step_matches_unfused_reference(k, hidden, mb, spec_index):
+    spec = SPEC_GRID[spec_index]
+    rng, pool, params, prev = reference_case(k, hidden, spec_index)
+    batch = objective.as_batch(spec, pool)
+    for _ in range(5):
+        xi_idx = rng.integers(0, len(pool), mb)
+        phi_idx = rng.integers(0, len(pool), mb)
+        xi = [pool[i] for i in xi_idx]
+        phi = [pool[i] for i in phi_idx]
+        state = trainer.TrainerState(params, prev, 0.5 + rng.random(), 3, 0.1, 0.2, np.random.default_rng(0))
+        want = scsc_step_unfused(state, spec, xi, phi)
+        for got in (
+            trainer.scsc_step(state, spec, xi, phi),
+            trainer.scsc_step(state, spec, batch.take(xi_idx), batch.take(phi_idx)),
+        ):
+            # y reads only g's values, whose arithmetic is unchanged
+            assert got.y == want.y
+            assert got.step == want.step and got.params_prev is state.params
+            # one backward over [phi; xi] sums the two pull-backs in another order
+            assert rel_error(got.params.values, want.params.values) <= 1e-12
+            step = want.params.values - params.values
+            assert np.linalg.norm(got.params.values - want.params.values) <= 1e-12 * np.linalg.norm(step)
+
+
+@pytest.mark.parametrize("k, hidden, mb", SHAPES)
+@pytest.mark.parametrize("spec_index", range(4))
+def test_sgd_and_gda_bitwise_equal_list_reference(k, hidden, mb, spec_index):
+    spec = SPEC_GRID[spec_index]
+    _, pool, params, _ = reference_case(k, hidden, spec_index)
+    got = trainer.sgd_train(params, spec, pool, 2, mb, 0.1, np.random.default_rng(1))
+    want = sgd_train_lists(params, spec, pool, 2, mb, 0.1, np.random.default_rng(1))
+    assert np.array_equal(got.values, want.values)
+
+    dual = DualWeights.uniform(len(pool))
+    got_params, got_dual = trainer.gda_train(params, dual, spec, pool, 5, 0.05, 0.5)
+    want_params, want_lam = gda_train_lists(params, dual.lam, spec, pool, 5, 0.05, 0.5)
+    assert np.array_equal(got_params.values, want_params.values)
+    assert np.array_equal(got_dual.lam, want_lam)
+    # Minimax keeps the largest final dual weights
+    assert np.array_equal(memory.top_m_indices(got_dual.lam, 10), memory.top_m_indices(want_lam, 10))
+
+
+@pytest.mark.parametrize("k, hidden, mb", SHAPES)
+@pytest.mark.parametrize("spec_index", range(4))
+def test_lower_values_and_bilevel_selection_bitwise_equal_list_reference(k, hidden, mb, spec_index):
+    spec = SPEC_GRID[spec_index]
+    rng, pool, params, _ = reference_case(k, hidden, spec_index)
+    want = lower_values_lists(spec, params, pool)
+    idx = rng.permutation(len(pool))[:mb]
+    batch = objective.as_batch(spec, pool, need_ell=False)
+    for got in (
+        objective.lower_values(spec, params, pool),
+        objective.lower_values(spec, params, batch),
+    ):
+        assert np.array_equal(got, want)
+    assert np.array_equal(
+        objective.lower_values(spec, params, batch.take(idx)),
+        lower_values_lists(spec, params, [pool[i] for i in idx]),
+    )
+    buf = memory.MemoryBuffer(10, memory.BILEVEL_TOP_M)
+    memory.update_bilevel(buf, pool, objective.lower_values(spec, params, pool))
+    kept = [pool[i] for i in memory.top_m_indices(want, 10)]
+    assert len(buf.items) == 10 and all(a is b for a, b in zip(buf.items, kept))
+
+
+def test_pool_checks_raise_once_per_pool():
+    # a sample without a label anywhere in the pool stops the run before a
+    # step, whichever minibatches would have drawn it
+    rng = np.random.default_rng(16)
+    pool = labeled_batch(rng, 6)
+    pool[4].p_label = None
+    params = model.init(SIZES, 1.0, rng)
+    with pytest.raises(ValueError, match="sample 4 has no p_label"):
+        trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
+    with pytest.raises(ValueError, match="sample 4 has no p_label"):
+        trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
+    pool = labeled_batch(rng, 6)
+    pool[2].rbar = None
+    with pytest.raises(ValueError, match="sample 2 is degenerate"):
+        trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
+    # SGD reads no rbar
+    trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
