@@ -26,26 +26,27 @@ for name, batch in [
     ("geometry 10m", channels.gen_geometry(K, 2000, 10.0, rng)),
     ("geometry 50m", channels.gen_geometry(K, 2000, 50.0, rng)),
 ]:
-    mags = np.abs(np.stack([s.h for s in batch]))
+    mags = batch.mag
     print(f"  {name:<13} mean {mags.mean():8.4f}   median {np.median(mags):8.4f}"
           f"   p99 {np.quantile(mags, 0.99):8.4f}")
 
 # An episode stream interleaves nothing: each episode's training data arrives
-# as contiguous batches, and the learner never sees the boundary.
+# as contiguous batches, row ranges of one sample set, and the learner never
+# sees the boundary.
 specs = [
     channels.EpisodeSpec("rayleigh", 200, 50, 4),
     channels.EpisodeSpec("geometry", 200, 50, 4, area_side_m=50.0),
 ]
 stream = channels.build_stream(specs, K, rng)
 print(f"\nstream: {len(stream.batches)} batches, "
-      f"{sum(len(b) for _, b in stream.batches)} train samples, "
+      f"{sum(len(b) for b in stream.batches)} train samples, "
       f"{sum(len(t) for t in stream.test_sets)} test samples")
-for episode_id, batch in stream.batches:
-    print(f"  episode {episode_id}: batch of {len(batch)}")
+for rows in stream.batches:
+    print(f"  episode {stream.samples.episode[rows.start]}: batch of {len(rows)}")
 
 # Labels attach in place: the solver's power vector and its rate.
-channels.add_wmmse_labels(stream.all_samples())
-sample = stream.batches[0][1][0]
+channels.add_wmmse_labels(stream.samples)
+sample = stream.samples[stream.batches[0][0]]
 print(f"\nfirst sample label p = {np.round(sample.p_label, 4)}, "
       f"solver rate = {sample.rbar:.4f} nats")
 
@@ -54,10 +55,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.jsonl"
     channels.save_dataset(stream, path)
     again = channels.load_dataset(path)
-    same = all(
-        np.array_equal(a.h, b.h)
-        for (_, ba), (_, bb) in zip(stream.batches, again.batches)
-        for a, b in zip(ba, bb)
-    )
+    same = np.array_equal(stream.samples.h, again.samples.h)
     print(f"dataset round trip: {path.stat().st_size} bytes, "
           f"channels identical: {same}")

@@ -12,10 +12,13 @@ Three channel families, all K-pair and dimensionless:
 
 Entry h[k, j] is the channel from transmitter j into receiver k.
 
-An EpisodeStream stitches per-episode sample sets into an ordered list of
-training batches plus per-episode test sets. Consumers of iter_batches see
-bare sample lists: episode boundaries stay internal and are only exposed
-through test_sets for evaluation.
+Samples live in one array-backed SampleSet: channel stack, |h|, labels,
+rbar and episode ids, one row per sample. ChannelSample is its one-row form,
+for building and reading samples singly. An EpisodeStream holds one
+SampleSet; its training batches are row ranges in arrival order and its
+per-episode test sets are slices. Training reads the batches' rows, never
+their episode ids; only evaluation groups samples by episode, through
+test_sets.
 
 Datasets persist as JSON lines, one header then one record per sample, with
 floats written as decimal text via repr so that a load of a save is
@@ -25,7 +28,9 @@ bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import os
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -44,7 +49,11 @@ _LABEL_RULE = "p_label must be a nonnegative length-K vector"
 
 @dataclass(eq=False)
 class ChannelSample:
-    """One network snapshot: channel matrix plus optional solver labels."""
+    """One network snapshot: channel matrix plus optional solver labels.
+
+    The row type of a SampleSet, for building samples one at a time and
+    reading them back; code that computes on samples reads the set's arrays.
+    """
 
     k_pairs: int
     h: np.ndarray
@@ -71,11 +80,82 @@ class ChannelSample:
             raise ValueError(bad[1])
 
     @classmethod
-    def _checked_row(cls, k_pairs, h, p_label, rbar, episode_id):
-        # a row of a stack that _first_invalid has passed: no second check
+    def _row(cls, k_pairs, h, p_label, rbar, episode_id):
+        # a row of a SampleSet, whose values were checked when it was built
         s = cls.__new__(cls)
         s.k_pairs, s.h, s.p_label, s.rbar, s.episode_id = k_pairs, h, p_label, rbar, episode_id
         return s
+
+
+@dataclass(eq=False)
+class SampleSet:
+    """Samples of one K as arrays, one row per sample.
+
+    h is the (n, K, K) channel stack and mag = |h|, taken once when the set
+    is built: row-major, mag is the network input (model.features), and
+    squared the gains, so h and mag change together. labels is (n, K) and
+    rbar (n,); a sample without solver labels has an all-NaN labels row and
+    a NaN rbar, which is also what omitted arrays default to. episode (n,)
+    holds each sample's episode id, 0 by default.
+
+    set[i], and iteration, give ChannelSample rows whose arrays are views of
+    the set's; set[a:b] is a set of views, take(idx) a set of copies.
+    """
+
+    h: np.ndarray
+    labels: np.ndarray | None = None
+    rbar: np.ndarray | None = None
+    episode: np.ndarray | None = None
+    mag: np.ndarray | None = None
+
+    def __post_init__(self):
+        n, k = self.h.shape[:2]
+        if self.labels is None:
+            self.labels = np.full((n, k), np.nan)
+        if self.rbar is None:
+            self.rbar = np.full(n, np.nan)
+        if self.episode is None:
+            self.episode = np.zeros(n, dtype=int)
+        if self.mag is None:
+            self.mag = np.abs(self.h)
+
+    @classmethod
+    def from_rows(cls, rows) -> "SampleSet":
+        """The set of a list of ChannelSample rows: the one place rows become arrays."""
+        rows = list(rows)
+        if not rows:
+            raise ValueError("no sample rows")
+        k = rows[0].k_pairs
+        return cls(
+            np.array([s.h for s in rows]),
+            np.array([np.full(k, np.nan) if s.p_label is None else s.p_label for s in rows], dtype=float),
+            np.array([np.nan if s.rbar is None else s.rbar for s in rows], dtype=float),
+            np.array([s.episode_id for s in rows]),
+        )
+
+    @classmethod
+    def concat(cls, sets) -> "SampleSet":
+        """The rows of every set, in order."""
+        return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
+
+    def __len__(self):
+        return len(self.h)
+
+    def take(self, idx) -> "SampleSet":
+        """The rows idx, in that order."""
+        return SampleSet(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        label, rbar = self.labels[i], float(self.rbar[i])
+        return ChannelSample._row(
+            len(label),
+            self.h[i],
+            None if np.isnan(label).all() else label,
+            None if math.isnan(rbar) else rbar,
+            int(self.episode[i]),
+        )
 
 
 def _first_invalid(h, p_label=None, rbar=None):
@@ -124,42 +204,56 @@ class EpisodeSpec:
 
 @dataclass(eq=False)
 class EpisodeStream:
+    """An episode schedule over one sample set.
+
+    batches are the training batches in arrival order, as row ranges of
+    samples; test_sets are per-episode slices of samples.
+    """
+
     k_pairs: int
     specs: list[EpisodeSpec]
-    batches: list[tuple[int, list[ChannelSample]]]
-    test_sets: list[list[ChannelSample]] = field(default_factory=list)
-
-    def iter_batches(self):
-        """Training batches in arrival order, with no episode tags attached."""
-        for _, samples in self.batches:
-            yield samples
+    samples: SampleSet
+    batches: list[range]
+    test_sets: list[SampleSet]
 
     def all_samples(self):
-        for _, samples in self.batches:
-            yield from samples
+        """ChannelSample rows of every training batch, then of every test set."""
+        for rows in self.batches:
+            for i in rows:
+                yield self.samples[i]
         for test in self.test_sets:
             yield from test
 
 
-def _to_samples(h_block: np.ndarray, k_pairs: int) -> list[ChannelSample]:
-    return [ChannelSample(k_pairs, h_block[i]) for i in range(h_block.shape[0])]
+def _episode_stream(k_pairs, specs, samples) -> EpisodeStream:
+    # episodes are consecutive row blocks in spec order: n_train rows cut
+    # into n_batches equal batches, then n_test test rows
+    batches, test_sets = [], []
+    start = 0
+    for sp in specs:
+        size = sp.n_train // sp.n_batches
+        batches += [range(start + b * size, start + (b + 1) * size) for b in range(sp.n_batches)]
+        start += sp.n_train
+        test_sets.append(samples[start : start + sp.n_test])
+        start += sp.n_test
+    return EpisodeStream(k_pairs, list(specs), samples, batches, test_sets)
 
 
-def gen_rayleigh(k_pairs: int, n: int, rng: np.random.Generator) -> list[ChannelSample]:
+def gen_rayleigh(k_pairs: int, n: int, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. Rayleigh-fading samples, E|h|^2 = 1."""
     _check_gen_args(k_pairs, n)
     shape = (n, k_pairs, k_pairs)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return _to_samples(h, k_pairs)
+    return SampleSet(h)
 
 
-def gen_rician(k_pairs: int, n: int, rng: np.random.Generator) -> list[ChannelSample]:
+def gen_rician(k_pairs: int, n: int, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. samples with Re, Im ~ (1 + N(0,1))/2."""
     _check_gen_args(k_pairs, n)
     shape = (n, k_pairs, k_pairs)
     re = (1.0 + rng.standard_normal(shape)) / 2.0
     im = (1.0 + rng.standard_normal(shape)) / 2.0
-    return _to_samples(re + 1j * im, k_pairs)
+    return SampleSet(re + 1j * im)
 
 
 def pathloss_fading(f: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -167,7 +261,7 @@ def pathloss_fading(f: np.ndarray, d: np.ndarray) -> np.ndarray:
     return f / np.sqrt(1.0 + np.asarray(d, dtype=float) ** 2)
 
 
-def gen_geometry(k_pairs: int, n: int, area_side_m: float, rng: np.random.Generator) -> list[ChannelSample]:
+def gen_geometry(k_pairs: int, n: int, area_side_m: float, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. samples from the uniform-placement pathloss model."""
     _check_gen_args(k_pairs, n)
     if not area_side_m > 0:
@@ -178,7 +272,7 @@ def gen_geometry(k_pairs: int, n: int, area_side_m: float, rng: np.random.Genera
     d = np.linalg.norm(rx[:, :, None, :] - tx[:, None, :, :], axis=3)
     shape = (n, k_pairs, k_pairs)
     f = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return _to_samples(pathloss_fading(f, d), k_pairs)
+    return SampleSet(pathloss_fading(f, d))
 
 
 def _check_gen_args(k_pairs, n):
@@ -188,7 +282,7 @@ def _check_gen_args(k_pairs, n):
         raise ValueError("n must be >= 1")
 
 
-def _generate(spec: EpisodeSpec, k_pairs: int, n: int, rng) -> list[ChannelSample]:
+def _generate(spec: EpisodeSpec, k_pairs: int, n: int, rng) -> SampleSet:
     if spec.distribution == RAYLEIGH:
         return gen_rayleigh(k_pairs, n, rng)
     if spec.distribution == RICIAN:
@@ -205,41 +299,28 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
     """
     if not specs:
         raise ValueError("specs must be nonempty")
-    batches: list[tuple[int, list[ChannelSample]]] = []
-    test_sets: list[list[ChannelSample]] = []
-    for ep, spec in enumerate(specs):
-        samples = _generate(spec, k_pairs, spec.n_train + spec.n_test, rng)
-        for s in samples:
-            s.episode_id = ep
-        size = spec.n_train // spec.n_batches
-        for b in range(spec.n_batches):
-            batches.append((ep, samples[b * size : (b + 1) * size]))
-        test_sets.append(samples[spec.n_train :])
-    return EpisodeStream(k_pairs, list(specs), batches, test_sets)
+    sizes = [spec.n_train + spec.n_test for spec in specs]
+    samples = SampleSet.concat([_generate(spec, k_pairs, n, rng) for spec, n in zip(specs, sizes)])
+    samples.episode[:] = np.repeat(np.arange(len(specs)), sizes)
+    return _episode_stream(k_pairs, specs, samples)
 
 
-def add_wmmse_labels(samples, noise=1.0, p_max=1.0) -> None:
-    """Populate p_label and rbar on every sample (all of one K), in place.
+def add_wmmse_labels(samples: SampleSet, noise=1.0, p_max=1.0) -> None:
+    """Write the solver's powers and rate into every row's labels and rbar.
 
     Raises ValueError, and labels no sample, if a label's rate is not
     positive (a channel whose direct gains are all zero): rbar divides
     every evaluation ratio, and load_dataset rejects it.
     """
-    samples = list(samples)
-    if not samples:
+    if not len(samples):
         return
-    # |h|^2 written sample by sample into one stack: no n-sized complex copy
-    k = samples[0].k_pairs
-    gains = np.empty((len(samples), k, k))
-    for g, s in zip(gains, samples):
-        np.abs(s.h, out=g)
-    np.square(gains, out=gains)
-    powers, rates = wsr.wmmse_many(gains, noise=noise, p_max=p_max)
-    for i, rate in enumerate(rates):
-        if not rate > 0:
-            raise ValueError(f"sample {i}: WMMSE label rate {rate} is not positive")
-    for s, p, rate in zip(samples, powers, rates):
-        s.p_label, s.rbar = p, float(rate)
+    powers, rates = wsr.wmmse_many(samples.mag * samples.mag, noise=noise, p_max=p_max)
+    bad = ~(rates > 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"sample {i}: WMMSE label rate {rates[i]} is not positive")
+    samples.labels[...] = powers
+    samples.rbar[...] = rates
 
 
 # ------------------------------------------------------------- persistence
@@ -249,55 +330,33 @@ class DatasetFormatError(ValueError):
     """A dataset file that cannot be parsed; message carries the line number."""
 
 
-def _record(sample: ChannelSample) -> dict:
-    rec = {
-        "k": sample.k_pairs,
-        "episode": sample.episode_id,
-        "h_re": sample.h.real.ravel().tolist(),
-        "h_im": sample.h.imag.ravel().tolist(),
-    }
-    if sample.p_label is not None:
-        rec["p_label"] = sample.p_label.tolist()
-    if sample.rbar is not None:
-        rec["rbar"] = sample.rbar
-    return rec
-
-
-def write_samples(fh, samples) -> None:
-    for s in samples:
-        fh.write(json.dumps(_record(s)))
-        fh.write("\n")
-
-
 def save_dataset(stream: EpisodeStream, path) -> None:
-    """Header line then one record per sample, episode by episode.
+    """Header line then one record per row of stream.samples, in row order.
 
-    Within an episode, training samples come first (batch order) and test
-    samples follow; load_dataset relies on this order plus the header specs
-    to rebuild the stream.
+    build_stream and load_dataset lay each episode out as its training rows
+    in batch order, then its test rows; load_dataset relies on this order
+    plus the header specs to rebuild the stream.
     """
-    header = {
-        "version": DATASET_VERSION,
-        "k": stream.k_pairs,
-        "specs": [
-            {
-                "distribution": sp.distribution,
-                "n_train": sp.n_train,
-                "n_test": sp.n_test,
-                "n_batches": sp.n_batches,
-                "area_side_m": sp.area_side_m,
-            }
-            for sp in stream.specs
-        ],
-    }
+    header = {"version": DATASET_VERSION, "k": stream.k_pairs, "specs": [asdict(sp) for sp in stream.specs]}
+    samples = stream.samples
+    has_label = ~np.isnan(samples.labels).all(1)
+    rbars, episodes = samples.rbar.tolist(), samples.episode.tolist()
     with open(path, "w") as fh:
         fh.write(json.dumps(header))
         fh.write("\n")
-        for ep in range(len(stream.specs)):
-            for e, samples in stream.batches:
-                if e == ep:
-                    write_samples(fh, samples)
-            write_samples(fh, stream.test_sets[ep])
+        for i, h in enumerate(samples.h):
+            rec = {
+                "k": stream.k_pairs,
+                "episode": episodes[i],
+                "h_re": h.real.ravel().tolist(),
+                "h_im": h.imag.ravel().tolist(),
+            }
+            if has_label[i]:
+                rec["p_label"] = samples.labels[i].tolist()
+            if not math.isnan(rbars[i]):
+                rec["rbar"] = rbars[i]
+            fh.write(json.dumps(rec))
+            fh.write("\n")
 
 
 def _put(row: np.ndarray, value) -> bool:
@@ -339,28 +398,36 @@ def _checked_stack(h, p_label, rbar, k):
     return h
 
 
-def _parse_records(lines, k) -> list[ChannelSample]:
-    """The samples of the record lines (file line 2 onward), in order.
+def _parse_records(lines, k, n, size) -> SampleSet:
+    """The samples of the n record lines (file line 2 onward), in order.
 
     Each record is parsed once into preallocated per-field arrays, with
     exact shape checks, h_re and h_im straight into the complex stack's
     real and imaginary parts; the value rules then run over all rows at
-    once, and the samples are views of the stack. Of several bad records
-    the first is reported, with the error a record-by-record reader gives
-    it, and every fault names its line.
+    once. A count of lines other than n is reported first. Of several bad
+    records the first is reported, with the error a record-by-record reader
+    gives it, and every fault names its line.
     """
-    n, kk = len(lines), k * k
-    h = np.empty((n, kk), dtype=complex)
+    kk = k * k
+    # a valid record holds two lists of K^2 numbers, so 4*K^2 characters or
+    # more: a file of `size` bytes has fewer valid records than this many
+    # rows, whatever count its header claims
+    rows = min(n, size // max(4 * kk, 1) + 1)
+    h = np.empty((rows, kk), dtype=complex)
     h_re, h_im = h.real, h.imag
     # rows without a label or rbar keep these values, which pass every rule
-    p_label, rbar = np.zeros((n, k)), np.ones(n)
-    has_label, has_rbar = [False] * n, [False] * n
-    episode = [0] * n
+    p_label, rbar = np.zeros((rows, k)), np.ones(rows)
+    has_label, has_rbar = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
+    episode = np.zeros(rows, dtype=int)
     checked = 0  # rows whose fields read so far go through the rules
-    try:
-        for i, line in enumerate(lines):
-            lineno = i + 2
-            checked = i
+    found, fault = 0, None
+    for i, line in enumerate(lines):
+        found = i + 1
+        if fault is not None or i >= rows:
+            continue  # the rest is only counted
+        lineno = i + 2
+        checked = i
+        try:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
@@ -390,62 +457,54 @@ def _parse_records(lines, k) -> list[ChannelSample]:
                 if value is not None:
                     rbar[i] = float(value)
                     has_rbar[i] = True
-            except (ValueError, TypeError) as e:
+            except (ValueError, TypeError, OverflowError) as e:
                 raise DatasetFormatError(f"line {lineno}: {e}") from e
-    except (ValueError, TypeError):
+        except (ValueError, TypeError) as e:
+            fault = e
+    if found != n:
+        raise DatasetFormatError(f"line {found + 2}: expected {n} records after the header, found {found}")
+    if fault is not None:
         # a fault in an earlier row, or earlier in this one, comes first
         _checked_stack(h[:checked], p_label[:checked], rbar[:checked], k)
-        raise
+        raise fault
     h = _checked_stack(h, p_label, rbar, k)
-    rbars = rbar.tolist()
-    return [
-        ChannelSample._checked_row(
-            k, h[i], p_label[i] if has_label[i] else None, rbars[i] if has_rbar[i] else None, episode[i]
-        )
-        for i in range(n)
-    ]
+    p_label[~has_label] = np.nan
+    rbar[~has_rbar] = np.nan
+    return SampleSet(h, p_label, rbar, episode)
+
+
+def _lines(fh):
+    # the lines str.splitlines gives of the whole text, read line by line
+    for line in fh:
+        yield from line.splitlines()
 
 
 def load_dataset(path) -> EpisodeStream:
+    """The stream a dataset file holds, read in one pass, line by line."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("line 1: empty file, expected header")
-    try:
-        header = json.loads(lines[0])
-        version = header["version"]
-        k = header["k"]
-        specs = [
-            EpisodeSpec(
-                distribution=sp["distribution"],
-                n_train=sp["n_train"],
-                n_test=sp["n_test"],
-                n_batches=sp["n_batches"],
-                area_side_m=sp.get("area_side_m"),
-            )
-            for sp in header["specs"]
-        ]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise DatasetFormatError(f"line 1: bad header ({e})") from e
-    if version != DATASET_VERSION:
-        raise DatasetFormatError(f"line 1: unsupported version {version}")
+        lines = _lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise DatasetFormatError("line 1: empty file, expected header")
+        try:
+            header = json.loads(first)
+            version = header["version"]
+            k = header["k"]
+            specs = [
+                EpisodeSpec(
+                    distribution=sp["distribution"],
+                    n_train=sp["n_train"],
+                    n_test=sp["n_test"],
+                    n_batches=sp["n_batches"],
+                    area_side_m=sp.get("area_side_m"),
+                )
+                for sp in header["specs"]
+            ]
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            raise DatasetFormatError(f"line 1: bad header ({e})") from e
+        if version != DATASET_VERSION:
+            raise DatasetFormatError(f"line 1: unsupported version {version}")
 
-    expected = sum(sp.n_train + sp.n_test for sp in specs)
-    if len(lines) - 1 != expected:
-        raise DatasetFormatError(
-            f"line {len(lines) + 1}: expected {expected} records after the header, found {len(lines) - 1}"
-        )
-
-    samples = _parse_records(lines[1:], k)
-    batches: list[tuple[int, list[ChannelSample]]] = []
-    test_sets: list[list[ChannelSample]] = []
-    start = 0
-    for ep, sp in enumerate(specs):
-        train = samples[start : start + sp.n_train]
-        start += sp.n_train
-        test_sets.append(samples[start : start + sp.n_test])
-        start += sp.n_test
-        size = sp.n_train // sp.n_batches
-        for b in range(sp.n_batches):
-            batches.append((ep, train[b * size : (b + 1) * size]))
-    return EpisodeStream(k, specs, batches, test_sets)
+        expected = sum(sp.n_train + sp.n_test for sp in specs)
+        samples = _parse_records(lines, k, expected, os.fstat(fh.fileno()).st_size)
+    return _episode_stream(k, specs, samples)

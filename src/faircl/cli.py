@@ -158,8 +158,7 @@ def cmd_gen(args) -> int:
     cfg = _resolve_config(args)
     rng = np.random.default_rng(cfg.seed)
     stream = channels.build_stream(cfg.episodes, cfg.k_pairs, rng)
-    samples = list(stream.all_samples())
-    channels.add_wmmse_labels(samples, noise=cfg.noise, p_max=cfg.p_max)
+    channels.add_wmmse_labels(stream.samples, noise=cfg.noise, p_max=cfg.p_max)
     channels.save_dataset(stream, args.out)
     n_train = sum(e.n_train for e in cfg.episodes)
     n_test = sum(e.n_test for e in cfg.episodes)

@@ -13,8 +13,9 @@ round's parameters:
   JointEqual     every sample seen so far, plain SGD.
   JointWeighted  every sample seen so far, compositional trainer.
 
-Training consumes bare sample batches and never sees episode boundaries;
-only evaluation groups the held-out sets by episode.
+Training takes the stream's sample set at row indices, the memory's first
+and then the batch's, and never sees episode boundaries; only evaluation
+groups the held-out sets by episode.
 """
 
 from __future__ import annotations
@@ -76,17 +77,11 @@ class MetricsRow:
     wall_ms: int
 
 
-def _magnitudes(samples) -> np.ndarray:
-    # one |h| stack: row-major it is the network input (model.features),
-    # squared the gains
-    return np.abs(np.array([s.h for s in samples]))
-
-
 def network_policy(params: model.ModelParams):
     """Power allocation by the trained network."""
 
     def policy(samples):
-        mag = _magnitudes(samples)
+        mag = samples.mag
         return model.forward(params, mag.reshape(len(mag), -1))[0]
 
     return policy
@@ -96,20 +91,18 @@ def wmmse_policy(noise: float = 1.0, p_max: float = 1.0):
     """Power allocation by the iterative solver itself."""
 
     def policy(samples):
-        mag = _magnitudes(samples)
-        return wsr.wmmse_many(mag * mag, noise=noise, p_max=p_max)[0]
+        return wsr.wmmse_many(samples.mag * samples.mag, noise=noise, p_max=p_max)[0]
 
     return policy
 
 
 def _set_ratios(policy, test_set, noise):
-    mag = _magnitudes(test_set)
-    for i, s in enumerate(test_set):
-        if s.rbar is None:
-            raise ValueError(f"test sample {i} has no rbar; evaluation needs solver rates")
-    rbar = np.array([s.rbar for s in test_set])
+    missing = np.isnan(test_set.rbar)
+    if missing.any():
+        raise ValueError(f"test sample {int(missing.argmax())} has no rbar; evaluation needs solver rates")
+    mag = test_set.mag
     rates = wsr.sum_rate_many(mag * mag, np.asarray(policy(test_set), dtype=float), noise=noise)
-    return rates, rates / rbar
+    return rates, rates / test_set.rbar
 
 
 def score_sets(policy, test_sets, noise: float = 1.0):
@@ -192,21 +185,22 @@ def run_continual(stream, cfg: StrategyConfig, rng, init_params=None):
     buf = _make_buffer(cfg, rng)
     rows: list[MetricsRow] = []
     seen = 0
-    for batch in stream.iter_batches():
+    for batch in stream.batches:
         start = time.perf_counter()
         seen += len(batch)
-        train_set = buf.items + list(batch)
+        pool = buf.items + list(batch)  # row indices: memory first, then the batch
         dual = None
         try:
-            if train_set:
+            if pool:
+                train_set = stream.samples.take(pool)
                 params, dual = _train_round(cfg, params, train_set, rng)
             if cfg.method == "Reservoir":
                 memory_mod.update_reservoir(buf, batch)
-            elif cfg.method == "Bilevel" and train_set:
+            elif cfg.method == "Bilevel" and pool:
                 u = objective.lower_values(cfg.loss, params, train_set)
-                memory_mod.update_bilevel(buf, train_set, u)
+                memory_mod.update_bilevel(buf, pool, u)
             elif cfg.method == "Minimax" and dual is not None:
-                memory_mod.update_bilevel(buf, train_set, dual.lam)
+                memory_mod.update_bilevel(buf, pool, dual.lam)
             elif cfg.method in ("JointEqual", "JointWeighted"):
                 memory_mod.update_joint(buf, batch)
         except (

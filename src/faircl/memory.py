@@ -4,7 +4,9 @@ Four population rules share one buffer type: fairness-driven top-M
 selection (keep the M samples with the largest performance loss u, which
 is exactly keeping the largest softmax weights), classic reservoir
 sampling, unbounded accumulation for the joint baselines, and no memory
-at all. Updates mutate the buffer in place and return it.
+at all. A buffer's items are row indices of the stream's sample set, and
+the rules take pools and batches of row indices. Updates mutate the buffer
+in place and return it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def update_bilevel(buffer: MemoryBuffer, pool, u_values) -> MemoryBuffer:
 def update_reservoir(buffer: MemoryBuffer, new_batch) -> MemoryBuffer:
     """Classic reservoir sampling over the whole stream seen so far."""
     _require(buffer, RESERVOIR)
-    if not new_batch:
+    if not len(new_batch):
         return buffer
     draws = buffer.rng.random(len(new_batch))
     cap = buffer.capacity

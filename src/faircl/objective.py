@@ -27,11 +27,11 @@ applies a joint max-shift to the exponentials of f and g (their ratio is
 unchanged); g_eval reports the raw unshifted mean, which is what the
 trainer's tracking variable follows.
 
-The oracles take a sample list or a Batch of its arrays: a list is stacked,
-and its labels and rbar checked, on entry, while a trainer stacks its pool
-once and passes row takes. step_terms and chain_gradient split the
-compositional trainer's fused step around its y update; they share the g
-and f pull-back formulas with g_eval and f_eval.
+The oracles take a SampleSet, a list of its ChannelSample rows, or a Batch:
+the labels and rbar a set's columns feed are checked on entry, while a
+trainer checks its pool once and passes row takes. step_terms and
+chain_gradient split the compositional trainer's fused step around its y
+update; they share the g and f pull-back formulas with g_eval and f_eval.
 
 Every oracle takes its per-sample terms from one _batch_terms pass. The
 value-only callers (g_value, lower_values, pool_stats) take their rates from
@@ -42,11 +42,13 @@ both modes give the same values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, wsr
+from .channels import SampleSet
 
 UPPER_LOSSES = ("mse", "neg_sum_rate")
 LOWER_LOSSES = ("weighted_neg_sum_rate", "same_as_upper")
@@ -119,24 +121,38 @@ def _take(a, idx):
 
 
 def as_batch(spec, samples, need_ell=True, need_u=True) -> Batch:
-    """A sample list as a Batch, checking the labels and rbar that spec reads.
+    """A SampleSet's columns as a Batch, checking the labels and rbar that spec reads.
 
     need_ell and need_u name the losses the batch will feed, as in the
-    oracles; a Batch passes through unchanged.
+    oracles. A list of ChannelSample rows goes through SampleSet.from_rows;
+    a Batch passes through unchanged.
     """
     if not len(samples):
         raise ValueError("empty sample batch")
     if isinstance(samples, Batch):
         return samples
-    # one |h| serves both the network input (model.features, row-major) and
-    # the gains |h|^2
-    mag = np.abs(np.array([s.h for s in samples]))
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet.from_rows(samples)
     labels = neg_alpha = None
     if spec.upper == "mse" and (need_ell or spec.lower == "same_as_upper"):
-        labels = _stack_labels(samples)
+        labels = samples.labels
+        # one sum is NaN when any label is; only then look for all-NaN rows
+        if math.isnan(np.add.reduce(labels, None)):
+            missing = np.isnan(labels).all(1)
+            if missing.any():
+                raise ValueError(f"sample {int(missing.argmax())} has no p_label; MSE loss needs solver labels")
     if need_u and spec.lower == "weighted_neg_sum_rate":
-        neg_alpha = _neg_alphas(spec, samples)
-    return Batch(mag, labels, neg_alpha)
+        # -alpha; -1/r is bitwise -(1/r)
+        if spec.alpha_mode == "unit":
+            neg_alpha = np.full(len(samples), -1.0)
+        else:
+            rbar = samples.rbar
+            if not np.minimum.reduce(rbar) > 0:  # a NaN minimum fails too
+                i = int((~(rbar > 0)).argmax())
+                r = None if math.isnan(rbar[i]) else float(rbar[i])
+                raise ValueError(f"sample {i} is degenerate: rbar must be positive, got {r}")
+            neg_alpha = -1.0 / rbar
+    return Batch(samples.mag, labels, neg_alpha)
 
 
 @dataclass(eq=False)
@@ -189,25 +205,6 @@ def _batch_terms(spec, params, samples, need_ell=True, need_u=True, grad=True) -
 
 def _guard_error(abs_u):
     return GuardExceededError(f"|u| guard exceeded: max |u| = {np.max(abs_u):.3g} > {U_GUARD}")
-
-
-def _stack_labels(samples):
-    labels = [s.p_label for s in samples]
-    for i, label in enumerate(labels):
-        if label is None:
-            raise ValueError(f"sample {i} has no p_label; MSE loss needs solver labels")
-    return np.array(labels)
-
-
-def _neg_alphas(spec, samples):
-    # -alpha; -1/r is bitwise -(1/r)
-    if spec.alpha_mode == "unit":
-        return np.full(len(samples), -1.0)
-    rbar = [s.rbar for s in samples]
-    for i, r in enumerate(rbar):
-        if r is None or not r > 0:
-            raise ValueError(f"sample {i} is degenerate: rbar must be positive, got {r}")
-    return -1.0 / np.array(rbar)
 
 
 def _g_pullback(u, up_u):

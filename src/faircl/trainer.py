@@ -15,7 +15,7 @@ Four training modes share the objective module's oracles:
               descends the dual-weighted loss while the dual ascends by a
               multiplicative update that keeps it on the simplex exactly.
 
-Each loop converts its pool to arrays once (objective.as_batch), checking
+Each loop takes its pool's arrays once (objective.as_batch), checking
 labels and rbar there, and takes minibatches as row indices. A
 compositional step is fused: one forward at theta over the stacked
 [phi; xi] rows gives g on phi and every term of f on xi, one value-only
@@ -30,6 +30,7 @@ than being clamped, since downstream quantities divide by y.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -114,7 +115,7 @@ def _descend(params, delta) -> model.ModelParams:
 def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
     """One fused compositional update: refresh y, then descend at z = y.
 
-    The batches are sample lists or objective.Batch rows.
+    The batches are SampleSets, ChannelSample lists or objective.Batch rows.
     """
     if state.y is None:
         raise ValueError("tracking variable not initialized; run scsc_train or set y")
@@ -133,9 +134,11 @@ def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
         )
     grad = objective.chain_gradient(state.params, terms, y_new)
     params_new = _descend(state.params, -state.alpha * grad)
-    return dataclasses.replace(
-        state, params=params_new, params_prev=state.params, y=y_new, step=state.step + 1
-    )
+    # a copy skips __post_init__: alpha, beta and rng, which passed its
+    # checks, stay, and the step count only grows
+    new = copy.copy(state)
+    new.params, new.params_prev, new.y, new.step = params_new, state.params, y_new, state.step + 1
+    return new
 
 
 def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int, trace=None) -> TrainerState:

@@ -5,8 +5,8 @@ the package; they are computed here, independent of any library code paths.
 The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many must match bit for bit. The
 record-by-record dataset reader below is the reference for the array-backed
-channels.load_dataset: the same samples on valid files, the same error on
-malformed ones. The list-based training loops at the end are the references
+channels.load_dataset: the same samples on valid files, in the same stream
+layout, and the same error on malformed ones. The list-based training loops at the end are the references
 for the array-backed trainer.
 """
 
@@ -172,9 +172,23 @@ def load_dataset_per_record(path):
         lineno += sp.n_test
         size = sp.n_train // sp.n_batches
         for b in range(sp.n_batches):
-            batches.append((ep, train[b * size : (b + 1) * size]))
+            batches.append(train[b * size : (b + 1) * size])
         test_sets.append(test)
-    return channels.EpisodeStream(k, specs, batches, test_sets)
+    return RecordStream(k, specs, batches, test_sets)
+
+
+@dataclasses.dataclass
+class RecordStream:
+    """The reference reader's stream: batches and test sets as sample lists."""
+
+    k_pairs: int
+    specs: list
+    batches: list
+    test_sets: list
+
+    def all_samples(self):
+        for samples in self.batches + self.test_sets:
+            yield from samples
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_build_stream_slicing():
     spec = channels.EpisodeSpec(channels.RAYLEIGH, n_train=100, n_test=7, n_batches=4)
     stream = channels.build_stream([spec], 2, rng(0))
     assert len(stream.batches) == 4
-    assert all(len(s) == 25 for s in stream.iter_batches())
+    assert all(len(b) == 25 for b in stream.batches)
     assert len(stream.test_sets) == 1 and len(stream.test_sets[0]) == 7
 
 
@@ -115,7 +115,8 @@ def test_build_stream_four_episode_schedule():
     ]
     stream = channels.build_stream(specs, 2, rng(1))
     assert len(stream.batches) == 16
-    assert [e for e, _ in stream.batches] == sorted(e for e, _ in stream.batches)
+    episodes = [stream.samples.episode[b].tolist() for b in stream.batches]
+    assert episodes == [[ep] * 500 for ep in range(4) for _ in range(4)]
 
 
 def test_build_stream_deterministic():
@@ -131,12 +132,18 @@ def test_build_stream_empty_specs():
         channels.build_stream([], 2, rng(0))
 
 
-def test_iter_batches_yields_plain_sample_lists():
+def test_batches_are_row_ranges_of_one_sample_set():
     spec = channels.EpisodeSpec(channels.RAYLEIGH, 4, 2, 2)
     stream = channels.build_stream([spec], 2, rng(0))
-    for batch in stream.iter_batches():
-        assert isinstance(batch, list)
-        assert all(isinstance(s, channels.ChannelSample) for s in batch)
+    assert stream.batches == [range(0, 2), range(2, 4)]
+    assert isinstance(stream.samples, channels.SampleSet) and len(stream.samples) == 6
+    # test sets are views of the stream's set, and rows are views of its arrays
+    test = stream.test_sets[0]
+    assert isinstance(test, channels.SampleSet) and np.shares_memory(test.h, stream.samples.h)
+    rows = list(stream.all_samples())
+    assert all(isinstance(s, channels.ChannelSample) for s in rows)
+    assert all(np.shares_memory(s.h, stream.samples.h) for s in rows)
+    assert [s.h.tobytes() for s in rows] == [h.tobytes() for h in stream.samples.h]
 
 
 # ---------------------------------------------------------------- labels
@@ -145,9 +152,8 @@ def test_iter_batches_yields_plain_sample_lists():
 def test_labels_consistent_with_rate():
     spec = channels.EpisodeSpec(channels.RAYLEIGH, 4, 2, 2)
     stream = channels.build_stream([spec], 2, rng(11))
-    samples = list(stream.all_samples())
-    channels.add_wmmse_labels(samples, noise=1.0, p_max=1.0)
-    for s in samples:
+    channels.add_wmmse_labels(stream.samples, noise=1.0, p_max=1.0)
+    for s in stream.all_samples():
         assert s.p_label is not None and s.rbar is not None
         assert np.all(s.p_label >= 0.0) and np.all(s.p_label <= 1.0)
         prob = wsr.problem_from_channel(s.h)
@@ -158,10 +164,10 @@ def test_labels_reject_a_channel_without_direct_gain():
     # rate 0 at every power: rbar would be 0, which load_dataset rejects
     good = channels.ChannelSample(2, np.array([[1.0, 0.3], [0.2, 0.8]]))
     dead = channels.ChannelSample(2, np.array([[0.0, 0.5], [0.4, 0.0]]))
+    samples = channels.SampleSet.from_rows([good, dead])
     with pytest.raises(ValueError, match="sample 1: .* not positive"):
-        channels.add_wmmse_labels([good, dead])
-    assert good.p_label is None and good.rbar is None
-    assert dead.p_label is None and dead.rbar is None
+        channels.add_wmmse_labels(samples)
+    assert all(s.p_label is None and s.rbar is None for s in samples)
 
 
 # ---------------------------------------------------------------- persistence
@@ -171,20 +177,19 @@ def small_stream(labels=False):
     spec = channels.EpisodeSpec(channels.RAYLEIGH, 4, 2, 2)
     stream = channels.build_stream([spec], 2, rng(13))
     if labels:
-        channels.add_wmmse_labels(list(stream.all_samples()))
+        channels.add_wmmse_labels(stream.samples)
     return stream
 
 
 def assert_streams_equal(a, b):
     assert a.k_pairs == b.k_pairs
     assert a.specs == b.specs
-    assert [e for e, _ in a.batches] == [e for e, _ in b.batches]
-    for (_, xs), (_, ys) in zip(a.batches, b.batches):
-        for x, y in zip(xs, ys):
-            assert_samples_equal(x, y)
-    for xs, ys in zip(a.test_sets, b.test_sets):
-        for x, y in zip(xs, ys):
-            assert_samples_equal(x, y)
+    assert a.batches == b.batches
+    assert [len(t) for t in a.test_sets] == [len(t) for t in b.test_sets]
+    xs, ys = list(a.all_samples()), list(b.all_samples())
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert_samples_equal(x, y)
 
 
 def assert_samples_equal(x, y):
@@ -282,6 +287,38 @@ def test_load_empty_file(tmp_path):
         channels.load_dataset(path)
 
 
+def test_load_sizes_arrays_by_the_file_not_the_header(tmp_path):
+    # a header claiming far more records than the file can hold gets the
+    # count error, not an allocation of its claimed size; with as many lines
+    # as it claims, the first bad record is reported as a per-record reader does
+    path = tmp_path / "data.jsonl"
+    huge = {"distribution": "rayleigh", "n_train": 10**15, "n_test": 1, "n_batches": 1}
+    header = json.dumps({"version": channels.DATASET_VERSION, "k": 10, "specs": [huge]})
+    path.write_text(header + "\n{}\n")
+    with pytest.raises(channels.DatasetFormatError, match=r"^line 3: expected 1000000000000001 records .* found 1$"):
+        channels.load_dataset(path)
+    header = json.dumps({"version": channels.DATASET_VERSION, "k": 10, "specs": [dict(huge, n_train=4)]})
+    for records in (["{}"] * 5, ['{"k": 10}'] * 5, ["{}", "{not json", "[]", "1", "{}"]):
+        _write_records(path, header, records)
+        want = _outcome(load_dataset_per_record, path)
+        assert want is not None and _outcome(channels.load_dataset, path) == want, records
+
+
+def test_load_names_the_line_of_an_out_of_range_number(tmp_path):
+    path = tmp_path / "data.jsonl"
+    channels.save_dataset(small_stream(True), path)
+    header, *lines = path.read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    for field, value, rule in (
+        ("episode", 10**30, "Python int too large to convert to C long"),
+        ("episode", float("inf"), "cannot convert float infinity to integer"),
+        ("rbar", 10**400, "int too large to convert to float"),
+    ):
+        _write_records(path, header, _corrupt(recs, 3, **{field: value}))
+        with pytest.raises(channels.DatasetFormatError, match=f"^line 3: {rule}$"):
+            channels.load_dataset(path)
+
+
 # ------------------------------------------- loader against the per-record reference
 
 
@@ -293,7 +330,7 @@ def _layout_and_bits(stream):
     layout = (
         stream.k_pairs,
         stream.specs,
-        [(e, len(b)) for e, b in stream.batches],
+        [len(b) for b in stream.batches],
         [len(t) for t in stream.test_sets],
     )
     rows = [
@@ -316,7 +353,7 @@ def test_load_bitwise_equal_per_record_reference(tmp_path, k, labels):
     ]
     stream = channels.build_stream(specs, k, rng(50 + k))
     if labels:
-        channels.add_wmmse_labels(list(stream.all_samples()), noise=0.7, p_max=2.0)
+        channels.add_wmmse_labels(stream.samples, noise=0.7, p_max=2.0)
     path = tmp_path / "data.jsonl"
     channels.save_dataset(stream, path)
     assert _layout_and_bits(channels.load_dataset(path)) == _layout_and_bits(load_dataset_per_record(path))

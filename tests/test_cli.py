@@ -105,7 +105,9 @@ def test_gen_zero_rate_label_is_input_error(tmp_path, cfg_path, monkeypatch, cap
 
     def with_dead_channel(*args):
         stream = build(*args)
-        stream.test_sets[1][2].h[np.diag_indices(2)] = 0.0  # 16 train + 4 + 2 test before it
+        test = stream.test_sets[1]  # rows 8 + 4 + 8 of the stream's set come before it
+        for stack in (test.h, test.mag):  # h and its |h| change together
+            stack[2][np.diag_indices(2)] = 0.0
         return stream
 
     monkeypatch.setattr(channels, "build_stream", with_dead_channel)

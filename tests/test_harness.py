@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from faircl import channels, harness, memory, model
-from faircl.channels import ChannelSample, EpisodeSpec, EpisodeStream
+from faircl.channels import ChannelSample, EpisodeSpec, EpisodeStream, SampleSet
 from faircl.harness import StrategyConfig
 from faircl.objective import LossSpec
 
@@ -15,7 +15,7 @@ def tiny_stream(rng, n_train=8, n_batches=2, n_test=4, episodes=("rayleigh", "ri
         for d in episodes
     ]
     stream = channels.build_stream(specs, K, rng)
-    channels.add_wmmse_labels(list(stream.all_samples()))
+    channels.add_wmmse_labels(stream.samples)
     return stream
 
 
@@ -109,11 +109,10 @@ def test_every_method_produces_full_rows():
 
 def test_tl_skips_empty_batch():
     rng = np.random.default_rng(9)
-    train = channels.gen_rayleigh(K, 4, rng)
-    test = channels.gen_rayleigh(K, 3, rng)
-    channels.add_wmmse_labels(train + test)
+    samples = SampleSet.concat([channels.gen_rayleigh(K, 4, rng), channels.gen_rayleigh(K, 3, rng)])
+    channels.add_wmmse_labels(samples)
     spec = EpisodeSpec(distribution="rayleigh", n_train=4, n_test=3, n_batches=2)
-    stream = EpisodeStream(K, [spec], [(0, train), (0, [])], [test])
+    stream = EpisodeStream(K, [spec], samples, [range(0, 4), range(4, 4)], [samples[4:]])
     rows, _ = harness.run_continual(stream, tiny_cfg("TL"), np.random.default_rng(10))
     assert rows[1].per_episode_rate == rows[0].per_episode_rate
 
@@ -157,8 +156,9 @@ def test_aborted_run_carries_partial_rows():
     channels.add_wmmse_labels(test)
     calm = [ChannelSample(K, np.zeros((K, K)), p_label=np.full(K, 0.5)) for _ in range(2)]
     wild = [ChannelSample(K, np.zeros((K, K)), p_label=np.array([1e4, 0.5])) for _ in range(2)]
+    samples = SampleSet.from_rows(calm + wild + list(test))
     spec = EpisodeSpec(distribution="rayleigh", n_train=4, n_test=3, n_batches=2)
-    stream = EpisodeStream(K, [spec], [(0, calm), (0, wild)], [test])
+    stream = EpisodeStream(K, [spec], samples, [range(0, 2), range(2, 4)], [samples[4:]])
     cfg = tiny_cfg("TL", epochs=1, minibatch_size=2, alpha=1e306, loss=LossSpec(upper="mse"))
     params = model.ModelParams((K * K, 6, K), np.zeros(model.param_count((K * K, 6, K))), 1.0)
     with np.errstate(over="ignore"), pytest.raises(harness.TrainingAborted, match="TL") as info:

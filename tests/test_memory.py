@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from faircl import channels, memory
+from faircl import memory
 from faircl.memory import MemoryBuffer
 
 
-def samples(n, k=2, episode=0):
-    rng = np.random.default_rng(n + 17 * k)
-    out = channels.gen_rayleigh(k, n, rng)
-    for s in out:
-        s.episode_id = episode
-    return out
+def samples(n, start=0):
+    # buffers hold row indices of a stream's sample set
+    return list(range(start, start + n))
 
 
 # ------------------------------------------------------------- top-M select
@@ -111,14 +108,32 @@ def test_reservoir_needs_rng():
 
 def test_joint_appends_in_order():
     buf = MemoryBuffer(0, memory.JOINT_UNBOUNDED)
-    first, second = samples(5), samples(5, episode=1)
+    first, second = samples(5), samples(5, start=100)
     memory.update_joint(buf, first)
     memory.update_joint(buf, second)
     assert len(buf.items) == 10
-    assert buf.items[0] is first[0]
+    assert buf.items[:5] == first
     assert buf.items[5:] == second
     memory.update_joint(buf, [])
     assert len(buf.items) == 10
+
+
+def test_rules_take_index_arrays():
+    # the harness passes row ranges; numpy index arrays work the same way
+    buf = MemoryBuffer(3, memory.BILEVEL_TOP_M)
+    memory.update_bilevel(buf, np.arange(10, 16), np.array([0.1, 0.9, 0.3, 0.8, 0.2, 0.7]))
+    assert buf.items == [11, 13, 15]
+    kept = []
+    for batches in ([range(0, 30), range(30, 55)], [np.arange(0, 30), np.arange(30, 55)], [np.arange(0)]):
+        buf = reservoir(10)
+        for batch in batches:
+            memory.update_reservoir(buf, batch)
+        kept.append(buf.items)
+    assert len(kept[0]) == 10 and kept[1] == kept[0] and kept[2] == []
+    buf = MemoryBuffer(0, memory.JOINT_UNBOUNDED)
+    memory.update_joint(buf, np.arange(0, 5))
+    memory.update_joint(buf, np.arange(5, 9))
+    assert buf.items == list(range(9)) and buf.seen_count == 9
 
 
 # --------------------------------------------------------------- guardrails

@@ -195,8 +195,7 @@ def test_sgd_overfits_tiny_set():
     rng = np.random.default_rng(11)
     params = model.init((K * K, 8, K), 1.0, rng)
     pool = channels.gen_rayleigh(K, 4, rng)
-    for s in pool:
-        s.p_label = rng.uniform(0.2, 0.8, size=K)
+    pool.labels[:] = rng.uniform(0.2, 0.8, size=(4, K))
     spec = LossSpec(upper="mse")
     out = trainer.sgd_train(params, spec, pool, 500, 2, 0.5, np.random.default_rng(12))
     final = np.mean([objective.loss_upper(spec, out, s)[0] for s in pool])
@@ -350,25 +349,31 @@ def test_lower_values_and_bilevel_selection_bitwise_equal_list_reference(k, hidd
         lower_values_lists(spec, params, [pool[i] for i in idx]),
     )
     buf = memory.MemoryBuffer(10, memory.BILEVEL_TOP_M)
-    memory.update_bilevel(buf, pool, objective.lower_values(spec, params, pool))
-    kept = [pool[i] for i in memory.top_m_indices(want, 10)]
-    assert len(buf.items) == 10 and all(a is b for a, b in zip(buf.items, kept))
+    memory.update_bilevel(buf, range(len(pool)), objective.lower_values(spec, params, pool))
+    assert buf.items == memory.top_m_indices(want, 10).tolist()
 
 
 def test_pool_checks_raise_once_per_pool():
     # a sample without a label anywhere in the pool stops the run before a
-    # step, whichever minibatches would have drawn it
+    # step, whichever minibatches would have drawn it; a SampleSet marks it
+    # with NaN, a list of rows with None
     rng = np.random.default_rng(16)
-    pool = labeled_batch(rng, 6)
-    pool[4].p_label = None
     params = model.init(SIZES, 1.0, rng)
-    with pytest.raises(ValueError, match="sample 4 has no p_label"):
+    unlabelled = labeled_batch(rng, 6)
+    unlabelled.labels[4] = np.nan
+    rows = list(labeled_batch(rng, 6))
+    rows[4].p_label = None
+    for pool in (unlabelled, rows):
+        with pytest.raises(ValueError, match="sample 4 has no p_label"):
+            trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
+        with pytest.raises(ValueError, match="sample 4 has no p_label"):
+            trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
+    no_rbar = labeled_batch(rng, 6)
+    no_rbar.rbar[2] = np.nan
+    rows = list(labeled_batch(rng, 6))
+    rows[2].rbar = None
+    for pool in (no_rbar, rows):
+        with pytest.raises(ValueError, match="sample 2 is degenerate: rbar must be positive, got None"):
+            trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
+        # SGD reads no rbar
         trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
-    with pytest.raises(ValueError, match="sample 4 has no p_label"):
-        trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
-    pool = labeled_batch(rng, 6)
-    pool[2].rbar = None
-    with pytest.raises(ValueError, match="sample 2 is degenerate"):
-        trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
-    # SGD reads no rbar
-    trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)

@@ -186,12 +186,12 @@ def test_wmmse_rejects_bad_iters():
 
 def stock_gains(k, n, rng):
     """n samples from each of the four stock families, stacked as |h|^2."""
-    draws = (
-        channels.gen_rayleigh(k, n, rng)
-        + channels.gen_rician(k, n, rng)
-        + channels.gen_geometry(k, n, 10.0, rng)
-        + channels.gen_geometry(k, n, 50.0, rng)
-    )
+    draws = channels.SampleSet.concat([
+        channels.gen_rayleigh(k, n, rng),
+        channels.gen_rician(k, n, rng),
+        channels.gen_geometry(k, n, 10.0, rng),
+        channels.gen_geometry(k, n, 50.0, rng),
+    ])
     return np.abs(np.array([s.h for s in draws])) ** 2
 
 
