@@ -96,7 +96,8 @@ class SampleSet:
     squared the gains, so h and mag change together. labels is (n, K) and
     rbar (n,); a sample without solver labels has an all-NaN labels row and
     a NaN rbar, which is also what omitted arrays default to. episode (n,)
-    holds each sample's episode id, 0 by default.
+    holds each sample's episode id, 0 by default. h and mag are read-only, so
+    a new channel needs a new set.
 
     set[i], and iteration, give ChannelSample rows whose arrays are views of
     the set's; set[a:b] is a set of views, take(idx) a set of copies.
@@ -118,6 +119,9 @@ class SampleSet:
             self.episode = np.zeros(n, dtype=int)
         if self.mag is None:
             self.mag = np.abs(self.h)
+        # mag is taken from h once: neither may change after
+        self.h.setflags(write=False)
+        self.mag.setflags(write=False)
 
     @classmethod
     def from_rows(cls, rows) -> "SampleSet":
@@ -398,36 +402,51 @@ def _checked_stack(h, p_label, rbar, k):
     return h
 
 
+def _record_arrays(rows, k):
+    """Per-field arrays for rows records: h (rows, K^2) complex, p_label,
+    rbar, their presence flags and episode ids. Rows without a label or rbar
+    keep the values set here, which pass every rule."""
+    return (
+        np.empty((rows, k * k), dtype=complex),
+        np.zeros((rows, k)),
+        np.ones(rows),
+        np.zeros(rows, dtype=bool),
+        np.zeros(rows, dtype=bool),
+        np.zeros(rows, dtype=int),
+    )
+
+
 def _parse_records(lines, k, n, size) -> SampleSet:
     """The samples of the n record lines (file line 2 onward), in order.
 
-    Each record is parsed once into preallocated per-field arrays, with
-    exact shape checks, h_re and h_im straight into the complex stack's
-    real and imaginary parts; the value rules then run over all rows at
-    once. A count of lines other than n is reported first. Of several bad
-    records the first is reported, with the error a record-by-record reader
-    gives it, and every fault names its line.
+    Each record is parsed once into per-field arrays, with exact shape
+    checks, h_re and h_im straight into the complex stack's real and
+    imaginary parts; the value rules then run over all rows at once. A count
+    of lines other than n is reported first. Of several bad records the
+    first is reported, with the error a record-by-record reader gives it,
+    and every fault names its line.
+
+    size is the file's byte count, or 0 when that is unknown (a pipe). A
+    valid record holds two lists of K^2 numbers, so 4*K^2 characters or
+    more: the arrays start with as many rows as size can hold and double,
+    up to n, whenever more records come, so neither a header that claims
+    too many records nor a stream of unknown size sizes them wrongly.
     """
-    kk = k * k
-    # a valid record holds two lists of K^2 numbers, so 4*K^2 characters or
-    # more: a file of `size` bytes has fewer valid records than this many
-    # rows, whatever count its header claims
-    rows = min(n, size // max(4 * kk, 1) + 1)
-    h = np.empty((rows, kk), dtype=complex)
+    cols = _record_arrays(min(n, size // max(4 * k * k, 1) + 1), k)
+    h, p_label, rbar, has_label, has_rbar, episode = cols
     h_re, h_im = h.real, h.imag
-    # rows without a label or rbar keep these values, which pass every rule
-    p_label, rbar = np.zeros((rows, k)), np.ones(rows)
-    has_label, has_rbar = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
-    episode = np.zeros(rows, dtype=int)
-    checked = 0  # rows whose fields read so far go through the rules
-    found, fault = 0, None
-    for i, line in enumerate(lines):
-        found = i + 1
-        if fault is not None or i >= rows:
-            continue  # the rest is only counted
-        lineno = i + 2
-        checked = i
-        try:
+    found = checked = 0  # lines read; rows whose fields read so far go through the rules
+    try:
+        for i, line in enumerate(lines):
+            found = i + 1
+            if i >= n:
+                continue  # surplus lines are only counted
+            if i == len(h):
+                more = _record_arrays(min(n, 2 * i) - i, k)
+                cols = h, p_label, rbar, has_label, has_rbar, episode = [np.concatenate(c) for c in zip(cols, more)]
+                h_re, h_im = h.real, h.imag
+            lineno = i + 2
+            checked = i
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
@@ -444,7 +463,7 @@ def _parse_records(lines, k, n, size) -> SampleSet:
             except (ValueError, TypeError):  # an entry that is not a number
                 h_ok = False
             if not h_ok:
-                raise DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {kk} values")
+                raise DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {k * k} values")
             try:
                 episode[i] = int(rec["episode"])
                 checked = i + 1  # h's rule comes before the label's and rbar's
@@ -459,18 +478,22 @@ def _parse_records(lines, k, n, size) -> SampleSet:
                     has_rbar[i] = True
             except (ValueError, TypeError, OverflowError) as e:
                 raise DatasetFormatError(f"line {lineno}: {e}") from e
-        except (ValueError, TypeError) as e:
-            fault = e
-    if found != n:
-        raise DatasetFormatError(f"line {found + 2}: expected {n} records after the header, found {found}")
-    if fault is not None:
-        # a fault in an earlier row, or earlier in this one, comes first
+    except (ValueError, TypeError):
+        # a wrong count comes first, then a fault in an earlier row, or
+        # earlier in this one
+        _check_count(found + sum(1 for _ in lines), n)
         _checked_stack(h[:checked], p_label[:checked], rbar[:checked], k)
-        raise fault
+        raise
+    _check_count(found, n)
     h = _checked_stack(h, p_label, rbar, k)
     p_label[~has_label] = np.nan
     rbar[~has_rbar] = np.nan
     return SampleSet(h, p_label, rbar, episode)
+
+
+def _check_count(found, n):
+    if found != n:
+        raise DatasetFormatError(f"line {found + 2}: expected {n} records after the header, found {found}")
 
 
 def _lines(fh):

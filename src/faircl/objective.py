@@ -136,19 +136,18 @@ def as_batch(spec, samples, need_ell=True, need_u=True) -> Batch:
     labels = neg_alpha = None
     if spec.upper == "mse" and (need_ell or spec.lower == "same_as_upper"):
         labels = samples.labels
-        # one sum is NaN when any label is; only then look for all-NaN rows
-        if math.isnan(np.add.reduce(labels, None)):
-            missing = np.isnan(labels).all(1)
-            if missing.any():
-                raise ValueError(f"sample {int(missing.argmax())} has no p_label; MSE loss needs solver labels")
+        missing = np.isnan(labels).all(1)
+        if missing.any():
+            raise ValueError(f"sample {int(missing.argmax())} has no p_label; MSE loss needs solver labels")
     if need_u and spec.lower == "weighted_neg_sum_rate":
         # -alpha; -1/r is bitwise -(1/r)
         if spec.alpha_mode == "unit":
             neg_alpha = np.full(len(samples), -1.0)
         else:
             rbar = samples.rbar
-            if not np.minimum.reduce(rbar) > 0:  # a NaN minimum fails too
-                i = int((~(rbar > 0)).argmax())
+            bad = ~(rbar > 0)
+            if bad.any():
+                i = int(bad.argmax())
                 r = None if math.isnan(rbar[i]) else float(rbar[i])
                 raise ValueError(f"sample {i} is degenerate: rbar must be positive, got {r}")
             neg_alpha = -1.0 / rbar

@@ -30,7 +30,6 @@ than being clamped, since downstream quantities divide by y.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -134,11 +133,9 @@ def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
         )
     grad = objective.chain_gradient(state.params, terms, y_new)
     params_new = _descend(state.params, -state.alpha * grad)
-    # a copy skips __post_init__: alpha, beta and rng, which passed its
-    # checks, stay, and the step count only grows
-    new = copy.copy(state)
-    new.params, new.params_prev, new.y, new.step = params_new, state.params, y_new, state.step + 1
-    return new
+    return dataclasses.replace(
+        state, params=params_new, params_prev=state.params, y=y_new, step=state.step + 1
+    )
 
 
 def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int, trace=None) -> TrainerState:

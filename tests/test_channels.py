@@ -1,6 +1,8 @@
 """Channel generators, episode streams, and dataset persistence."""
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -144,6 +146,17 @@ def test_batches_are_row_ranges_of_one_sample_set():
     assert all(isinstance(s, channels.ChannelSample) for s in rows)
     assert all(np.shares_memory(s.h, stream.samples.h) for s in rows)
     assert [s.h.tobytes() for s in rows] == [h.tobytes() for h in stream.samples.h]
+
+
+def test_channels_of_a_set_are_read_only():
+    # mag is taken from h once, so a write into either would leave it stale
+    stream = channels.build_stream([channels.EpisodeSpec(channels.RICIAN, 4, 2, 2)], 2, rng(0))
+    samples = stream.samples
+    for stack in (samples.h, samples.mag, stream.test_sets[0].h, samples.take([1, 3]).mag, samples[2].h):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[..., 0, 0] = 0.0
+    channels.add_wmmse_labels(samples)  # labels and rbar stay writable
+    assert not np.isnan(samples.rbar).any()
 
 
 # ---------------------------------------------------------------- labels
@@ -302,6 +315,40 @@ def test_load_sizes_arrays_by_the_file_not_the_header(tmp_path):
         _write_records(path, header, records)
         want = _outcome(load_dataset_per_record, path)
         assert want is not None and _outcome(channels.load_dataset, path) == want, records
+
+
+def _through_fifo(load, path):
+    # load applied to a FIFO that carries path's bytes: a reader cannot learn
+    # a FIFO's size before reading it (fstat gives 0)
+    fifo = path.with_name("data.fifo")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        return load(fifo)
+    finally:
+        writer.join()
+        fifo.unlink()
+
+
+def test_load_reads_a_fifo(tmp_path):
+    specs = [
+        channels.EpisodeSpec(channels.RICIAN, 6, 3, 2),
+        channels.EpisodeSpec(channels.GEOMETRY, 4, 2, 2, area_side_m=10.0),
+    ]
+    stream = channels.build_stream(specs, 3, rng(7))
+    channels.add_wmmse_labels(stream.samples)
+    path = tmp_path / "data.jsonl"
+    channels.save_dataset(stream, path)
+    loaded = _through_fifo(channels.load_dataset, path)
+    assert len(loaded.samples) == 15
+    assert _layout_and_bits(loaded) == _layout_and_bits(load_dataset_per_record(path))
+    # a short, a long and a corrupt file read through a FIFO fail as read from disk
+    header, *lines = path.read_text().splitlines()
+    for records in (lines[:-1], lines + lines[:1], lines[:-1] + ["{}"]):
+        _write_records(path, header, records)
+        want = _outcome(load_dataset_per_record, path)
+        assert want is not None and _through_fifo(lambda p: _outcome(channels.load_dataset, p), path) == want
 
 
 def test_load_names_the_line_of_an_out_of_range_number(tmp_path):

@@ -105,10 +105,9 @@ def test_gen_zero_rate_label_is_input_error(tmp_path, cfg_path, monkeypatch, cap
 
     def with_dead_channel(*args):
         stream = build(*args)
-        test = stream.test_sets[1]  # rows 8 + 4 + 8 of the stream's set come before it
-        for stack in (test.h, test.mag):  # h and its |h| change together
-            stack[2][np.diag_indices(2)] = 0.0
-        return stream
+        h = stream.samples.h.copy()
+        h[22][np.diag_indices(2)] = 0.0  # row 2 of the second test set: 8 + 4 + 8 rows come before it
+        return channels._episode_stream(stream.k_pairs, stream.specs, channels.SampleSet(h, episode=stream.samples.episode))
 
     monkeypatch.setattr(channels, "build_stream", with_dead_channel)
     out = tmp_path / "data.jsonl"
