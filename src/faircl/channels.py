@@ -435,7 +435,8 @@ def _parse_records(lines, k, n, size) -> SampleSet:
     cols = _record_arrays(min(n, size // max(4 * k * k, 1) + 1), k)
     h, p_label, rbar, has_label, has_rbar, episode = cols
     h_re, h_im = h.real, h.imag
-    found = checked = 0  # lines read; rows whose fields read so far go through the rules
+    found = 0  # lines read
+    checked = 0  # rows whose fields read so far go through the rules
     try:
         for i, line in enumerate(lines):
             found = i + 1
