@@ -5,7 +5,8 @@ Three subcommands cover the experiment lifecycle:
   gen    draw an episode stream from a config, label every sample with the
          iterative solver, and write it as a dataset file.
   run    stream a dataset through the selected strategies, writing one
-         metrics CSV and one model checkpoint per method.
+         metrics CSV and one model checkpoint per method. On Linux with
+         OpenBLAS the methods run in forked processes, one per usable CPU.
   eval   score a saved model (or the solver itself) on a dataset's test
          sets and write a ratio histogram.
 
@@ -19,9 +20,17 @@ Exit codes: 0 success, 1 usage or input error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
+import math
+import os
+import pickle
+import selectors
+import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,6 +195,155 @@ def _run_method(method, stream, cfg, rng, out_dir):
     return rows, err, time.perf_counter() - start
 
 
+def _openblas_set_num_threads():
+    """The loaded OpenBLAS's set_num_threads, or None where none is found.
+
+    It is scipy_openblas_set_num_threads64_ in numpy's wheels since numpy
+    2.0, openblas_set_num_threads64_ before, and has no suffix in a system
+    OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                return fn
+    return None
+
+
+def _worker_cpus() -> list[int]:
+    """The CPUs to run forked methods on; none where they run in this process.
+
+    That is where the CPU set cannot be read (macOS, Windows), other threads
+    run (forking is unsafe then), one CPU is usable, or no OpenBLAS is found
+    to hold each worker to one thread: with every worker's BLAS threads
+    contending for 2 CPUs, a K=10 run took 13 times as long.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) > 1 and _openblas_set_num_threads() is not None else []
+
+
+def _pickled_outcome(job, method) -> bytes:
+    """job(method)'s result, or the exception it raised, as pickle bytes."""
+    try:
+        return pickle.dumps(job(method))
+    except Exception as exc:  # the parent re-raises it; this process only reports it
+        try:
+            data = pickle.dumps(exc)
+            pickle.loads(data)  # an exception whose __init__ takes other args fails here
+            return data
+        except Exception:
+            return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _fork(job, method, cpu: int, cpus: list[int]) -> tuple[int, int]:
+    """(pipe read end, pid) of a child that writes _pickled_outcome and exits.
+
+    The child starts on `cpu`, then may move among `cpus`: left alone, a
+    kernel may keep short-lived children on their parent's CPU while
+    another idles. Its BLAS runs one thread: the workers already share the
+    CPUs, and its products then do not depend on the BLAS's own thread
+    count. It leaves only through os._exit, so this process's buffers and
+    atexit hooks never run in it; status 0 means its outcome is complete.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with contextlib.suppress(OSError):  # a placement hint only
+                os.sched_setaffinity(0, {cpu})
+                os.sched_setaffinity(0, cpus)
+            _openblas_set_num_threads()(1)
+            with open(w, "wb") as fh:
+                fh.write(_pickled_outcome(job, method))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return r, pid
+
+
+def _outcome(data: bytes, status: int, secs: float):
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(data)
+    why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return [], f"worker process {why}", secs
+
+
+def _run_methods(methods, job, cpus: list[int], report) -> None:
+    """Call report(m, outcome of job(m)) for each method, in the given order.
+
+    With no CPUs given, each job runs here, in turn, and its exceptions
+    propagate. Otherwise each job runs in a forked child, which inherits
+    the dataset instead of receiving it pickled: one child per CPU at a
+    time, joint methods first, as their pools grow to the whole stream. A
+    child returns job's result, or the exception it raised for report to
+    re-raise; one that dies first returns a runtime failure in job's
+    (rows, err, secs) form. No child outlives this call.
+    """
+    free = cpus[: len(methods)]  # CPUs no live child started on
+    if not free:
+        for m in methods:
+            report(m, job(m))
+        return
+    queue = sorted(methods, key=lambda m: m not in harness.JOINT_METHODS)
+    live, done = {}, {}  # live: read fd -> (method, pid, cpu, start, chunks)
+    sel = selectors.DefaultSelector()
+    try:
+        for method in methods:
+            while method not in done:
+                while queue and free:
+                    m, cpu = queue.pop(0), free.pop(0)
+                    fd, pid = _fork(job, m, cpu, cpus)
+                    live[fd] = (m, pid, cpu, time.perf_counter(), [])
+                    sel.register(fd, selectors.EVENT_READ)
+                for key, _ in sel.select():
+                    m, pid, cpu, start, chunks = live[key.fd]
+                    chunk = os.read(key.fd, 1 << 16)  # drained as it comes: no child blocks on a full pipe
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
+                    _, status = os.waitpid(pid, 0)
+                    sel.unregister(key.fd)
+                    os.close(key.fd)
+                    del live[key.fd]
+                    free.append(cpu)
+                    done[m] = _outcome(b"".join(chunks), status, time.perf_counter() - start)
+                    if isinstance(done[m], Exception):  # methods after m will not be reported
+                        queue = [q for q in queue if methods.index(q) < methods.index(m)]
+            report(method, done.pop(method))
+    finally:
+        for fd, (_, pid, *_) in live.items():
+            # an interrupt may fall between a child's reaping and its removal here
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            os.close(fd)
+        sel.close()
+
+
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     stream = channels.load_dataset(args.data)
@@ -200,18 +358,25 @@ def cmd_run(args) -> int:
     ordered = [m for m in METHODS if m in selected]
     out_dir = _ensure_dir(args.out)
     rngs = method_rngs(cfg.seed)
+    failed = []
 
-    failed = False
-    for method in ordered:
-        rows, err, secs = _run_method(method, stream, cfg, rngs[method], out_dir)
+    def job(method):
+        return _run_method(method, stream, cfg, rngs[method], out_dir)
+
+    def report(method, outcome):
+        if isinstance(outcome, Exception):
+            raise outcome
+        rows, err, secs = outcome
         if err is not None:
-            failed = True
+            failed.append(method)
             print(f"{method}: ABORTED after {len(rows)} rounds ({secs:.1f}s): {err}", file=sys.stderr)
-            continue
+            return
         print(
             f"{method}: {len(rows)} rounds in {secs:.1f}s, "
             f"final avg rate {rows[-1].avg_rate:.4f}, metrics in metrics_{method}.csv"
         )
+
+    _run_methods(ordered, job, _worker_cpus(), report)
     return 2 if failed else 0
 
 
@@ -253,6 +418,16 @@ def _ensure_dir(path) -> Path:
     return p
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -281,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True, help="dataset file from gen")
     ev.add_argument("--out", required=True, help="output directory")
     ev.add_argument("--policy", choices=["checkpoint", "wmmse"], default="checkpoint")
-    ev.add_argument("--bin-width", type=float, default=0.1)
+    ev.add_argument("--bin-width", type=_positive_float, default=0.1)
     ev.add_argument("--noise", type=float, default=1.0)
     ev.add_argument("--p-max", type=float, default=1.0)
     ev.set_defaults(func=cmd_eval)

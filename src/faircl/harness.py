@@ -34,6 +34,7 @@ from .objective import LossSpec
 METHODS = ("TL", "Reservoir", "Bilevel", "Minimax", "JointEqual", "JointWeighted")
 SGD_METHODS = ("TL", "Reservoir", "JointEqual")
 SCSC_METHODS = ("Bilevel", "JointWeighted")
+JOINT_METHODS = ("JointEqual", "JointWeighted")
 
 
 class TrainingAborted(RuntimeError):
@@ -201,7 +202,7 @@ def run_continual(stream, cfg: StrategyConfig, rng, init_params=None):
                 memory_mod.update_bilevel(buf, pool, u)
             elif cfg.method == "Minimax" and dual is not None:
                 memory_mod.update_bilevel(buf, pool, dual.lam)
-            elif cfg.method in ("JointEqual", "JointWeighted"):
+            elif cfg.method in JOINT_METHODS:
                 memory_mod.update_joint(buf, batch)
         except (
             trainer.DivergenceError,
@@ -236,7 +237,7 @@ def write_metrics_csv(path, rows) -> None:
     if not rows:
         raise ValueError("no metrics rows")
     n_episodes = len(rows[0].per_episode_rate)
-    with open(path, "w", newline="") as fh:
+    with model.replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(metrics_header(n_episodes))
         for r in rows:

@@ -9,9 +9,12 @@ b0, W1, b1, ...
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +55,6 @@ class ForwardTrace:
     inputs: list  # activation entering each layer, (n, fan_in)
     pre_acts: list  # z of each layer, (n, fan_out)
     outputs: np.ndarray  # (n, K) powers
-    single: bool  # True when forward was called with a 1-D x
     layer_sizes: tuple  # of the params forward ran with
 
 
@@ -123,7 +125,7 @@ def forward(params: ModelParams, x):
     z = np.dot(a, w_out.T) + b_out
     pre_acts.append(z)
     a = params.p_max * _sigmoid(z)
-    trace = ForwardTrace(inputs, pre_acts, a, single, params.layer_sizes)
+    trace = ForwardTrace(inputs, pre_acts, a, params.layer_sizes)
     return (a[0] if single else a), trace
 
 
@@ -157,6 +159,26 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
     return flat
 
 
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """Open a text file to write that takes path's place only once complete.
+
+    The text goes to a temp file in path's directory, which os.replace
+    renames over path when the block exits cleanly, so a reader sees the
+    old file or the whole new one, never a truncated one. A block that
+    raises leaves path as it was; a writer killed mid-write leaves its
+    hidden temp file beside it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_params(params: ModelParams, path):
     """Write a checkpoint; floats serialize via repr so round-trips are exact."""
     doc = {
@@ -165,7 +187,7 @@ def save_params(params: ModelParams, path):
         "values": params.values.tolist(),
     }
     # one dumps string: json.dump writes the same text chunk by chunk, slower
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
 

@@ -1,9 +1,14 @@
 import json
+import os
+import pickle
+import re
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from faircl import channels, cli, model, wsr
+from faircl import channels, cli, harness, model, wsr
 from faircl.channels import EpisodeSpec
 from faircl.cli import ExperimentConfig, config_from_dict, config_to_dict, main
 from faircl.objective import LossSpec
@@ -238,6 +243,146 @@ def test_run_k_mismatch(tmp_path, data_path):
     assert run_cmd(bad_cfg, data_path, tmp_path / "x") == 1
 
 
+# ----------------------------------------------------------- run: workers
+
+ALL_METHODS = ",".join(harness.METHODS)
+
+
+# forked workers need a readable CPU set and an OpenBLAS to hold to one thread
+forks_here = pytest.mark.skipif(
+    cli._openblas_set_num_threads() is None or not hasattr(os, "sched_getaffinity"),
+    reason="methods run in-process here",
+)
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def no_children():
+    yield
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks_here
+def test_run_files_same_with_one_or_more_workers(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
+    fork = os.fork
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    find_blas = cli._openblas_set_num_threads
+    outs, consoles = {}, {}
+    # (CPUs, an OpenBLAS to hold to one thread per worker, forks)
+    for n, blas, n_forks in ((1, True, 0), (2, True, 6), (2, False, 0)):
+        cpus(monkeypatch, n)
+        monkeypatch.setattr(cli, "_openblas_set_num_threads", find_blas if blas else lambda: None)
+        forks.clear()
+        out = tmp_path / f"workers{n}{blas}"
+        capsys.readouterr()
+        assert run_cmd(cfg_path, data_path, out, "--methods", ALL_METHODS) == 0
+        assert len(forks) == n_forks
+        outs[out] = sorted(out.iterdir())
+        consoles[out] = re.sub(r"in [0-9.]+s", "in _s", capsys.readouterr().out)
+    (first, files), *rest = outs.items()
+    assert len(files) == 12
+    for out, others in rest:
+        assert [p.name for p in others] == [p.name for p in files]
+        for a, b in zip(files, others):
+            assert a.read_bytes() == b.read_bytes(), b
+        # the console lists the methods in canonical order either way
+        assert consoles[out] == consoles[first]
+    assert [line.split(":")[0] for line in consoles[first].splitlines()] == list(harness.METHODS)
+
+
+@forks_here
+def test_run_workers_hold_blas_to_one_thread(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
+    cpus(monkeypatch, 2)
+    threads = []
+    monkeypatch.setattr(cli, "_openblas_set_num_threads", lambda: threads.append)
+
+    def report_threads(stream, cfg, rng, init_params=None):
+        raise ValueError(f"BLAS threads set to {threads}")
+
+    monkeypatch.setattr(harness, "run_continual", report_threads)
+    assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1
+    assert "error: BLAS threads set to [1]" in capsys.readouterr().err
+    assert threads == []  # set in the child, never here
+
+
+@forks_here
+def test_run_reraises_the_earliest_error_of_the_children(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children
+):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    run = harness.run_continual
+
+    def failing(stream, cfg, rng, init_params=None):
+        if os.getpid() == parent:
+            raise AssertionError("ran in the test's process")
+        if cfg.method == "JointEqual":  # starts first, fails first
+            raise RuntimeError("later in method order")
+        if cfg.method == "JointWeighted":  # still running when TL fails: must be killed
+            time.sleep(60)
+        if cfg.method == "TL":
+            raise ValueError("boom")
+        return run(stream, cfg, rng, init_params)
+
+    monkeypatch.setattr(harness, "run_continual", failing)
+    start = time.perf_counter()
+    assert run_cmd(cfg_path, data_path, tmp_path / "runs", "--methods", ALL_METHODS) == 1
+    assert time.perf_counter() - start < 30
+    assert "error: boom" in capsys.readouterr().err
+
+
+@forks_here
+def test_run_child_killed_is_runtime_failure(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    run = harness.run_continual
+
+    def killed(stream, cfg, rng, init_params=None):
+        if cfg.method == "Bilevel" and os.getpid() != parent:  # never kill the test's process
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(stream, cfg, rng, init_params)
+
+    monkeypatch.setattr(harness, "run_continual", killed)
+    out = tmp_path / "runs"
+    assert run_cmd(cfg_path, data_path, out, "--methods", ALL_METHODS) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"Bilevel: ABORTED after 0 rounds \([0-9.]+s\): worker process killed by signal 9", err)
+    written = {p.name for p in out.iterdir()}
+    assert written == {f"{kind}_{m}.{ext}" for m in harness.METHODS if m != "Bilevel"
+                       for kind, ext in (("model", "json"), ("metrics", "csv"))}
+
+
+@forks_here
+def test_run_result_larger_than_a_pipe_buffer(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
+    cpus(monkeypatch, 2)
+    fake = [harness.MetricsRow(i, "TL", [float(i)] * 2, [i / 5000] * 2, float(i), 0) for i in range(5000)]
+    assert len(pickle.dumps((fake, None, 0.0))) > 1 << 16
+    run = harness.run_continual
+
+    def many_rows(stream, cfg, rng, init_params=None):
+        return fake, run(stream, cfg, rng, init_params)[1]
+
+    def hung(signum, frame):
+        raise TimeoutError("no result after 60 s")
+
+    monkeypatch.setattr(harness, "run_continual", many_rows)
+    out = tmp_path / "runs"
+    previous = signal.signal(signal.SIGALRM, hung)  # a deadlock fails the test instead of hanging it
+    signal.alarm(60)
+    try:
+        assert run_cmd(cfg_path, data_path, out, "--methods", "TL,Bilevel") == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "TL: 5000 rounds" in capsys.readouterr().out
+    assert len((out / "metrics_TL.csv").read_text().splitlines()) == 5001
+
+
 # -------------------------------------------------------------------- eval
 
 def test_eval_wmmse_policy(tmp_path, data_path, capsys):
@@ -307,6 +452,18 @@ def test_eval_k_mismatch(tmp_path, data_path, capsys):
 def test_eval_needs_checkpoint_or_wmmse(tmp_path, data_path, capsys):
     assert main(["eval", "--data", str(data_path), "--out", str(tmp_path / "e")]) == 1
     assert "--checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["0", "-0.1", "nan", "inf", "wide"])
+def test_eval_rejects_bad_bin_width_before_loading(tmp_path, data_path, capsys, width):
+    capsys.readouterr()
+    out = tmp_path / "e"
+    argv = ["eval", "--data", str(data_path), "--out", str(out), "--policy", "wmmse", "--bin-width", width]
+    assert main(argv) == 1
+    console = capsys.readouterr()
+    assert console.out == ""
+    assert "--bin-width: must be a positive finite number" in console.err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- usage

@@ -186,3 +186,16 @@ def test_metrics_csv_shape(tmp_path):
     assert lines[1].startswith("4,Reservoir,")
     with pytest.raises(ValueError):
         harness.write_metrics_csv(tmp_path / "empty.csv", [])
+
+
+def test_metrics_csv_write_that_fails_leaves_the_old_file(tmp_path):
+    stream = tiny_stream(np.random.default_rng(20))
+    rows, _ = harness.run_continual(stream, tiny_cfg("TL"), np.random.default_rng(21))
+    path = tmp_path / "metrics.csv"
+    harness.write_metrics_csv(path, rows)
+    before = path.read_bytes()
+    broken = rows[:2] + [harness.MetricsRow(0, "TL", None, None, 0.0, 0)]  # fails after two rows
+    with pytest.raises(TypeError):
+        harness.write_metrics_csv(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]

@@ -181,6 +181,18 @@ def test_checkpoint_missing_field(tmp_path):
         model.load_params(path)
 
 
+def test_checkpoint_write_that_fails_leaves_the_old_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    model.save_params(model.init((2, 3, 1), 1.0, np.random.default_rng(0)), path)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        with model.replacing(path) as fh:
+            fh.write('{"layer_sizes": [2,')
+            raise OSError("disk full")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         model.ModelParams((4,), np.zeros(1), 1.0)
