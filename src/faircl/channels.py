@@ -13,11 +13,12 @@ Three channel families, all K-pair and dimensionless:
 Entry h[k, j] is the channel from transmitter j into receiver k.
 
 Samples live in one array-backed SampleSet: channel stack, |h|, labels,
-rbar and episode ids, one row per sample. ChannelSample is its one-row form,
-for building and reading samples singly. An EpisodeStream holds one
-SampleSet; its training batches are row ranges in arrival order and its
-per-episode test sets are slices. Training reads the batches' rows, never
-their episode ids; only evaluation groups samples by episode, through
+rbar and episode ids, one row per sample. Code that computes on samples
+reads the set's arrays, and a single sample is a one-row set (set[i:i+1]);
+ChannelSample is only the row view that set[i] gives. An EpisodeStream
+holds one SampleSet; its training batches are row ranges in arrival order
+and its per-episode test sets are slices. Training reads the batches' rows,
+never their episode ids; only evaluation groups samples by episode, through
 test_sets.
 
 Datasets persist as JSON lines, one header then one record per sample, with
@@ -49,10 +50,10 @@ _LABEL_RULE = "p_label must be a nonnegative length-K vector"
 
 @dataclass(eq=False)
 class ChannelSample:
-    """One network snapshot: channel matrix plus optional solver labels.
+    """One row of a SampleSet, for reading a sample singly.
 
-    The row type of a SampleSet, for building samples one at a time and
-    reading them back; code that computes on samples reads the set's arrays.
+    Its arrays are views of the set's, whose values were checked where the
+    set was built; p_label and rbar are None for a sample without labels.
     """
 
     k_pairs: int
@@ -61,38 +62,13 @@ class ChannelSample:
     rbar: float | None = None
     episode_id: int = 0
 
-    def __post_init__(self):
-        k = self.k_pairs
-        self.h = np.asarray(self.h, dtype=complex)
-        if self.h.shape != (k, k):
-            raise ValueError(f"h must be {k}x{k}, got {self.h.shape}")
-        labels = rbar = None
-        if self.p_label is not None:
-            self.p_label = np.asarray(self.p_label, dtype=float)
-            if self.p_label.shape != (k,):
-                raise ValueError(_LABEL_RULE)
-            labels = self.p_label[None]
-        if self.rbar is not None:
-            self.rbar = float(self.rbar)
-            rbar = np.array([self.rbar])
-        bad = _first_invalid(self.h[None], labels, rbar)
-        if bad is not None:
-            raise ValueError(bad[1])
-
-    @classmethod
-    def _row(cls, k_pairs, h, p_label, rbar, episode_id):
-        # a row of a SampleSet, whose values were checked when it was built
-        s = cls.__new__(cls)
-        s.k_pairs, s.h, s.p_label, s.rbar, s.episode_id = k_pairs, h, p_label, rbar, episode_id
-        return s
-
 
 @dataclass(eq=False)
 class SampleSet:
     """Samples of one K as arrays, one row per sample.
 
     h is the (n, K, K) channel stack and mag = |h|, taken once when the set
-    is built: row-major, mag is the network input (model.features), and
+    is built: reshaped to (n, K^2) row-major, mag is the network input, and
     squared the gains, so h and mag change together. labels is (n, K) and
     rbar (n,); a sample without solver labels has an all-NaN labels row and
     a NaN rbar, which is also what omitted arrays default to. episode (n,)
@@ -124,20 +100,6 @@ class SampleSet:
         self.mag.setflags(write=False)
 
     @classmethod
-    def from_rows(cls, rows) -> "SampleSet":
-        """The set of a list of ChannelSample rows: the one place rows become arrays."""
-        rows = list(rows)
-        if not rows:
-            raise ValueError("no sample rows")
-        k = rows[0].k_pairs
-        return cls(
-            np.array([s.h for s in rows]),
-            np.array([np.full(k, np.nan) if s.p_label is None else s.p_label for s in rows], dtype=float),
-            np.array([np.nan if s.rbar is None else s.rbar for s in rows], dtype=float),
-            np.array([s.episode_id for s in rows]),
-        )
-
-    @classmethod
     def concat(cls, sets) -> "SampleSet":
         """The rows of every set, in order."""
         return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
@@ -153,7 +115,7 @@ class SampleSet:
         if isinstance(i, slice):
             return self.take(i)
         label, rbar = self.labels[i], float(self.rbar[i])
-        return ChannelSample._row(
+        return ChannelSample(
             len(label),
             self.h[i],
             None if np.isnan(label).all() else label,

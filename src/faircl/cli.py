@@ -43,6 +43,7 @@ from .harness import METHODS, StrategyConfig
 from .objective import LossSpec
 
 DEFAULT_SCALE = 10
+_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 
 class UsageError(Exception):
@@ -51,20 +52,21 @@ class UsageError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    # the training fields default to StrategyConfig's values
     seed: int
     k_pairs: int
     episodes: list[EpisodeSpec]
     methods: list[str] = field(default_factory=lambda: list(METHODS))
-    p_max: float = 1.0
+    p_max: float = StrategyConfig.p_max
     noise: float = 1.0
-    hidden_sizes: tuple[int, ...] = (200, 80)
+    hidden_sizes: tuple[int, ...] = StrategyConfig.hidden_sizes
     memory_capacity: int = 200
-    epochs: int = 20
-    minibatch_size: int = 50
-    alpha: float = 1e-3
-    beta: float = 0.1
-    gda_alpha_theta: float | None = None
-    gda_alpha_lambda: float | None = None
+    epochs: int = StrategyConfig.epochs
+    minibatch_size: int = StrategyConfig.minibatch_size
+    alpha: float = StrategyConfig.alpha
+    beta: float = StrategyConfig.beta
+    gda_alpha_theta: float | None = StrategyConfig.gda_alpha_theta
+    gda_alpha_lambda: float | None = StrategyConfig.gda_alpha_lambda
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
@@ -256,9 +258,12 @@ def _fork(job, method, cpu: int, cpus: list[int]) -> tuple[int, int]:
     CPUs, and its products then do not depend on the BLAS's own thread
     count. It leaves only through os._exit, so this process's buffers and
     atexit hooks never run in it; status 0 means its outcome is complete.
+    The kernel kills it when this process dies: a parent killed by SIGKILL
+    gets no chance to kill its children, which would train on.
     """
     sys.stdout.flush()
     sys.stderr.flush()
+    parent = os.getpid()
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -270,6 +275,11 @@ def _fork(job, method, cpu: int, cpus: list[int]) -> tuple[int, int]:
         status = 1
         try:
             os.close(r)
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != parent:  # the parent died before the prctl
+                os._exit(1)
             with contextlib.suppress(OSError):  # a placement hint only
                 os.sched_setaffinity(0, {cpu})
                 os.sched_setaffinity(0, cpus)
@@ -457,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output directory")
     ev.add_argument("--policy", choices=["checkpoint", "wmmse"], default="checkpoint")
     ev.add_argument("--bin-width", type=_positive_float, default=0.1)
-    ev.add_argument("--noise", type=float, default=1.0)
-    ev.add_argument("--p-max", type=float, default=1.0)
+    ev.add_argument("--noise", type=_positive_float, default=1.0)
+    ev.add_argument("--p-max", type=_positive_float, default=1.0)
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -148,7 +148,7 @@ def _train_round(cfg, params, train_set, rng):
     # the step count of cfg.epochs passes over the pool
     iters = cfg.epochs * math.ceil(len(train_set) / cfg.minibatch_size)
     if method in SCSC_METHODS:
-        state = trainer.init_state(params, cfg.alpha, cfg.beta, rng)
+        state = trainer.init_state(params, cfg.alpha, cfg.beta, rng=rng)
         state = trainer.scsc_train(state, cfg.loss, train_set, iters, cfg.minibatch_size)
         return state.params, None
     # Minimax: fresh uniform dual each round, final dual drives selection
@@ -170,7 +170,7 @@ def _make_buffer(cfg, rng):
     return memory_mod.MemoryBuffer(0, memory_mod.JOINT_UNBOUNDED)
 
 
-def run_continual(stream, cfg: StrategyConfig, rng, init_params=None):
+def run_continual(stream, cfg: StrategyConfig, rng):
     """Stream the batches through one strategy.
 
     Returns (rows, params): one MetricsRow per batch plus the final model.
@@ -178,11 +178,7 @@ def run_continual(stream, cfg: StrategyConfig, rng, init_params=None):
     TrainingAborted carrying the rows of the rounds completed before it.
     """
     k = stream.k_pairs
-    if init_params is None:
-        sizes = (k * k, *cfg.hidden_sizes, k)
-        params = model.init(sizes, cfg.p_max, rng)
-    else:
-        params = init_params
+    params = model.init((k * k, *cfg.hidden_sizes, k), cfg.p_max, rng)
     buf = _make_buffer(cfg, rng)
     rows: list[MetricsRow] = []
     seen = 0

@@ -89,11 +89,6 @@ def init(layer_sizes, p_max: float, rng: np.random.Generator) -> ModelParams:
     return ModelParams(tuple(layer_sizes), np.concatenate(chunks), p_max)
 
 
-def features(sample) -> np.ndarray:
-    """Row-major channel magnitudes |h_kj|, the network input."""
-    return np.abs(sample.h).ravel()
-
-
 def _sigmoid(z):
     # both branches of the overflow-free logistic share e = exp(-|z|):
     # 1 / (1 + e) for z >= 0 and e / (1 + e) below. As e <= 1, the
@@ -104,15 +99,13 @@ def _sigmoid(z):
 
 
 def forward(params: ModelParams, x):
-    """Evaluate the policy. x is one feature vector or an (n, K^2) batch.
+    """Evaluate the policy on x, the (n, K^2) row-major channel magnitudes.
 
-    Returns (powers, trace); powers match the input's batch shape.
+    Returns (powers, trace); powers are (n, K).
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+    a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[1] != params.layer_sizes[0]:
-        raise ValueError(f"expected input width {params.layer_sizes[0]}, got shape {x.shape}")
+        raise ValueError(f"expected (n, {params.layer_sizes[0]}) inputs, got shape {a.shape}")
     *hidden, (w_out, b_out) = params.layers
     inputs, pre_acts = [], []
     # np.dot: on 2-D operands the same products as @, with less overhead
@@ -125,21 +118,17 @@ def forward(params: ModelParams, x):
     z = np.dot(a, w_out.T) + b_out
     pre_acts.append(z)
     a = params.p_max * _sigmoid(z)
-    trace = ForwardTrace(inputs, pre_acts, a, params.layer_sizes)
-    return (a[0] if single else a), trace
+    return a, ForwardTrace(inputs, pre_acts, a, params.layer_sizes)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
     """Gradient of sum_i <upstream_i, pi(params; x_i)> over the flat values.
 
-    upstream must match the shape of the forward outputs (per-sample rows
-    for a batched trace). For a single upstream vector this is J^T upstream.
+    upstream is (n, K), one row per row of the forward outputs.
     """
     u = np.asarray(upstream, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
     if u.shape != trace.outputs.shape:
-        raise ValueError(f"upstream shape {upstream.shape} does not match outputs {trace.outputs.shape}")
+        raise ValueError(f"upstream shape {u.shape} does not match outputs {trace.outputs.shape}")
     if trace.layer_sizes != params.layer_sizes:
         raise ValueError("trace does not match params")
     layers = params.layers

@@ -27,11 +27,12 @@ applies a joint max-shift to the exponentials of f and g (their ratio is
 unchanged); g_eval reports the raw unshifted mean, which is what the
 trainer's tracking variable follows.
 
-The oracles take a SampleSet, a list of its ChannelSample rows, or a Batch:
-the labels and rbar a set's columns feed are checked on entry, while a
-trainer checks its pool once and passes row takes. step_terms and
-chain_gradient split the compositional trainer's fused step around its y
-update; they share the g and f pull-back formulas with g_eval and f_eval.
+The oracles take a SampleSet or a Batch, never single samples: a sample is
+a one-row set. The labels and rbar a set's columns feed are checked on
+entry, while a trainer checks its pool once and passes row takes.
+step_terms and chain_gradient split the compositional trainer's fused step
+around its y update; they share the g and f pull-back formulas with g_eval
+and f_eval.
 
 Every oracle takes its per-sample terms from one _batch_terms pass. The
 value-only callers (g_value, lower_values, pool_stats) take their rates from
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, wsr
-from .channels import SampleSet
 
 UPPER_LOSSES = ("mse", "neg_sum_rate")
 LOWER_LOSSES = ("weighted_neg_sum_rate", "same_as_upper")
@@ -124,15 +124,12 @@ def as_batch(spec, samples, need_ell=True, need_u=True) -> Batch:
     """A SampleSet's columns as a Batch, checking the labels and rbar that spec reads.
 
     need_ell and need_u name the losses the batch will feed, as in the
-    oracles. A list of ChannelSample rows goes through SampleSet.from_rows;
-    a Batch passes through unchanged.
+    oracles. A Batch passes through unchanged.
     """
     if not len(samples):
         raise ValueError("empty sample batch")
     if isinstance(samples, Batch):
         return samples
-    if not isinstance(samples, SampleSet):
-        samples = SampleSet.from_rows(samples)
     labels = neg_alpha = None
     if spec.upper == "mse" and (need_ell or spec.lower == "same_as_upper"):
         labels = samples.labels
@@ -223,15 +220,15 @@ def _f_pullback(u, up_u, ell, up_ell, z):
 
 
 def loss_upper(spec: LossSpec, params, sample):
-    """(value, grad) of the training loss on one sample."""
-    t = _batch_terms(spec, params, [sample], need_u=False)
-    return float(t.ell[0]), model.backward(params, t.trace, t.up_ell)
+    """(value, grad) of the training loss on one sample, a one-row set."""
+    t = _batch_terms(spec, params, sample, need_u=False)
+    return t.ell.item(), model.backward(params, t.trace, t.up_ell)
 
 
 def loss_lower_u(spec: LossSpec, params, sample):
-    """(value, grad) of the performance loss u on one sample."""
-    t = _batch_terms(spec, params, [sample], need_ell=False)
-    return float(t.u[0]), model.backward(params, t.trace, t.up_u)
+    """(value, grad) of the performance loss u on one sample, a one-row set."""
+    t = _batch_terms(spec, params, sample, need_ell=False)
+    return t.u.item(), model.backward(params, t.trace, t.up_u)
 
 
 def weighted_upper(spec: LossSpec, params, batch, weights):

@@ -96,10 +96,8 @@ class TraceRow:
     tracking_error: float | None = None
 
 
-def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, rng=None) -> TrainerState:
+def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, *, rng) -> TrainerState:
     """Fresh state at step 0; y is set from the first minibatch seen."""
-    if rng is None:
-        rng = np.random.default_rng()
     return TrainerState(params, params, None, 0, alpha, beta, rng)
 
 
@@ -114,7 +112,8 @@ def _descend(params, delta) -> model.ModelParams:
 def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
     """One fused compositional update: refresh y, then descend at z = y.
 
-    The batches are SampleSets, ChannelSample lists or objective.Batch rows.
+    The minibatches are SampleSets or objective.Batch row takes: xi feeds
+    f's terms, phi g's at the current and the previous params.
     """
     if state.y is None:
         raise ValueError("tracking variable not initialized; run scsc_train or set y")

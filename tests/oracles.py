@@ -6,8 +6,9 @@ The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many must match bit for bit. The
 record-by-record dataset reader below is the reference for the array-backed
 channels.load_dataset: the same samples on valid files, in the same stream
-layout, and the same error on malformed ones. The list-based training loops at the end are the references
-for the array-backed trainer.
+layout, and the same error on malformed ones. The training loops at the
+end, which hand the oracles a fresh SampleSet take on every call, are the
+references for the array-backed trainer.
 """
 
 import dataclasses
@@ -193,7 +194,7 @@ class RecordStream:
 
 # ---------------------------------------------------------------------------
 # The training loops as they were before the array-backed, fused trainer:
-# sample lists restacked on every oracle call, and the compositional step as
+# sample sets converted on every oracle call, and the compositional step as
 # three forwards and two backwards. The fused step must match this one's y
 # bit for bit and its parameters to rounding; the SGD and descent/ascent
 # loops, whose arithmetic did not change, must match bit for bit.
@@ -204,7 +205,7 @@ def _descend_checked(params, delta):
 
 
 def scsc_step_unfused(state, spec, batch_xi, batch_phi):
-    """One compositional update from g_eval, g_value and f_eval on sample lists."""
+    """One compositional update from g_eval, g_value and f_eval on sample sets."""
     g_cur, grad_g = objective.g_eval(spec, state.params, batch_phi)
     g_prev = objective.g_value(spec, state.params_prev, batch_phi)
     y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
@@ -214,19 +215,19 @@ def scsc_step_unfused(state, spec, batch_xi, batch_phi):
 
 
 def sgd_train_lists(params, spec, dataset, epochs, minibatch, alpha, rng):
-    """Epoch SGD with every minibatch a fresh sample list."""
+    """Epoch SGD with every minibatch a fresh take of the sample set."""
     n = len(dataset)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for s in range(0, n, minibatch):
-            batch = [dataset[i] for i in perm[s : s + minibatch]]
+            batch = dataset.take(perm[s : s + minibatch])
             _, grad = objective.weighted_upper(spec, params, batch, np.full(len(batch), 1.0 / len(batch)))
             params = _descend_checked(params, -alpha * grad)
     return params
 
 
 def gda_train_lists(params, lam, spec, dataset, iters, alpha_theta, alpha_lambda):
-    """Descent/ascent with the whole sample list restacked every iteration."""
+    """Descent/ascent with the whole sample set converted every iteration."""
     lam = np.array(lam, dtype=float)
     for _ in range(iters):
         ells, grad = objective.weighted_upper(spec, params, dataset, lam)
@@ -237,16 +238,16 @@ def gda_train_lists(params, lam, spec, dataset, iters, alpha_theta, alpha_lambda
 
 
 def lower_values_lists(spec, params, samples):
-    """u of every sample from one value-only pass over a restacked list."""
-    mag = np.abs(np.array([s.h for s in samples]))
+    """u of every sample from one value-only pass over a set's channels."""
+    mag = np.abs(samples.h)
     out, _ = model.forward(params, mag.reshape(len(samples), -1))
     if spec.lower == "same_as_upper":
         if spec.upper == "mse":
-            diff = out - np.array([s.p_label for s in samples])
+            diff = out - samples.labels
             return np.add.reduce(diff * diff, 1)
         return -wsr.sum_rate_many(mag * mag, out, noise=spec.noise)
     if spec.alpha_mode == "unit":
         neg_alpha = np.full(len(samples), -1.0)
     else:
-        neg_alpha = -1.0 / np.array([s.rbar for s in samples])
+        neg_alpha = -1.0 / samples.rbar
     return neg_alpha * wsr.sum_rate_many(mag * mag, out, noise=spec.noise)

@@ -74,8 +74,8 @@ def test_gradient_oracles_match_finite_differences():
     for k in (2, 5, 10):
         sizes = (k * k, 5, k)
         for i in range(100):
-            sample = labeled_rayleigh(k, 1, rng)[0]
-            prob = wsr.problem_from_channel(sample.h)
+            sample = labeled_rayleigh(k, 1, rng)
+            prob = wsr.problem_from_channel(sample.h[0])
             p = rng.uniform(0.05, 0.95, k)
             exact = wsr.grad_sum_rate(prob, p)
             err = rel_error(fd_gradient(lambda q: wsr.sum_rate(prob, q), p), exact)
@@ -86,12 +86,12 @@ def test_gradient_oracles_match_finite_differences():
             params = model.init(sizes, 1.0, rng)
             batch = labeled_rayleigh(k, 3, rng)
 
-            x = model.features(sample)
+            x = sample.mag.reshape(1, -1)
             w = rng.standard_normal(k)
             _, trace = model.forward(params, x)
             checks = [
-                (model.backward(params, trace, w),
-                 lambda q: float(w @ model.forward(q, x)[0])),
+                (model.backward(params, trace, w[None]),
+                 lambda q: float(w @ model.forward(q, x)[0][0])),
                 (objective.loss_upper(spec, params, sample)[1],
                  lambda q: objective.loss_upper(spec, q, sample)[0]),
                 (objective.loss_lower_u(spec, params, sample)[1],
@@ -152,7 +152,8 @@ def test_objective_equals_weighted_sum_of_losses():
         params = model.init((4, 6, 2), 1.0, rng)
         value, grad = objective.full_objective(spec, params, batch)
         lam = objective.softmax_weights(objective.lower_values(spec, params, batch))
-        ells = np.array([objective.loss_upper(spec, params, s)[0] for s in batch])
+        ells = np.array([objective.loss_upper(spec, params, batch[j:j + 1])[0]
+                         for j in range(len(batch))])
         direct = float(lam @ ells)
         ev = objective.eval_composition(spec, params, batch)
         chain = ev.grad_g * ev.grad1_f + ev.grad2_f

@@ -175,9 +175,9 @@ def test_labels_consistent_with_rate():
 
 def test_labels_reject_a_channel_without_direct_gain():
     # rate 0 at every power: rbar would be 0, which load_dataset rejects
-    good = channels.ChannelSample(2, np.array([[1.0, 0.3], [0.2, 0.8]]))
-    dead = channels.ChannelSample(2, np.array([[0.0, 0.5], [0.4, 0.0]]))
-    samples = channels.SampleSet.from_rows([good, dead])
+    good = [[1.0, 0.3], [0.2, 0.8]]
+    dead = [[0.0, 0.5], [0.4, 0.0]]
+    samples = channels.SampleSet(np.array([good, dead], dtype=complex))
     with pytest.raises(ValueError, match="sample 1: .* not positive"):
         channels.add_wmmse_labels(samples)
     assert all(s.p_label is None and s.rbar is None for s in samples)

@@ -1,9 +1,14 @@
+import contextlib
+import dataclasses
 import json
 import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,15 @@ def test_default_config_scales():
     assert cli.default_config(scale=1).episodes[0].n_train == 20000
     with pytest.raises(ValueError, match="scale"):
         cli.default_config(scale=3)
+
+
+def test_config_training_defaults_are_the_strategy_defaults():
+    cfg = cli.default_config()
+    for method in harness.METHODS:
+        got, want = cfg.strategy(method), harness.StrategyConfig(method)
+        for f in dataclasses.fields(harness.StrategyConfig):
+            if f.name != "memory_capacity":  # the config's own, scaled with the stream
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_config_round_trip():
@@ -301,7 +315,7 @@ def test_run_workers_hold_blas_to_one_thread(tmp_path, cfg_path, data_path, monk
     threads = []
     monkeypatch.setattr(cli, "_openblas_set_num_threads", lambda: threads.append)
 
-    def report_threads(stream, cfg, rng, init_params=None):
+    def report_threads(stream, cfg, rng):
         raise ValueError(f"BLAS threads set to {threads}")
 
     monkeypatch.setattr(harness, "run_continual", report_threads)
@@ -318,7 +332,7 @@ def test_run_reraises_the_earliest_error_of_the_children(
     parent = os.getpid()
     run = harness.run_continual
 
-    def failing(stream, cfg, rng, init_params=None):
+    def failing(stream, cfg, rng):
         if os.getpid() == parent:
             raise AssertionError("ran in the test's process")
         if cfg.method == "JointEqual":  # starts first, fails first
@@ -327,7 +341,7 @@ def test_run_reraises_the_earliest_error_of_the_children(
             time.sleep(60)
         if cfg.method == "TL":
             raise ValueError("boom")
-        return run(stream, cfg, rng, init_params)
+        return run(stream, cfg, rng)
 
     monkeypatch.setattr(harness, "run_continual", failing)
     start = time.perf_counter()
@@ -342,10 +356,10 @@ def test_run_child_killed_is_runtime_failure(tmp_path, cfg_path, data_path, monk
     parent = os.getpid()
     run = harness.run_continual
 
-    def killed(stream, cfg, rng, init_params=None):
+    def killed(stream, cfg, rng):
         if cfg.method == "Bilevel" and os.getpid() != parent:  # never kill the test's process
             os.kill(os.getpid(), signal.SIGKILL)
-        return run(stream, cfg, rng, init_params)
+        return run(stream, cfg, rng)
 
     monkeypatch.setattr(harness, "run_continual", killed)
     out = tmp_path / "runs"
@@ -364,8 +378,8 @@ def test_run_result_larger_than_a_pipe_buffer(tmp_path, cfg_path, data_path, mon
     assert len(pickle.dumps((fake, None, 0.0))) > 1 << 16
     run = harness.run_continual
 
-    def many_rows(stream, cfg, rng, init_params=None):
-        return fake, run(stream, cfg, rng, init_params)[1]
+    def many_rows(stream, cfg, rng):
+        return fake, run(stream, cfg, rng)[1]
 
     def hung(signum, frame):
         raise TimeoutError("no result after 60 s")
@@ -381,6 +395,59 @@ def test_run_result_larger_than_a_pipe_buffer(tmp_path, cfg_path, data_path, mon
         signal.signal(signal.SIGALRM, previous)
     assert "TL: 5000 rounds" in capsys.readouterr().out
     assert len((out / "metrics_TL.csv").read_text().splitlines()) == 5001
+
+
+# a faircl run whose methods only note their pid and sleep, as if training
+SLEEPING_RUN = """
+import os, sys, time
+from faircl import cli, harness
+
+def sleep_in_worker(stream, cfg, rng):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(120)
+
+harness.run_continual = sleep_in_worker
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def running(pid):
+    """Whether pid is a process that has not exited; a zombie has."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
+
+
+@forks_here
+def test_run_workers_die_with_a_killed_parent(tmp_path, cfg_path, data_path):
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(tmp_path / "runs")]
+    parent = subprocess.Popen([sys.executable, "-c", SLEEPING_RUN, str(pids), *argv], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(pids)) < 2 and time.monotonic() < deadline and parent.poll() is None:
+            time.sleep(0.05)
+        workers = [int(name) for name in os.listdir(pids)]
+        assert len(workers) == 2  # TL and Bilevel, one per CPU
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        parent.kill()
+        parent.wait()
+        for name in os.listdir(pids):  # no survivor outlives the test
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(name), signal.SIGKILL)
 
 
 # -------------------------------------------------------------------- eval
@@ -463,6 +530,19 @@ def test_eval_rejects_bad_bin_width_before_loading(tmp_path, data_path, capsys, 
     console = capsys.readouterr()
     assert console.out == ""
     assert "--bin-width: must be a positive finite number" in console.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--p-max"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_eval_rejects_bad_noise_and_p_max_before_loading(tmp_path, data_path, capsys, flag, value):
+    capsys.readouterr()
+    out = tmp_path / "e"
+    argv = ["eval", "--data", str(data_path), "--out", str(out), "--policy", "wmmse", flag, value]
+    assert main(argv) == 1
+    console = capsys.readouterr()
+    assert console.out == ""
+    assert f"{flag}: must be a positive finite number" in console.err
     assert not out.exists()
 
 

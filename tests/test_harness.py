@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from faircl import channels, harness, memory, model
-from faircl.channels import ChannelSample, EpisodeSpec, EpisodeStream, SampleSet
+from faircl.channels import EpisodeSpec, EpisodeStream, SampleSet
 from faircl.harness import StrategyConfig
 from faircl.objective import LossSpec
 
@@ -150,19 +150,21 @@ def test_jointequal_ignores_capacity():
     assert runs[0] == runs[1]
 
 
-def test_aborted_run_carries_partial_rows():
+def test_aborted_run_carries_partial_rows(monkeypatch):
     rng = np.random.default_rng(18)
     test = channels.gen_rayleigh(K, 3, rng)
     channels.add_wmmse_labels(test)
-    calm = [ChannelSample(K, np.zeros((K, K)), p_label=np.full(K, 0.5)) for _ in range(2)]
-    wild = [ChannelSample(K, np.zeros((K, K)), p_label=np.array([1e4, 0.5])) for _ in range(2)]
-    samples = SampleSet.from_rows(calm + wild + list(test))
+    # two calm samples, then two whose labels are far out of reach
+    labels = np.array([[0.5, 0.5], [0.5, 0.5], [1e4, 0.5], [1e4, 0.5]])
+    train = SampleSet(np.zeros((4, K, K), dtype=complex), labels)
+    samples = SampleSet.concat([train, test])
     spec = EpisodeSpec(distribution="rayleigh", n_train=4, n_test=3, n_batches=2)
     stream = EpisodeStream(K, [spec], samples, [range(0, 2), range(2, 4)], [samples[4:]])
     cfg = tiny_cfg("TL", epochs=1, minibatch_size=2, alpha=1e306, loss=LossSpec(upper="mse"))
     params = model.ModelParams((K * K, 6, K), np.zeros(model.param_count((K * K, 6, K))), 1.0)
+    monkeypatch.setattr(model, "init", lambda *args: params)
     with np.errstate(over="ignore"), pytest.raises(harness.TrainingAborted, match="TL") as info:
-        harness.run_continual(stream, cfg, np.random.default_rng(19), init_params=params)
+        harness.run_continual(stream, cfg, np.random.default_rng(19))
     assert len(info.value.rows) == 1
 
 

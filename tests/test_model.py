@@ -9,11 +9,6 @@ from faircl import model
 from oracles import fd_gradient, rel_error
 
 
-class FakeSample:
-    def __init__(self, h):
-        self.h = np.asarray(h)
-
-
 def test_param_count():
     assert model.param_count((4, 2)) == 10
     assert model.param_count((4, 5, 2)) == 4 * 5 + 5 + 5 * 2 + 2
@@ -36,17 +31,10 @@ def test_init_deterministic():
     np.testing.assert_array_equal(p1.values, p2.values)
 
 
-def test_features_row_major_magnitudes():
-    s = FakeSample(np.eye(2, dtype=complex))
-    np.testing.assert_array_equal(model.features(s), [1.0, 0.0, 0.0, 1.0])
-    s = FakeSample(np.array([[3.0 + 4.0j]]))
-    np.testing.assert_array_equal(model.features(s), [5.0])
-
-
 def test_forward_zero_params_gives_half_pmax():
     params = model.ModelParams((4, 3, 2), np.zeros(model.param_count((4, 3, 2))), 2.0)
-    p, _ = model.forward(params, np.ones(4))
-    np.testing.assert_allclose(p, [1.0, 1.0])
+    p, _ = model.forward(params, np.ones((1, 4)))
+    np.testing.assert_allclose(p, [[1.0, 1.0]])
 
 
 def test_forward_saturates_toward_pmax():
@@ -54,8 +42,8 @@ def test_forward_saturates_toward_pmax():
     vals = np.zeros(n)
     vals[-2:] = 50.0  # output biases
     params = model.ModelParams((2, 2), vals, 1.0)
-    p, _ = model.forward(params, np.zeros(2))
-    np.testing.assert_allclose(p, [1.0, 1.0], atol=1e-6)
+    p, _ = model.forward(params, np.zeros((1, 2)))
+    np.testing.assert_allclose(p, [[1.0, 1.0]], atol=1e-6)
 
 
 def test_forward_outputs_strictly_inside_box():
@@ -72,29 +60,31 @@ def test_forward_batch_matches_single():
     xs = rng.standard_normal((6, 4))
     batch, _ = model.forward(params, xs)
     for i in range(6):
-        single, _ = model.forward(params, xs[i])
-        np.testing.assert_allclose(batch[i], single, rtol=1e-14, atol=0)
+        single, _ = model.forward(params, xs[i : i + 1])
+        np.testing.assert_allclose(batch[i], single[0], rtol=1e-14, atol=0)
 
 
 def test_forward_shape_mismatch():
     params = model.init((4, 2), 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        model.forward(params, np.ones(5))
+        model.forward(params, np.ones((1, 5)))
+    with pytest.raises(ValueError):  # one sample is a one-row batch
+        model.forward(params, np.ones(4))
 
 
 def test_backward_zero_upstream():
     rng = np.random.default_rng(1)
     params = model.init((4, 5, 2), 1.0, rng)
-    _, trace = model.forward(params, rng.standard_normal(4))
-    grad = model.backward(params, trace, np.zeros(2))
+    _, trace = model.forward(params, rng.standard_normal((1, 4)))
+    grad = model.backward(params, trace, np.zeros((1, 2)))
     np.testing.assert_array_equal(grad, np.zeros(params.values.size))
 
 
 def test_backward_linearity():
     rng = np.random.default_rng(2)
     params = model.init((4, 5, 2), 1.0, rng)
-    _, trace = model.forward(params, rng.standard_normal(4))
-    up = rng.standard_normal(2)
+    _, trace = model.forward(params, rng.standard_normal((1, 4)))
+    up = rng.standard_normal((1, 2))
     g1 = model.backward(params, trace, up)
     g2 = model.backward(params, trace, 2.0 * up)
     np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-13)
@@ -105,15 +95,15 @@ def test_backward_matches_finite_differences(sizes):
     rng = np.random.default_rng(hash(sizes) % 2**32)
     for _ in range(5):
         params = model.init(sizes, 1.0, rng)
-        x = rng.uniform(0.0, 1.5, size=sizes[0])
+        x = rng.uniform(0.0, 1.5, size=(1, sizes[0]))
         up = rng.standard_normal(sizes[-1])
 
         def scalar(vals):
             p, _ = model.forward(model.ModelParams(sizes, vals, 1.0), x)
-            return float(up @ p)
+            return float(up @ p[0])
 
         _, trace = model.forward(params, x)
-        got = model.backward(params, trace, up)
+        got = model.backward(params, trace, up[None])
         fd = fd_gradient(scalar, params.values)
         assert rel_error(fd, got) <= 1e-4
 
@@ -127,8 +117,8 @@ def test_backward_batch_sums_per_sample_grads():
     total = model.backward(params, trace, ups)
     parts = np.zeros_like(total)
     for i in range(3):
-        _, tr = model.forward(params, xs[i])
-        parts += model.backward(params, tr, ups[i])
+        _, tr = model.forward(params, xs[i : i + 1])
+        parts += model.backward(params, tr, ups[i : i + 1])
     np.testing.assert_allclose(total, parts, rtol=1e-12, atol=1e-14)
 
 
@@ -138,6 +128,8 @@ def test_backward_upstream_shape_check():
     _, trace = model.forward(params, rng.standard_normal((3, 4)))
     with pytest.raises(ValueError):
         model.backward(params, trace, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"upstream shape \(2,\)"):
+        model.backward(params, model.forward(params, np.ones((1, 4)))[1], [0.0, 0.0])
     # same input and output widths, other hidden width
     other = model.init((4, 7, 2), 1.0, rng)
     with pytest.raises(ValueError, match="trace does not match params"):

@@ -25,15 +25,22 @@ def labeled_batch(rng, n, k=K):
     return batch
 
 
-def zero_gain_sample(k=K, p_label=None):
-    return channels.ChannelSample(k, np.zeros((k, k)), p_label=p_label)
+def zero_gain_set(n=1, k=K, p_label=None):
+    # n zero-gain samples that share one label, or have none
+    labels = None if p_label is None else np.tile(np.asarray(p_label, dtype=float), (n, 1))
+    return channels.SampleSet(np.zeros((n, k, k), dtype=complex), labels)
+
+
+def rows(samples):
+    # each sample of a set as a one-row set
+    return [samples[i : i + 1] for i in range(len(samples))]
 
 
 # ---------------------------------------------------------------- losses
 
 def test_mse_loss_zero_at_label():
     params = zero_params()
-    sample = zero_gain_sample(p_label=np.full(K, 0.5))
+    sample = zero_gain_set(p_label=np.full(K, 0.5))
     spec = LossSpec(upper="mse")
     value, grad = objective.loss_upper(spec, params, sample)
     assert value == 0.0
@@ -42,14 +49,14 @@ def test_mse_loss_zero_at_label():
 
 def test_mse_loss_closed_form():
     params = zero_params()
-    sample = zero_gain_sample(p_label=np.array([1.5, 0.5]))
+    sample = zero_gain_set(p_label=np.array([1.5, 0.5]))
     value, _ = objective.loss_upper(LossSpec(upper="mse"), params, sample)
     assert value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_neg_rate_loss_zero_gains():
     value, grad = objective.loss_upper(
-        LossSpec(upper="neg_sum_rate"), zero_params(), zero_gain_sample()
+        LossSpec(upper="neg_sum_rate"), zero_params(), zero_gain_set()
     )
     assert value == 0.0
     assert np.all(grad == 0.0)
@@ -58,17 +65,17 @@ def test_neg_rate_loss_zero_gains():
 def test_neg_rate_loss_matches_wsr():
     rng = np.random.default_rng(7)
     params = rand_params(rng)
-    sample = channels.gen_rayleigh(K, 1, rng)[0]
+    sample = channels.gen_rayleigh(K, 1, rng)
     value, _ = objective.loss_upper(LossSpec(upper="neg_sum_rate"), params, sample)
-    p, _ = model.forward(params, model.features(sample))
-    prob = wsr.problem_from_channel(sample.h)
-    assert value == pytest.approx(-wsr.sum_rate(prob, p), abs=1e-12)
+    p, _ = model.forward(params, sample.mag.reshape(1, -1))
+    prob = wsr.problem_from_channel(sample.h[0])
+    assert value == pytest.approx(-wsr.sum_rate(prob, p[0]), abs=1e-12)
 
 
 def test_u_unit_mode_is_neg_rate():
     rng = np.random.default_rng(8)
     params = rand_params(rng)
-    sample = channels.gen_rayleigh(K, 1, rng)[0]
+    sample = channels.gen_rayleigh(K, 1, rng)
     spec = LossSpec(alpha_mode="unit")
     u, _ = objective.loss_lower_u(spec, params, sample)
     ell, _ = objective.loss_upper(LossSpec(upper="neg_sum_rate"), params, sample)
@@ -78,17 +85,17 @@ def test_u_unit_mode_is_neg_rate():
 def test_u_ratio_mode_divides_by_rbar():
     rng = np.random.default_rng(9)
     params = rand_params(rng)
-    sample = labeled_batch(rng, 1)[0]
+    sample = labeled_batch(rng, 1)
     u, _ = objective.loss_lower_u(LossSpec(), params, sample)
     u_unit, _ = objective.loss_lower_u(LossSpec(alpha_mode="unit"), params, sample)
-    assert u == pytest.approx(u_unit / sample.rbar, rel=1e-12)
+    assert u == pytest.approx(u_unit / sample.rbar[0], rel=1e-12)
     assert -1.5 < u < 0.0  # policy can't beat the solver label by 50%
 
 
 def test_same_as_upper_aliases_training_loss():
     rng = np.random.default_rng(10)
     params = rand_params(rng)
-    sample = labeled_batch(rng, 1)[0]
+    sample = labeled_batch(rng, 1)
     spec = LossSpec(upper="mse", lower="same_as_upper")
     u, gu = objective.loss_lower_u(spec, params, sample)
     ell, gl = objective.loss_upper(spec, params, sample)
@@ -97,35 +104,33 @@ def test_same_as_upper_aliases_training_loss():
 
 
 def test_missing_label_raises():
-    sample = channels.gen_rayleigh(K, 1, np.random.default_rng(0))[0]
+    sample = channels.gen_rayleigh(K, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="p_label"):
         objective.loss_upper(LossSpec(upper="mse"), zero_params(), sample)
 
 
 def test_degenerate_rbar_raises():
-    sample = zero_gain_sample(p_label=np.full(K, 0.5))
-    sample.rbar = 0.0
+    sample = zero_gain_set(p_label=np.full(K, 0.5))
+    sample.rbar[0] = 0.0
     with pytest.raises(ValueError, match="rbar"):
         objective.loss_lower_u(LossSpec(), zero_params(), sample)
 
 
 def test_empty_batch_raises():
     with pytest.raises(ValueError, match="empty"):
-        objective.full_objective(LossSpec(), zero_params(), [])
+        objective.full_objective(LossSpec(), zero_params(), zero_gain_set(0))
 
 
 def test_u_guard_raises():
     params = zero_params()
-    sample = zero_gain_sample(p_label=np.array([10.0, 0.5]))
+    sample = zero_gain_set(p_label=np.array([10.0, 0.5]))
     spec = LossSpec(upper="mse", lower="same_as_upper")
     with pytest.raises(ValueError, match="guard"):
         objective.loss_lower_u(spec, params, sample)
-    # a NaN u elsewhere in the batch does not hide the violation; the NaN is
-    # written after construction, which rejects a non-finite label
-    nan_sample = zero_gain_sample(p_label=np.array([0.0, 0.5]))
-    nan_sample.p_label[0] = np.nan
+    # a NaN u elsewhere in the batch does not hide the violation
+    nan_sample = zero_gain_set(p_label=np.array([np.nan, 0.5]))
     with pytest.raises(ValueError, match="guard"):
-        objective.lower_values(spec, params, [nan_sample, sample])
+        objective.lower_values(spec, params, channels.SampleSet.concat([nan_sample, sample]))
 
 
 def test_loss_spec_validation():
@@ -181,7 +186,7 @@ def unit_spec():
 
 
 def test_g_is_one_when_u_zero():
-    batch = [zero_gain_sample(p_label=np.full(K, 0.5)) for _ in range(4)]
+    batch = zero_gain_set(4, p_label=np.full(K, 0.5))
     value, grad = objective.g_eval(unit_spec(), zero_params(), batch)
     assert value == 1.0
     assert np.all(grad == 0.0)
@@ -190,7 +195,7 @@ def test_g_is_one_when_u_zero():
 def test_f_closed_form():
     # u = 0 and ell = 2 on every sample: f(z=1) = 2, df/dz = -2
     label = np.array([1.5, 1.5])  # outputs are (0.5, 0.5), so ||p - pi||^2 = 2
-    batch = [zero_gain_sample(p_label=label) for _ in range(3)]
+    batch = zero_gain_set(3, p_label=label)
     value, grad1, _ = objective.f_eval(unit_spec(), zero_params(), batch, z=1.0)
     assert value == pytest.approx(2.0, abs=1e-15)
     assert grad1 == pytest.approx(-2.0, abs=1e-15)
@@ -200,7 +205,7 @@ def test_f_closed_form():
 
 
 def test_f_floor_raises():
-    batch = [zero_gain_sample(p_label=np.full(K, 0.5))]
+    batch = zero_gain_set(p_label=np.full(K, 0.5))
     with pytest.raises(objective.TrackingCollapseError):
         objective.f_eval(unit_spec(), zero_params(), batch, z=1e-9)
     with pytest.raises(objective.TrackingCollapseError):
@@ -220,7 +225,7 @@ def test_lower_values_match_single_sample_op():
     params = rand_params(rng)
     batch = labeled_batch(rng, 5)
     us = objective.lower_values(LossSpec(), params, batch)
-    singles = [objective.loss_lower_u(LossSpec(), params, s)[0] for s in batch]
+    singles = [objective.loss_lower_u(LossSpec(), params, s)[0] for s in rows(batch)]
     assert_allclose(us, singles, rtol=1e-13)
 
 
@@ -252,7 +257,7 @@ def test_full_objective_gradient(spec):
 def test_single_sample_loss_gradients():
     rng = np.random.default_rng(15)
     params = rand_params(rng)
-    sample = labeled_batch(rng, 1)[0]
+    sample = labeled_batch(rng, 1)
     for op, spec in [
         (objective.loss_upper, LossSpec(upper="mse")),
         (objective.loss_upper, LossSpec(upper="neg_sum_rate")),
@@ -333,7 +338,7 @@ def test_full_objective_matches_per_sample_reference():
     batch = labeled_batch(rng, 6)
     spec = LossSpec()
     ells, gells, us, gus = [], [], [], []
-    for s in batch:
+    for s in rows(batch):
         e, ge = objective.loss_upper(spec, params, s)
         u, gu = objective.loss_lower_u(spec, params, s)
         ells.append(e), gells.append(ge), us.append(u), gus.append(gu)
@@ -353,7 +358,7 @@ def test_weighted_upper_matches_singles():
     batch = labeled_batch(rng, 5)
     w = rng.uniform(0.1, 1.0, size=5)
     ells, grad = objective.weighted_upper(LossSpec(), params, batch, w)
-    singles = [objective.loss_upper(LossSpec(), params, s) for s in batch]
+    singles = [objective.loss_upper(LossSpec(), params, s) for s in rows(batch)]
     assert_allclose(ells, [v for v, _ in singles], rtol=1e-13)
     ref = sum(wi * gi for wi, (_, gi) in zip(w, singles))
     assert rel_error(grad, ref) < 1e-12

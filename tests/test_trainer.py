@@ -22,12 +22,17 @@ def labeled_batch(rng, n, k=K):
     return batch
 
 
+def zero_gain_set(n, p_label=None):
+    # n zero-gain samples that share one label, or have none
+    labels = None if p_label is None else np.tile(np.asarray(p_label, dtype=float), (n, 1))
+    return channels.SampleSet(np.zeros((n, K, K), dtype=complex), labels)
+
+
 def constant_pool(n=4):
     # zero channel gains: rates and their gradients vanish identically, so
     # under this spec every loss is 0 and g is exactly 1 at any params
     spec = LossSpec(upper="neg_sum_rate", lower="weighted_neg_sum_rate", alpha_mode="unit")
-    pool = [channels.ChannelSample(K, np.zeros((K, K))) for _ in range(n)]
-    return spec, pool
+    return spec, zero_gain_set(n)
 
 
 def fresh_state(params, alpha=0.1, beta=0.5, seed=0, y=None, step=0):
@@ -49,7 +54,7 @@ def test_y_update_arithmetic():
     # u = ell = ln 2 on every sample makes g = 2 at any zero net;
     # y=1, g_cur = g_prev = 2, beta = 0.5 gives y' = 0.5*(1 + 2 - 2) + 0.5*2
     label = np.array([0.5 + np.sqrt(np.log(2.0)), 0.5])
-    pool = [channels.ChannelSample(K, np.zeros((K, K)), p_label=label) for _ in range(3)]
+    pool = zero_gain_set(3, label)
     spec = LossSpec(upper="mse", lower="same_as_upper")
     state = fresh_state(zero_params(), beta=0.5, y=1.0)
     out = trainer.scsc_step(state, spec, pool, pool)
@@ -107,7 +112,7 @@ def test_y_initialized_from_first_minibatch():
     # replay the draws: y0 = g on the phi batch, and one step leaves y at y0
     r = np.random.default_rng(3)
     r.integers(0, 8, 4)
-    phi = [pool[i] for i in r.integers(0, 8, 4)]
+    phi = pool.take(r.integers(0, 8, 4))
     assert out.y == pytest.approx(objective.g_value(LossSpec(), params, phi), rel=1e-12)
 
 
@@ -166,10 +171,7 @@ def test_gd_descends_and_trend():
 
 def test_gd_divergence_error():
     # distant labels give gradients ~1e4; this alpha overflows the update
-    pool = [
-        channels.ChannelSample(K, np.zeros((K, K)), p_label=np.array([1e4, 0.5]))
-        for _ in range(2)
-    ]
+    pool = zero_gain_set(2, [1e4, 0.5])
     spec = LossSpec(upper="mse", lower="weighted_neg_sum_rate", alpha_mode="unit")
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="alpha"):
         trainer.gd_train(zero_params(), spec, pool, iters=2, alpha=1e306)
@@ -179,7 +181,7 @@ def test_gd_divergence_error():
 
 def test_sgd_zero_upstream_fixture():
     params = zero_params()
-    pool = [channels.ChannelSample(K, np.zeros((K, K)), p_label=np.full(K, 0.5)) for _ in range(4)]
+    pool = zero_gain_set(4, np.full(K, 0.5))
     out = trainer.sgd_train(params, LossSpec(upper="mse"), pool, 5, 2, 0.5, np.random.default_rng(0))
     assert np.array_equal(out.values, params.values)
 
@@ -198,7 +200,7 @@ def test_sgd_overfits_tiny_set():
     pool.labels[:] = rng.uniform(0.2, 0.8, size=(4, K))
     spec = LossSpec(upper="mse")
     out = trainer.sgd_train(params, spec, pool, 500, 2, 0.5, np.random.default_rng(12))
-    final = np.mean([objective.loss_upper(spec, out, s)[0] for s in pool])
+    final = np.mean([objective.loss_upper(spec, out, pool[i : i + 1])[0] for i in range(len(pool))])
     assert final < 1e-3
 
 
@@ -210,8 +212,7 @@ def gda_spec():
 
 def test_gda_identical_losses_keep_uniform_dual():
     rng = np.random.default_rng(13)
-    sample = labeled_batch(rng, 1)[0]
-    pool = [sample] * 5
+    pool = labeled_batch(rng, 1).take([0] * 5)
     params = model.init(SIZES, 1.0, rng)
     _, dual = trainer.gda_train(params, DualWeights.uniform(5), gda_spec(), pool, 20, 0.01, 0.1)
     assert_allclose(dual.lam, np.full(5, 0.2), rtol=0, atol=0)
@@ -228,10 +229,7 @@ def test_gda_single_sample_dual_stays_one():
 def test_gda_dual_follows_closed_form():
     # frozen theta (alpha_theta = 0): ell_1 = 0.25, ell_2 = 0 are constants,
     # so lam_1 after k steps is 1 / (1 + c^k) with c = exp(-alpha_lambda/4)
-    pool = [
-        channels.ChannelSample(K, np.zeros((K, K)), p_label=np.array([1.0, 0.5])),
-        channels.ChannelSample(K, np.zeros((K, K)), p_label=np.array([0.5, 0.5])),
-    ]
+    pool = channels.SampleSet(np.zeros((2, K, K), dtype=complex), np.array([[1.0, 0.5], [0.5, 0.5]]))
     params = zero_params()
     alpha_lambda = 0.8
     c = np.exp(-alpha_lambda * 0.25)
@@ -267,7 +265,7 @@ def test_state_validation():
         trainer.TrainerState(p, p, None, 0, 0.1, 1.5, np.random.default_rng(0))
 
 
-# ------------------------------------------- array-backed against list-based
+# ------------------------------- array-backed against per-call references
 
 # the four loss configurations of the acceptance gates
 SPEC_GRID = (
@@ -296,8 +294,8 @@ def test_fused_step_matches_unfused_reference(k, hidden, mb, spec_index):
     for _ in range(5):
         xi_idx = rng.integers(0, len(pool), mb)
         phi_idx = rng.integers(0, len(pool), mb)
-        xi = [pool[i] for i in xi_idx]
-        phi = [pool[i] for i in phi_idx]
+        xi = pool.take(xi_idx)
+        phi = pool.take(phi_idx)
         state = trainer.TrainerState(params, prev, 0.5 + rng.random(), 3, 0.1, 0.2, np.random.default_rng(0))
         want = scsc_step_unfused(state, spec, xi, phi)
         for got in (
@@ -346,7 +344,7 @@ def test_lower_values_and_bilevel_selection_bitwise_equal_list_reference(k, hidd
         assert np.array_equal(got, want)
     assert np.array_equal(
         objective.lower_values(spec, params, batch.take(idx)),
-        lower_values_lists(spec, params, [pool[i] for i in idx]),
+        lower_values_lists(spec, params, pool.take(idx)),
     )
     buf = memory.MemoryBuffer(10, memory.BILEVEL_TOP_M)
     memory.update_bilevel(buf, range(len(pool)), objective.lower_values(spec, params, pool))
@@ -356,24 +354,18 @@ def test_lower_values_and_bilevel_selection_bitwise_equal_list_reference(k, hidd
 def test_pool_checks_raise_once_per_pool():
     # a sample without a label anywhere in the pool stops the run before a
     # step, whichever minibatches would have drawn it; a SampleSet marks it
-    # with NaN, a list of rows with None
+    # with NaN
     rng = np.random.default_rng(16)
     params = model.init(SIZES, 1.0, rng)
-    unlabelled = labeled_batch(rng, 6)
-    unlabelled.labels[4] = np.nan
-    rows = list(labeled_batch(rng, 6))
-    rows[4].p_label = None
-    for pool in (unlabelled, rows):
-        with pytest.raises(ValueError, match="sample 4 has no p_label"):
-            trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
-        with pytest.raises(ValueError, match="sample 4 has no p_label"):
-            trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
-    no_rbar = labeled_batch(rng, 6)
-    no_rbar.rbar[2] = np.nan
-    rows = list(labeled_batch(rng, 6))
-    rows[2].rbar = None
-    for pool in (no_rbar, rows):
-        with pytest.raises(ValueError, match="sample 2 is degenerate: rbar must be positive, got None"):
-            trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
-        # SGD reads no rbar
+    pool = labeled_batch(rng, 6)
+    pool.labels[4] = np.nan
+    with pytest.raises(ValueError, match="sample 4 has no p_label"):
         trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
+    with pytest.raises(ValueError, match="sample 4 has no p_label"):
+        trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
+    pool = labeled_batch(rng, 6)
+    pool.rbar[2] = np.nan
+    with pytest.raises(ValueError, match="sample 2 is degenerate: rbar must be positive, got None"):
+        trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
+    # SGD reads no rbar
+    trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
