@@ -5,10 +5,13 @@ Three subcommands cover the experiment lifecycle:
   gen    draw an episode stream from a config, label every sample with the
          iterative solver, and write it as a dataset file.
   run    stream a dataset through the selected strategies, writing one
-         metrics CSV and one model checkpoint per method. On Linux with
-         OpenBLAS the methods run in forked processes, one per usable CPU.
+         metrics CSV and one model checkpoint per method.
   eval   score a saved model (or the solver itself) on a dataset's test
          sets and write a ratio histogram.
+
+On Linux with OpenBLAS, gen labels and formats shares of the stream's
+rows, and run trains the methods, in forked processes, one per usable CPU
+(see workers).
 
 Every command is deterministic given (config, seed): reruns reproduce
 output files byte for byte. To keep that guarantee the persisted metrics
@@ -20,30 +23,22 @@ Exit codes: 0 success, 1 usage or input error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import json
 import math
-import os
-import pickle
-import selectors
-import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import channels, harness, model
+from . import channels, harness, model, workers
 from .channels import EpisodeSpec
 from .harness import METHODS, StrategyConfig
 from .objective import LossSpec
 
 DEFAULT_SCALE = 10
-_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 
 class UsageError(Exception):
@@ -197,163 +192,6 @@ def _run_method(method, stream, cfg, rng, out_dir):
     return rows, err, time.perf_counter() - start
 
 
-def _openblas_set_num_threads():
-    """The loaded OpenBLAS's set_num_threads, or None where none is found.
-
-    It is scipy_openblas_set_num_threads64_ in numpy's wheels since numpy
-    2.0, openblas_set_num_threads64_ before, and has no suffix in a system
-    OpenBLAS.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                return fn
-    return None
-
-
-def _worker_cpus() -> list[int]:
-    """The CPUs to run forked methods on; none where they run in this process.
-
-    That is where the CPU set cannot be read (macOS, Windows), other threads
-    run (forking is unsafe then), one CPU is usable, or no OpenBLAS is found
-    to hold each worker to one thread: with every worker's BLAS threads
-    contending for 2 CPUs, a K=10 run took 13 times as long.
-    """
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    return cpus if len(cpus) > 1 and _openblas_set_num_threads() is not None else []
-
-
-def _pickled_outcome(job, method) -> bytes:
-    """job(method)'s result, or the exception it raised, as pickle bytes."""
-    try:
-        return pickle.dumps(job(method))
-    except Exception as exc:  # the parent re-raises it; this process only reports it
-        try:
-            data = pickle.dumps(exc)
-            pickle.loads(data)  # an exception whose __init__ takes other args fails here
-            return data
-        except Exception:
-            return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
-def _fork(job, method, cpu: int, cpus: list[int]) -> tuple[int, int]:
-    """(pipe read end, pid) of a child that writes _pickled_outcome and exits.
-
-    The child starts on `cpu`, then may move among `cpus`: left alone, a
-    kernel may keep short-lived children on their parent's CPU while
-    another idles. Its BLAS runs one thread: the workers already share the
-    CPUs, and its products then do not depend on the BLAS's own thread
-    count. It leaves only through os._exit, so this process's buffers and
-    atexit hooks never run in it; status 0 means its outcome is complete.
-    The kernel kills it when this process dies: a parent killed by SIGKILL
-    gets no chance to kill its children, which would train on.
-    """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-            if os.getppid() != parent:  # the parent died before the prctl
-                os._exit(1)
-            with contextlib.suppress(OSError):  # a placement hint only
-                os.sched_setaffinity(0, {cpu})
-                os.sched_setaffinity(0, cpus)
-            _openblas_set_num_threads()(1)
-            with open(w, "wb") as fh:
-                fh.write(_pickled_outcome(job, method))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return r, pid
-
-
-def _outcome(data: bytes, status: int, secs: float):
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return pickle.loads(data)
-    why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return [], f"worker process {why}", secs
-
-
-def _run_methods(methods, job, cpus: list[int], report) -> None:
-    """Call report(m, outcome of job(m)) for each method, in the given order.
-
-    With no CPUs given, each job runs here, in turn, and its exceptions
-    propagate. Otherwise each job runs in a forked child, which inherits
-    the dataset instead of receiving it pickled: one child per CPU at a
-    time, joint methods first, as their pools grow to the whole stream. A
-    child returns job's result, or the exception it raised for report to
-    re-raise; one that dies first returns a runtime failure in job's
-    (rows, err, secs) form. No child outlives this call.
-    """
-    free = cpus[: len(methods)]  # CPUs no live child started on
-    if not free:
-        for m in methods:
-            report(m, job(m))
-        return
-    queue = sorted(methods, key=lambda m: m not in harness.JOINT_METHODS)
-    live, done = {}, {}  # live: read fd -> (method, pid, cpu, start, chunks)
-    sel = selectors.DefaultSelector()
-    try:
-        for method in methods:
-            while method not in done:
-                while queue and free:
-                    m, cpu = queue.pop(0), free.pop(0)
-                    fd, pid = _fork(job, m, cpu, cpus)
-                    live[fd] = (m, pid, cpu, time.perf_counter(), [])
-                    sel.register(fd, selectors.EVENT_READ)
-                for key, _ in sel.select():
-                    m, pid, cpu, start, chunks = live[key.fd]
-                    chunk = os.read(key.fd, 1 << 16)  # drained as it comes: no child blocks on a full pipe
-                    if chunk:
-                        chunks.append(chunk)
-                        continue
-                    _, status = os.waitpid(pid, 0)
-                    sel.unregister(key.fd)
-                    os.close(key.fd)
-                    del live[key.fd]
-                    free.append(cpu)
-                    done[m] = _outcome(b"".join(chunks), status, time.perf_counter() - start)
-                    if isinstance(done[m], Exception):  # methods after m will not be reported
-                        queue = [q for q in queue if methods.index(q) < methods.index(m)]
-            report(method, done.pop(method))
-    finally:
-        for fd, (_, pid, *_) in live.items():
-            # an interrupt may fall between a child's reaping and its removal here
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-            os.close(fd)
-        sel.close()
-
-
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     stream = channels.load_dataset(args.data)
@@ -374,8 +212,8 @@ def cmd_run(args) -> int:
         return _run_method(method, stream, cfg, rngs[method], out_dir)
 
     def report(method, outcome):
-        if isinstance(outcome, Exception):
-            raise outcome
+        if isinstance(outcome, workers.WorkerDied):
+            outcome = [], str(outcome), outcome.secs
         rows, err, secs = outcome
         if err is not None:
             failed.append(method)
@@ -386,7 +224,9 @@ def cmd_run(args) -> int:
             f"final avg rate {rows[-1].avg_rate:.4f}, metrics in metrics_{method}.csv"
         )
 
-    _run_methods(ordered, job, _worker_cpus(), report)
+    # joint methods start first: their pools grow to the whole stream
+    joint_first = sorted(ordered, key=lambda m: m not in harness.JOINT_METHODS)
+    workers.run(ordered, job, workers.worker_cpus(), report, start=joint_first)
     return 2 if failed else 0
 
 

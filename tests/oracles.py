@@ -6,7 +6,9 @@ The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many must match bit for bit. The
 record-by-record dataset reader below is the reference for the array-backed
 channels.load_dataset: the same samples on valid files, in the same stream
-layout, and the same error on malformed ones. The training loops at the
+layout, and the same error on malformed ones; the record-by-record writer is
+the one whose bytes the block-formatting channels.save_dataset must write.
+The training loops at the
 end, which hand the oracles a fresh SampleSet take on every call, are the
 references for the array-backed trainer.
 """
@@ -190,6 +192,30 @@ class RecordStream:
     def all_samples(self):
         for samples in self.batches + self.test_sets:
             yield from samples
+
+
+def save_dataset_per_record(stream, path):
+    """A dataset file written one record at a time, in row order."""
+    header = {
+        "version": channels.DATASET_VERSION,
+        "k": stream.k_pairs,
+        "specs": [dataclasses.asdict(sp) for sp in stream.specs],
+    }
+    samples = stream.samples
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for i, h in enumerate(samples.h):
+            rec = {
+                "k": stream.k_pairs,
+                "episode": int(samples.episode[i]),
+                "h_re": h.real.ravel().tolist(),
+                "h_im": h.imag.ravel().tolist(),
+            }
+            if not np.isnan(samples.labels[i]).all():
+                rec["p_label"] = samples.labels[i].tolist()
+            if not np.isnan(samples.rbar[i]):
+                rec["rbar"] = float(samples.rbar[i])
+            fh.write(json.dumps(rec) + "\n")
 
 
 # ---------------------------------------------------------------------------

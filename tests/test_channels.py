@@ -2,13 +2,14 @@
 
 import json
 import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
-from faircl import channels, wsr
-from oracles import load_dataset_per_record
+from faircl import channels, workers, wsr
+from oracles import load_dataset_per_record, save_dataset_per_record
 
 
 def rng(seed=0):
@@ -519,3 +520,127 @@ def test_load_malformed_matches_per_record_reference(tmp_path):
         path.write_text(text)
         want = _outcome(load_dataset_per_record, path)
         assert want is not None and _outcome(channels.load_dataset, path) == want, name
+
+
+# ------------------------------------------------------------- gen workers
+
+# gen forks workers where it can read the CPU set and find an OpenBLAS
+forks_here = pytest.mark.skipif(
+    workers._openblas() is None or not hasattr(os, "sched_getaffinity"),
+    reason="gen's blocks run in-process here",
+)
+
+
+def forked_stream(monkeypatch, dead_row=None):
+    """24 K=3 samples, enough to fork for; dead_row's direct gains are zero."""
+    monkeypatch.setattr(channels, "_FORK_ENTRIES", 8 * 9)
+    specs = [channels.EpisodeSpec(channels.RAYLEIGH, 8, 4, 2), channels.EpisodeSpec(channels.RICIAN, 8, 4, 2)]
+    stream = channels.build_stream(specs, 3, rng(5))
+    if dead_row is not None:
+        h = stream.samples.h.copy()
+        h[dead_row][np.diag_indices(3)] = 0.0
+        samples = channels.SampleSet(h, episode=stream.samples.episode)
+        stream = channels._episode_stream(stream.k_pairs, stream.specs, samples)
+    return stream
+
+
+def counted_forks(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@forks_here
+def test_labels_same_in_process_and_in_workers(monkeypatch, no_children):
+    forks = counted_forks(monkeypatch)
+    labelled = []
+    for n in (1, 2, 3):
+        use_cpus(monkeypatch, n)
+        forks.clear()
+        samples = forked_stream(monkeypatch).samples
+        channels.add_wmmse_labels(samples)
+        assert len(forks) == n - 1  # this process solves a share too
+        labelled.append((samples.labels, samples.rbar))
+    powers, rates = wsr.wmmse_many(samples.mag**2)
+    for labels, rbar in labelled:
+        np.testing.assert_array_equal(labels, powers)
+        np.testing.assert_array_equal(rbar, rates)
+
+
+@forks_here
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_labels_in_workers_name_a_dead_channel_by_its_row(monkeypatch, no_children, n_cpus):
+    use_cpus(monkeypatch, n_cpus)
+    samples = forked_stream(monkeypatch, dead_row=23).samples  # in the last worker's share
+    with pytest.raises(ValueError, match="^sample 23: WMMSE label rate 0.0 is not positive$"):
+        channels.add_wmmse_labels(samples)
+    assert np.isnan(samples.labels).all() and np.isnan(samples.rbar).all()
+
+
+@forks_here
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_save_bitwise_equal_per_record_reference(tmp_path, monkeypatch, no_children, n_cpus):
+    use_cpus(monkeypatch, n_cpus)
+    stream = forked_stream(monkeypatch)
+    channels.add_wmmse_labels(stream.samples)
+    # rows without labels or rbar, a negative zero and a non-finite value
+    stream.samples.labels[3:9] = np.nan
+    stream.samples.rbar[7:12] = np.nan
+    h = stream.samples.h.copy()
+    h[2, 0, 1], h[17, 1, 1] = -0.0, complex(np.inf, np.nan)
+    stream = channels._episode_stream(3, stream.specs, channels.SampleSet(h, *(
+        getattr(stream.samples, f) for f in ("labels", "rbar", "episode"))))
+    path, want = tmp_path / "data.jsonl", tmp_path / "want.jsonl"
+    channels.save_dataset(stream, path)
+    save_dataset_per_record(stream, want)
+    assert path.read_bytes() == want.read_bytes()
+
+
+@forks_here
+@pytest.mark.parametrize("fault, n_cpus", [("raise", 1), ("raise", 2), ("kill", 2)])
+def test_save_that_fails_leaves_the_old_file(tmp_path, monkeypatch, no_children, fault, n_cpus):
+    use_cpus(monkeypatch, n_cpus)
+    stream = forked_stream(monkeypatch)
+    path = tmp_path / "data.jsonl"
+    path.write_text("old\n")
+    parent, write = os.getpid(), channels._write_records
+
+    def failing(fh, samples, k):
+        if fault == "kill" and os.getpid() != parent:  # never kill the test's process
+            os.kill(os.getpid(), signal.SIGKILL)
+        if np.array_equal(samples.h[-1], stream.samples.h[-1]):  # the last share: the others come first
+            raise ValueError("boom")
+        write(fh, samples, k)
+
+    monkeypatch.setattr(channels, "_write_records", failing)
+    error = (ValueError, "boom") if fault == "raise" else (workers.WorkerDied, "killed by signal 9")
+    with pytest.raises(error[0], match=error[1]):
+        channels.save_dataset(stream, path)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["data.jsonl"]  # no temp file behind
+
+
+def test_save_writes_a_fifo_and_a_symlink_in_place(tmp_path):
+    stream = small_stream(True)
+    want = tmp_path / "want.jsonl"
+    save_dataset_per_record(stream, want)
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    channels.save_dataset(stream, link)
+    assert link.is_symlink() and target.read_bytes() == want.read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        channels.save_dataset(stream, fifo)
+    finally:
+        reader.join()
+    assert read == [want.read_bytes()]
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.jsonl", "target.jsonl", "want.jsonl"]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faircl import channels, cli, harness, model, wsr
+from faircl import channels, cli, harness, model, workers, wsr
 from faircl.channels import EpisodeSpec
 from faircl.cli import ExperimentConfig, config_from_dict, config_to_dict, main
 from faircl.objective import LossSpec
@@ -149,6 +149,92 @@ def test_gen_seed_flag_overrides(tmp_path, cfg_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+# ------------------------------------------------------------ gen: workers
+
+
+# forked workers need a readable CPU set and an OpenBLAS to hold to one thread
+forks_here = pytest.mark.skipif(
+    workers._openblas() is None or not hasattr(os, "sched_getaffinity"),
+    reason="jobs run in-process here",
+)
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def gen_forks(monkeypatch):
+    """Let gen fork for the tiny config's 24 K=2 rows."""
+    monkeypatch.setattr(channels, "_FORK_ENTRIES", 8 * 4)
+
+
+@forks_here
+def test_gen_files_same_with_one_or_more_workers(tmp_path, cfg_path, monkeypatch, no_children):
+    gen_forks(monkeypatch)
+    fork = os.fork
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    find_blas = workers._openblas
+    datasets = []
+    # (CPUs, an OpenBLAS to hold to one thread per worker, forks): this
+    # process labels and writes a share too, so each stage forks n - 1
+    for n, blas, n_forks in ((1, True, 0), (2, True, 2), (3, True, 4), (3, False, 0)):
+        cpus(monkeypatch, n)
+        monkeypatch.setattr(workers, "_openblas", find_blas if blas else lambda: None)
+        forks.clear()
+        out = tmp_path / f"data{n}{blas}.jsonl"
+        assert gen(cfg_path, out) == 0
+        assert len(forks) == n_forks
+        datasets.append(out.read_bytes())
+    assert all(data == datasets[0] for data in datasets)
+
+
+@forks_here
+def test_gen_dead_channel_in_a_worker_names_its_sample(tmp_path, cfg_path, monkeypatch, capsys, no_children):
+    gen_forks(monkeypatch)
+    cpus(monkeypatch, 3)
+    build = channels.build_stream
+    built = []
+
+    def with_dead_channel(*args):
+        stream = build(*args)
+        h = stream.samples.h.copy()
+        h[23][np.diag_indices(2)] = 0.0  # the last worker's share: rows 2, 5, ..., 23
+        samples = channels.SampleSet(h, episode=stream.samples.episode)
+        built.append(samples)
+        return channels._episode_stream(stream.k_pairs, stream.specs, samples)
+
+    monkeypatch.setattr(channels, "build_stream", with_dead_channel)
+    out = tmp_path / "data.jsonl"
+    assert gen(cfg_path, out) == 1
+    assert "error: sample 23: WMMSE label rate 0.0 is not positive" in capsys.readouterr().err
+    assert not out.exists()
+    assert np.isnan(built[0].labels).all() and np.isnan(built[0].rbar).all()
+
+
+@forks_here
+@pytest.mark.parametrize("stage", ["label", "save"])
+def test_gen_worker_killed_is_runtime_failure(tmp_path, cfg_path, monkeypatch, capsys, no_children, stage):
+    gen_forks(monkeypatch)
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    module, name = (wsr, "wmmse_many") if stage == "label" else (channels, "_write_records")
+    call = getattr(module, name)
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:  # never kill the test's process
+            os.kill(os.getpid(), signal.SIGKILL)
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, killed)
+    out = tmp_path / "data.jsonl"
+    out.write_text("old\n")
+    assert gen(cfg_path, out) == 2
+    assert "error: worker process killed by signal 9" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
+
+
 # --------------------------------------------------------------------- run
 
 def run_cmd(cfg_path, data, out, *extra):
@@ -262,35 +348,17 @@ def test_run_k_mismatch(tmp_path, data_path):
 ALL_METHODS = ",".join(harness.METHODS)
 
 
-# forked workers need a readable CPU set and an OpenBLAS to hold to one thread
-forks_here = pytest.mark.skipif(
-    cli._openblas_set_num_threads() is None or not hasattr(os, "sched_getaffinity"),
-    reason="methods run in-process here",
-)
-
-
-def cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def no_children():
-    yield
-    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
-
-
 @forks_here
 def test_run_files_same_with_one_or_more_workers(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
     fork = os.fork
     forks = []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    find_blas = cli._openblas_set_num_threads
+    find_blas = workers._openblas
     outs, consoles = {}, {}
     # (CPUs, an OpenBLAS to hold to one thread per worker, forks)
     for n, blas, n_forks in ((1, True, 0), (2, True, 6), (2, False, 0)):
         cpus(monkeypatch, n)
-        monkeypatch.setattr(cli, "_openblas_set_num_threads", find_blas if blas else lambda: None)
+        monkeypatch.setattr(workers, "_openblas", find_blas if blas else lambda: None)
         forks.clear()
         out = tmp_path / f"workers{n}{blas}"
         capsys.readouterr()
@@ -313,7 +381,7 @@ def test_run_files_same_with_one_or_more_workers(tmp_path, cfg_path, data_path, 
 def test_run_workers_hold_blas_to_one_thread(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
     cpus(monkeypatch, 2)
     threads = []
-    monkeypatch.setattr(cli, "_openblas_set_num_threads", lambda: threads.append)
+    monkeypatch.setattr(workers, "_openblas", lambda: (threads.append, lambda: 4))
 
     def report_threads(stream, cfg, rng):
         raise ValueError(f"BLAS threads set to {threads}")
@@ -395,6 +463,29 @@ def test_run_result_larger_than_a_pipe_buffer(tmp_path, cfg_path, data_path, mon
         signal.signal(signal.SIGALRM, previous)
     assert "TL: 5000 rounds" in capsys.readouterr().out
     assert len((out / "metrics_TL.csv").read_text().splitlines()) == 5001
+
+
+@forks_here
+def test_run_in_process_holds_blas_to_one_thread_then_restores(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children
+):
+    set_threads, get_threads = workers._openblas()
+    calls = []
+    monkeypatch.setattr(workers, "_openblas", lambda: (lambda n: calls.append(n) or set_threads(n), get_threads))
+    before = get_threads()
+    set_threads(2)  # an OPENBLAS_NUM_THREADS=2 start
+    try:
+        cpus(monkeypatch, 1)
+        assert run_cmd(cfg_path, data_path, tmp_path / "serial", "--methods", ALL_METHODS) == 0
+        assert calls == [1, 2] and get_threads() == 2
+        cpus(monkeypatch, 2)
+        assert run_cmd(cfg_path, data_path, tmp_path / "forked", "--methods", ALL_METHODS) == 0
+    finally:
+        set_threads(before)
+    serial = sorted((tmp_path / "serial").iterdir())
+    assert len(serial) == 12
+    for path in serial:
+        assert path.read_bytes() == (tmp_path / "forked" / path.name).read_bytes(), path.name
 
 
 # a faircl run whose methods only note their pid and sleep, as if training
