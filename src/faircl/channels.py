@@ -26,10 +26,10 @@ floats written as decimal text via repr so that a load of a save is
 bit-exact.
 
 Labelling (add_wmmse_labels) and saving (save_dataset) share a set's rows
-out over every usable CPU through workers, once the set holds more than
-_FORK_ENTRIES channel entries. A row's label and its record
-depend on that row alone, so the labels and the file's bytes are those of
-a run in one process.
+out over usable CPUs through workers, one share of at least _FORK_ENTRIES
+channel entries per CPU; a set too small for two shares is worked in one
+process. A row's label and its record depend on that row alone, so the
+labels and the file's bytes are those of a run in one process.
 """
 
 from __future__ import annotations
@@ -281,16 +281,22 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
     return _episode_stream(k_pairs, specs, samples)
 
 
-# float entries (rows x K^2) of the largest set that gen labels and writes
-# in this process: 81 rows at K=10, 910 at K=3. On a 2-CPU host, forked gen
-# of 84 K=10 rows took as long as serial, and of 164 rows 0.78 times as long
+# float entries (rows x K^2) each of gen's forked workers gets at least: 81
+# rows at K=10, 910 at K=3. On a 2-CPU host, forked gen of 84 K=10 rows
+# took as long as serial, and of 164 rows 0.78 times as long
 _FORK_ENTRIES = 1 << 13
 
 
 def _gen_cpus(samples: SampleSet) -> list[int]:
-    """The CPUs to fork gen's workers on (see workers); none for a small set."""
+    """The CPUs to fork gen's workers on (see workers), one per share.
+
+    As many as shares of _FORK_ENTRIES entries fit, and none, so the set is
+    worked in this process, where fewer than two fit: a fork costs
+    milliseconds, and a share must pay for its own.
+    """
     n, k = samples.h.shape[:2]
-    return workers.worker_cpus() if n * k * k > _FORK_ENTRIES else []
+    cpus = workers.worker_cpus()[: n * k * k // _FORK_ENTRIES]
+    return cpus if len(cpus) > 1 else []
 
 
 def add_wmmse_labels(samples: SampleSet, noise=1.0, p_max=1.0) -> None:
@@ -320,7 +326,7 @@ def add_wmmse_labels(samples: SampleSet, noise=1.0, p_max=1.0) -> None:
             raise solved
         powers[j::jobs], rates[j::jobs] = solved
 
-    workers.run(range(jobs), solve, cpus, report, first_here=True)
+    workers.run(range(jobs), solve, cpus, report)
     bad = ~(rates > 0)
     if bad.any():
         i = int(bad.argmax())
@@ -344,21 +350,30 @@ def save_dataset(stream: EpisodeStream, path) -> None:
     plus the header specs to rebuild the stream.
 
     The records are formatted on every usable CPU (see workers), in
-    contiguous shares of rows, one per CPU: this process writes the first
-    share itself, each forked worker writes its share to a temp file of its
-    own, and this process then copies those in row order, so no process
-    holds more than a record's text. A regular file, or a new
-    one, is replaced only once complete, so a failed save leaves the old
-    file; a pipe, a device or a symlink is written in place.
+    contiguous shares of rows, one per CPU: each forked worker writes its
+    share to an anonymous temp file, which this process copies out in row
+    order, so no process holds more than a record's text. A regular file,
+    or a new one, is replaced only once complete, so a failed save leaves
+    the old file, and the shares are made in its directory; a pipe, a
+    device or a symlink is written in place, and the shares are made in
+    the temp directory.
     """
     header = {"version": DATASET_VERSION, "k": stream.k_pairs, "specs": [asdict(sp) for sp in stream.specs]}
     samples = stream.samples
     n, k = len(samples), stream.k_pairs
     cpus = _gen_cpus(samples)
-    with _writer(path) as fh, contextlib.ExitStack() as stack:
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    with (model.replacing(path) if regular else open(path, "w")) as fh, contextlib.ExitStack() as stack:
         fh.write(json.dumps(header))
         fh.write("\n")
-        parts = [fh] + [stack.enter_context(tempfile.TemporaryFile("w+")) for _ in cpus[1:]]
+        if not cpus:
+            _write_records(fh, samples, k)
+            return
+        share_dir = os.path.dirname(os.path.abspath(path)) if regular else None
+        parts = [stack.enter_context(tempfile.TemporaryFile("w+", dir=share_dir)) for _ in cpus]
 
         def write(j):
             _write_records(parts[j], samples[j * n // len(parts) : (j + 1) * n // len(parts)], k)
@@ -367,20 +382,10 @@ def save_dataset(stream: EpisodeStream, path) -> None:
         def copy(j, outcome):
             if isinstance(outcome, workers.WorkerDied):
                 raise outcome
-            if parts[j] is not fh:
-                parts[j].seek(0)
-                shutil.copyfileobj(parts[j], fh)
+            parts[j].seek(0)
+            shutil.copyfileobj(parts[j], fh)
 
-        workers.run(range(len(parts)), write, cpus, copy, first_here=True)
-
-
-def _writer(path):
-    """A text file to write path through: see save_dataset."""
-    try:
-        mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        mode = stat.S_IFREG
-    return model.replacing(path) if stat.S_ISREG(mode) else open(path, "w")
+        workers.run(range(len(parts)), write, cpus, copy)
 
 
 def _write_records(fh, samples: SampleSet, k: int) -> None:

@@ -22,6 +22,10 @@ import sys
 import threading
 import time
 
+# unused here, but it loads the OpenBLAS that _openblas looks for, so the
+# lookup, which is cached, never runs before the library is there
+import numpy
+
 _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 
@@ -100,13 +104,12 @@ def worker_cpus() -> list[int]:
 
 @functools.cache
 def _libc():
-    """The C library with prctl and sched_getcpu declared; Linux only.
+    """The C library with prctl declared; Linux only.
 
     Cached like _openblas, so a forked child does not load it again.
     """
     libc = ctypes.CDLL(None)
     libc.prctl.argtypes, libc.prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    libc.sched_getcpu.argtypes, libc.sched_getcpu.restype = [], ctypes.c_int
     return libc
 
 
@@ -173,32 +176,25 @@ def _outcome(data: bytes, status: int, secs: float):
     return WorkerDied(f"worker process {why}", secs)
 
 
-def run(keys, job, cpus: list[int], report, start=None, first_here=False) -> None:
+def run(keys, job, cpus: list[int], report, start=None) -> None:
     """Call report(key, outcome of job(key)) for each key, in the order of keys.
 
     With no CPUs given, the jobs run here, in turn, and an exception a job
     raises propagates. Otherwise each job runs in a forked child, one child
-    per CPU at a time, started in the order of `start` (default: keys);
-    with first_here the first key's job runs here meanwhile, and the
-    children take every CPU but this process's own. An exception a child's
-    job raised is re-raised here at its key's turn, and keys after it are
-    not started. A child that dies before it writes its outcome gives
-    report a WorkerDied as that outcome. No child outlives this call.
+    per CPU at a time, started in the order of `start` (default: keys). An
+    exception a child's job raised is re-raised here at its key's turn, and
+    keys after it are not started. A child that dies before it writes its
+    outcome gives report a WorkerDied as that outcome. No child outlives
+    this call.
     """
     keys = list(keys)
-    mine = keys[:1] if first_here else []
-    queue = [k for k in (keys if start is None else start) if k not in mine]
-    # CPUs no live child started on. This process's own comes last, as a
-    # child there would wait while this process forks the next, and takes
-    # no child while this process works on a key of its own
-    here = _libc().sched_getcpu() if cpus else -1
-    free = [cpu for cpu in cpus if cpu != here] + [cpu for cpu in cpus if cpu == here and not mine]
-    free = free[: len(queue)]
-    if not free:
+    if not cpus:
         with one_blas_thread():
             for key in keys:
                 report(key, job(key))
         return
+    queue = list(keys if start is None else start)
+    free = cpus[: len(queue)]  # CPUs no live child started on
     live, done = {}, {}  # live: read fd -> (key, pid, cpu, start time, chunks)
     sel = selectors.DefaultSelector()
     try:
@@ -209,10 +205,6 @@ def run(keys, job, cpus: list[int], report, start=None, first_here=False) -> Non
                     fd, pid = _fork(job, k, cpu, cpus)
                     live[fd] = (k, pid, cpu, time.perf_counter(), [])
                     sel.register(fd, selectors.EVENT_READ)
-                if key in mine:
-                    with one_blas_thread():
-                        done[key] = job(key)
-                    break
                 for sel_key, _ in sel.select():
                     k, pid, cpu, began, chunks = live[sel_key.fd]
                     chunk = os.read(sel_key.fd, 1 << 16)  # drained as it comes: no child blocks on a full pipe

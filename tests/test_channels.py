@@ -3,12 +3,14 @@
 import json
 import os
 import signal
+import tempfile
 import threading
 
 import numpy as np
 import pytest
 
 from faircl import channels, workers, wsr
+from conftest import forks_here
 from oracles import load_dataset_per_record, save_dataset_per_record
 
 
@@ -524,13 +526,6 @@ def test_load_malformed_matches_per_record_reference(tmp_path):
 
 # ------------------------------------------------------------- gen workers
 
-# gen forks workers where it can read the CPU set and find an OpenBLAS
-forks_here = pytest.mark.skipif(
-    workers._openblas() is None or not hasattr(os, "sched_getaffinity"),
-    reason="gen's blocks run in-process here",
-)
-
-
 def forked_stream(monkeypatch, dead_row=None):
     """24 K=3 samples, enough to fork for; dead_row's direct gains are zero."""
     monkeypatch.setattr(channels, "_FORK_ENTRIES", 8 * 9)
@@ -544,26 +539,16 @@ def forked_stream(monkeypatch, dead_row=None):
     return stream
 
 
-def counted_forks(monkeypatch):
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 @forks_here
-def test_labels_same_in_process_and_in_workers(monkeypatch, no_children):
-    forks = counted_forks(monkeypatch)
+def test_labels_same_in_process_and_in_workers(monkeypatch, no_children, use_cpus, forks):
     labelled = []
-    for n in (1, 2, 3):
-        use_cpus(monkeypatch, n)
+    # (CPUs, forks): the set holds three shares' entries, so at most three
+    for n, n_forks in ((1, 0), (2, 2), (3, 3), (8, 3)):
+        use_cpus(n)
         forks.clear()
         samples = forked_stream(monkeypatch).samples
         channels.add_wmmse_labels(samples)
-        assert len(forks) == n - 1  # this process solves a share too
+        assert len(forks) == n_forks
         labelled.append((samples.labels, samples.rbar))
     powers, rates = wsr.wmmse_many(samples.mag**2)
     for labels, rbar in labelled:
@@ -573,8 +558,8 @@ def test_labels_same_in_process_and_in_workers(monkeypatch, no_children):
 
 @forks_here
 @pytest.mark.parametrize("n_cpus", [1, 3])
-def test_labels_in_workers_name_a_dead_channel_by_its_row(monkeypatch, no_children, n_cpus):
-    use_cpus(monkeypatch, n_cpus)
+def test_labels_in_workers_name_a_dead_channel_by_its_row(monkeypatch, no_children, use_cpus, n_cpus):
+    use_cpus(n_cpus)
     samples = forked_stream(monkeypatch, dead_row=23).samples  # in the last worker's share
     with pytest.raises(ValueError, match="^sample 23: WMMSE label rate 0.0 is not positive$"):
         channels.add_wmmse_labels(samples)
@@ -583,8 +568,8 @@ def test_labels_in_workers_name_a_dead_channel_by_its_row(monkeypatch, no_childr
 
 @forks_here
 @pytest.mark.parametrize("n_cpus", [1, 3])
-def test_save_bitwise_equal_per_record_reference(tmp_path, monkeypatch, no_children, n_cpus):
-    use_cpus(monkeypatch, n_cpus)
+def test_save_bitwise_equal_per_record_reference(tmp_path, monkeypatch, no_children, use_cpus, n_cpus):
+    use_cpus(n_cpus)
     stream = forked_stream(monkeypatch)
     channels.add_wmmse_labels(stream.samples)
     # rows without labels or rbar, a negative zero and a non-finite value
@@ -595,6 +580,7 @@ def test_save_bitwise_equal_per_record_reference(tmp_path, monkeypatch, no_child
     stream = channels._episode_stream(3, stream.specs, channels.SampleSet(h, *(
         getattr(stream.samples, f) for f in ("labels", "rbar", "episode"))))
     path, want = tmp_path / "data.jsonl", tmp_path / "want.jsonl"
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))  # shares go beside the file
     channels.save_dataset(stream, path)
     save_dataset_per_record(stream, want)
     assert path.read_bytes() == want.read_bytes()
@@ -602,8 +588,8 @@ def test_save_bitwise_equal_per_record_reference(tmp_path, monkeypatch, no_child
 
 @forks_here
 @pytest.mark.parametrize("fault, n_cpus", [("raise", 1), ("raise", 2), ("kill", 2)])
-def test_save_that_fails_leaves_the_old_file(tmp_path, monkeypatch, no_children, fault, n_cpus):
-    use_cpus(monkeypatch, n_cpus)
+def test_save_that_fails_leaves_the_old_file(tmp_path, monkeypatch, no_children, use_cpus, fault, n_cpus):
+    use_cpus(n_cpus)
     stream = forked_stream(monkeypatch)
     path = tmp_path / "data.jsonl"
     path.write_text("old\n")

@@ -18,6 +18,8 @@ from faircl.channels import EpisodeSpec
 from faircl.cli import ExperimentConfig, config_from_dict, config_to_dict, main
 from faircl.objective import LossSpec
 
+from conftest import forks_here
+
 
 def tiny_config(**kw):
     defaults = dict(
@@ -152,34 +154,21 @@ def test_gen_seed_flag_overrides(tmp_path, cfg_path):
 # ------------------------------------------------------------ gen: workers
 
 
-# forked workers need a readable CPU set and an OpenBLAS to hold to one thread
-forks_here = pytest.mark.skipif(
-    workers._openblas() is None or not hasattr(os, "sched_getaffinity"),
-    reason="jobs run in-process here",
-)
-
-
-def cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def gen_forks(monkeypatch):
     """Let gen fork for the tiny config's 24 K=2 rows."""
     monkeypatch.setattr(channels, "_FORK_ENTRIES", 8 * 4)
 
 
 @forks_here
-def test_gen_files_same_with_one_or_more_workers(tmp_path, cfg_path, monkeypatch, no_children):
+def test_gen_files_same_with_one_or_more_workers(tmp_path, cfg_path, monkeypatch, no_children, use_cpus, forks):
     gen_forks(monkeypatch)
-    fork = os.fork
-    forks = []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     find_blas = workers._openblas
     datasets = []
-    # (CPUs, an OpenBLAS to hold to one thread per worker, forks): this
-    # process labels and writes a share too, so each stage forks n - 1
-    for n, blas, n_forks in ((1, True, 0), (2, True, 2), (3, True, 4), (3, False, 0)):
-        cpus(monkeypatch, n)
+    # (CPUs, an OpenBLAS to hold to one thread per worker, forks): with
+    # workers, labelling and saving each fork one per CPU, up to one per
+    # share; the 24 rows make three shares
+    for n, blas, n_forks in ((1, True, 0), (2, True, 4), (3, True, 6), (8, True, 6), (3, False, 0)):
+        use_cpus(n)
         monkeypatch.setattr(workers, "_openblas", find_blas if blas else lambda: None)
         forks.clear()
         out = tmp_path / f"data{n}{blas}.jsonl"
@@ -190,9 +179,9 @@ def test_gen_files_same_with_one_or_more_workers(tmp_path, cfg_path, monkeypatch
 
 
 @forks_here
-def test_gen_dead_channel_in_a_worker_names_its_sample(tmp_path, cfg_path, monkeypatch, capsys, no_children):
+def test_gen_dead_channel_in_a_worker_names_its_sample(tmp_path, cfg_path, monkeypatch, capsys, no_children, use_cpus):
     gen_forks(monkeypatch)
-    cpus(monkeypatch, 3)
+    use_cpus(3)
     build = channels.build_stream
     built = []
 
@@ -214,9 +203,9 @@ def test_gen_dead_channel_in_a_worker_names_its_sample(tmp_path, cfg_path, monke
 
 @forks_here
 @pytest.mark.parametrize("stage", ["label", "save"])
-def test_gen_worker_killed_is_runtime_failure(tmp_path, cfg_path, monkeypatch, capsys, no_children, stage):
+def test_gen_worker_killed_is_runtime_failure(tmp_path, cfg_path, monkeypatch, capsys, no_children, use_cpus, stage):
     gen_forks(monkeypatch)
-    cpus(monkeypatch, 2)
+    use_cpus(2)
     parent = os.getpid()
     module, name = (wsr, "wmmse_many") if stage == "label" else (channels, "_write_records")
     call = getattr(module, name)
@@ -349,15 +338,14 @@ ALL_METHODS = ",".join(harness.METHODS)
 
 
 @forks_here
-def test_run_files_same_with_one_or_more_workers(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
-    fork = os.fork
-    forks = []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+def test_run_files_same_with_one_or_more_workers(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus, forks
+):
     find_blas = workers._openblas
     outs, consoles = {}, {}
     # (CPUs, an OpenBLAS to hold to one thread per worker, forks)
     for n, blas, n_forks in ((1, True, 0), (2, True, 6), (2, False, 0)):
-        cpus(monkeypatch, n)
+        use_cpus(n)
         monkeypatch.setattr(workers, "_openblas", find_blas if blas else lambda: None)
         forks.clear()
         out = tmp_path / f"workers{n}{blas}"
@@ -378,8 +366,10 @@ def test_run_files_same_with_one_or_more_workers(tmp_path, cfg_path, data_path, 
 
 
 @forks_here
-def test_run_workers_hold_blas_to_one_thread(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
-    cpus(monkeypatch, 2)
+def test_run_workers_hold_blas_to_one_thread(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
+):
+    use_cpus(2)
     threads = []
     monkeypatch.setattr(workers, "_openblas", lambda: (threads.append, lambda: 4))
 
@@ -394,9 +384,9 @@ def test_run_workers_hold_blas_to_one_thread(tmp_path, cfg_path, data_path, monk
 
 @forks_here
 def test_run_reraises_the_earliest_error_of_the_children(
-    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
 ):
-    cpus(monkeypatch, 2)
+    use_cpus(2)
     parent = os.getpid()
     run = harness.run_continual
 
@@ -419,8 +409,10 @@ def test_run_reraises_the_earliest_error_of_the_children(
 
 
 @forks_here
-def test_run_child_killed_is_runtime_failure(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
-    cpus(monkeypatch, 2)
+def test_run_child_killed_is_runtime_failure(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
+):
+    use_cpus(2)
     parent = os.getpid()
     run = harness.run_continual
 
@@ -440,8 +432,10 @@ def test_run_child_killed_is_runtime_failure(tmp_path, cfg_path, data_path, monk
 
 
 @forks_here
-def test_run_result_larger_than_a_pipe_buffer(tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children):
-    cpus(monkeypatch, 2)
+def test_run_result_larger_than_a_pipe_buffer(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
+):
+    use_cpus(2)
     fake = [harness.MetricsRow(i, "TL", [float(i)] * 2, [i / 5000] * 2, float(i), 0) for i in range(5000)]
     assert len(pickle.dumps((fake, None, 0.0))) > 1 << 16
     run = harness.run_continual
@@ -467,7 +461,7 @@ def test_run_result_larger_than_a_pipe_buffer(tmp_path, cfg_path, data_path, mon
 
 @forks_here
 def test_run_in_process_holds_blas_to_one_thread_then_restores(
-    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
 ):
     set_threads, get_threads = workers._openblas()
     calls = []
@@ -475,10 +469,10 @@ def test_run_in_process_holds_blas_to_one_thread_then_restores(
     before = get_threads()
     set_threads(2)  # an OPENBLAS_NUM_THREADS=2 start
     try:
-        cpus(monkeypatch, 1)
+        use_cpus(1)
         assert run_cmd(cfg_path, data_path, tmp_path / "serial", "--methods", ALL_METHODS) == 0
         assert calls == [1, 2] and get_threads() == 2
-        cpus(monkeypatch, 2)
+        use_cpus(2)
         assert run_cmd(cfg_path, data_path, tmp_path / "forked", "--methods", ALL_METHODS) == 0
     finally:
         set_threads(before)
@@ -539,6 +533,17 @@ def test_run_workers_die_with_a_killed_parent(tmp_path, cfg_path, data_path):
         for name in os.listdir(pids):  # no survivor outlives the test
             with contextlib.suppress(ProcessLookupError):
                 os.kill(int(name), signal.SIGKILL)
+
+
+@forks_here
+def test_workers_finds_openblas_when_imported_first():
+    # the lookup is cached: run before numpy loaded OpenBLAS, it would
+    # keep every later command in one process
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    found = "from faircl import workers; print(workers._openblas() is not None)"
+    out = subprocess.run([sys.executable, "-c", found], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "True\n"
 
 
 # -------------------------------------------------------------------- eval
