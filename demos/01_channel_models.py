@@ -3,7 +3,7 @@ Channel families and the episode stream
 =======================================
 
 Draws samples from the three fading families, compares their gain scales,
-and round-trips an episode stream through the JSON-lines dataset format.
+and round-trips an episode stream through the dataset file format.
 """
 
 import tempfile
@@ -45,14 +45,15 @@ for rows in stream.batches:
     print(f"  episode {stream.samples.episode[rows.start]}: batch of {len(rows)}")
 
 # Labels attach in place: the solver's power vector and its rate.
-channels.add_wmmse_labels(stream.samples)
+stream.label()
 sample = stream.samples[stream.batches[0][0]]
 print(f"\nfirst sample label p = {np.round(sample.p_label, 4)}, "
       f"solver rate = {sample.rbar:.4f} nats")
 
-# The dataset file is line-oriented JSON and reloads bit for bit.
+# The dataset file is one JSON header line and the raw arrays; it reloads
+# bit for bit.
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "demo.jsonl"
+    path = Path(tmp) / "demo.bin"
     channels.save_dataset(stream, path)
     again = channels.load_dataset(path)
     same = np.array_equal(stream.samples.h, again.samples.h)

@@ -30,7 +30,7 @@ specs = [
     channels.EpisodeSpec("geometry", 400, 100, 4, area_side_m=50.0),
 ]
 stream = channels.build_stream(specs, K, np.random.default_rng(SEED))
-channels.add_wmmse_labels(stream.samples)
+stream.label()
 print(f"stream: 3 episodes x 400 train / 100 test, K={K}, memory half a batch")
 
 rngs = cli.method_rngs(SEED)

@@ -21,26 +21,23 @@ and its per-episode test sets are slices. Training reads the batches' rows,
 never their episode ids; only evaluation groups samples by episode, through
 test_sets.
 
-Datasets persist as JSON lines, one header then one record per sample, with
-floats written as decimal text via repr so that a load of a save is
+A dataset file is one JSON header line, then the raw bytes of the set's
+h, labels and rbar arrays (see save_dataset), so a load of a save is
 bit-exact.
 
-Labelling (add_wmmse_labels) and saving (save_dataset) share a set's rows
-out over usable CPUs through workers, one share of at least _FORK_ENTRIES
-channel entries per CPU; a set too small for two shares is worked in one
-process. A row's label and its record depend on that row alone, so the
-labels and the file's bytes are those of a run in one process.
+Labelling (add_wmmse_labels) shares a set's rows out over usable CPUs
+through workers, one share of at least _FORK_ENTRIES channel entries per
+CPU; a set too small for two shares is labelled in one process. A row's
+label depends on that row alone, so the labels are those of a run in one
+process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
-import shutil
 import stat
-import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -52,10 +49,7 @@ RICIAN = "rician"
 GEOMETRY = "geometry"
 DISTRIBUTIONS = (RAYLEIGH, RICIAN, GEOMETRY)
 
-DATASET_VERSION = 1
-
-
-_LABEL_RULE = "p_label must be a nonnegative length-K vector"
+DATASET_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -144,7 +138,7 @@ def _first_invalid(h, p_label=None, rbar=None):
     """
     rules = [(~np.isfinite(h).all((1, 2)), lambda i: "h must be finite")]
     if p_label is not None:
-        rules.append(((p_label < 0).any(1), lambda i: _LABEL_RULE))
+        rules.append(((p_label < 0).any(1), lambda i: "p_label must be a nonnegative length-K vector"))
         rules.append((~np.isfinite(p_label).all(1), lambda i: "p_label must be finite"))
     if rbar is not None:
         rules.append((~(rbar > 0), lambda i: f"rbar must be positive, got {float(rbar[i])}"))
@@ -183,7 +177,9 @@ class EpisodeStream:
     """An episode schedule over one sample set.
 
     batches are the training batches in arrival order, as row ranges of
-    samples; test_sets are per-episode slices of samples.
+    samples; test_sets are per-episode slices of samples. noise and p_max
+    are those the samples' labels were solved at: label() records them,
+    load_dataset reads them back and save_dataset writes them.
     """
 
     k_pairs: int
@@ -191,6 +187,13 @@ class EpisodeStream:
     samples: SampleSet
     batches: list[range]
     test_sets: list[SampleSet]
+    noise: float = 1.0
+    p_max: float = 1.0
+
+    def label(self, noise=1.0, p_max=1.0) -> None:
+        """Label every sample with the solver (add_wmmse_labels) at noise and p_max, and record both."""
+        add_wmmse_labels(self.samples, noise=noise, p_max=p_max)
+        self.noise, self.p_max = noise, p_max
 
     def all_samples(self):
         """ChannelSample rows of every training batch, then of every test set."""
@@ -201,9 +204,10 @@ class EpisodeStream:
             yield from test
 
 
-def _episode_stream(k_pairs, specs, samples) -> EpisodeStream:
+def _episode_stream(k_pairs, specs, samples, noise=1.0, p_max=1.0) -> EpisodeStream:
     # episodes are consecutive row blocks in spec order: n_train rows cut
     # into n_batches equal batches, then n_test test rows
+    samples.episode[:] = np.repeat(np.arange(len(specs)), [sp.n_train + sp.n_test for sp in specs])
     batches, test_sets = [], []
     start = 0
     for sp in specs:
@@ -212,7 +216,7 @@ def _episode_stream(k_pairs, specs, samples) -> EpisodeStream:
         start += sp.n_train
         test_sets.append(samples[start : start + sp.n_test])
         start += sp.n_test
-    return EpisodeStream(k_pairs, list(specs), samples, batches, test_sets)
+    return EpisodeStream(k_pairs, list(specs), samples, batches, test_sets, noise, p_max)
 
 
 def gen_rayleigh(k_pairs: int, n: int, rng: np.random.Generator) -> SampleSet:
@@ -275,9 +279,7 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
     """
     if not specs:
         raise ValueError("specs must be nonempty")
-    sizes = [spec.n_train + spec.n_test for spec in specs]
-    samples = SampleSet.concat([_generate(spec, k_pairs, n, rng) for spec, n in zip(specs, sizes)])
-    samples.episode[:] = np.repeat(np.arange(len(specs)), sizes)
+    samples = SampleSet.concat([_generate(spec, k_pairs, spec.n_train + spec.n_test, rng) for spec in specs])
     return _episode_stream(k_pairs, specs, samples)
 
 
@@ -339,239 +341,90 @@ def add_wmmse_labels(samples: SampleSet, noise=1.0, p_max=1.0) -> None:
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file that cannot be parsed; message carries the line number."""
+    """A dataset file that cannot be read; the message names the header or a row."""
+
+
+def _layout(k, n):
+    """The header's arrays entry: [name, dtype, shape] of each array, in file order."""
+    return [["h", "<c16", [n, k, k]], ["labels", "<f8", [n, k]], ["rbar", "<f8", [n]]]
 
 
 def save_dataset(stream: EpisodeStream, path) -> None:
-    """Header line then one record per row of stream.samples, in row order.
+    """One JSON header line, then the C-order bytes of h, labels and rbar.
 
-    build_stream and load_dataset lay each episode out as its training rows
-    in batch order, then its test rows; load_dataset relies on this order
-    plus the header specs to rebuild the stream.
-
-    The records are formatted on every usable CPU (see workers), in
-    contiguous shares of rows, one per CPU: each forked worker writes its
-    share to an anonymous temp file, which this process copies out in row
-    order, so no process holds more than a record's text. A regular file,
-    or a new one, is replaced only once complete, so a failed save leaves
-    the old file, and the shares are made in its directory; a pipe, a
-    device or a symlink is written in place, and the shares are made in
-    the temp directory.
+    The header holds version, k, specs, the noise and p_max the labels were
+    solved at, and arrays, the layout of what follows it (see _layout).
+    Episode ids are not stored: build_stream and load_dataset lay each
+    episode out as its training rows in batch order, then its test rows, so
+    the specs give them. A regular file, or a new one, is replaced only once
+    complete, so a failed save leaves the old file; a pipe, a device or a
+    symlink is written in place.
     """
-    header = {"version": DATASET_VERSION, "k": stream.k_pairs, "specs": [asdict(sp) for sp in stream.specs]}
     samples = stream.samples
-    n, k = len(samples), stream.k_pairs
-    cpus = _gen_cpus(samples)
+    layout = _layout(stream.k_pairs, len(samples))
+    header = {"version": DATASET_VERSION, "k": stream.k_pairs, "specs": [asdict(sp) for sp in stream.specs],
+              "noise": stream.noise, "p_max": stream.p_max, "arrays": layout}
     try:
         regular = stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         regular = True
-    with (model.replacing(path) if regular else open(path, "w")) as fh, contextlib.ExitStack() as stack:
-        fh.write(json.dumps(header))
-        fh.write("\n")
-        if not cpus:
-            _write_records(fh, samples, k)
-            return
-        share_dir = os.path.dirname(os.path.abspath(path)) if regular else None
-        parts = [stack.enter_context(tempfile.TemporaryFile("w+", dir=share_dir)) for _ in cpus]
-
-        def write(j):
-            _write_records(parts[j], samples[j * n // len(parts) : (j + 1) * n // len(parts)], k)
-            parts[j].flush()  # a forked worker leaves through os._exit, which flushes nothing
-
-        def copy(j, outcome):
-            if isinstance(outcome, workers.WorkerDied):
-                raise outcome
-            parts[j].seek(0)
-            shutil.copyfileobj(parts[j], fh)
-
-        workers.run(range(len(parts)), write, cpus, copy)
+    with (model.replacing(path, "wb") if regular else open(path, "wb")) as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for name, dtype, _ in layout:
+            fh.write(np.ascontiguousarray(getattr(samples, name), dtype=dtype).data)
 
 
-def _write_records(fh, samples: SampleSet, k: int) -> None:
-    """Write the dataset records of samples to fh, one line each.
-
-    Each row's lists are made as its record is written, so the floats of
-    only one record are alive at a time.
-    """
-    h = samples.h.reshape(len(samples), k * k)
-    has_label = ~np.isnan(samples.labels).all(1)
-    for i, (episode, rbar) in enumerate(zip(samples.episode.tolist(), samples.rbar.tolist())):
-        rec = {"k": k, "episode": episode, "h_re": h[i].real.tolist(), "h_im": h[i].imag.tolist()}
-        if has_label[i]:
-            rec["p_label"] = samples.labels[i].tolist()
-        if not math.isnan(rbar):
-            rec["rbar"] = rbar
-        fh.write(json.dumps(rec))
-        fh.write("\n")
-
-
-def _put(row: np.ndarray, value) -> bool:
-    """Write a JSON value into a preallocated row; False if its shape differs.
-
-    Only a list of exactly len(row) entries is assigned directly: numpy
-    would broadcast a length-1 or nested list into the row. Anything else
-    goes through np.asarray, which raises the conversion error it raises
-    for that value or gives its actual shape.
-    """
-    if type(value) is list and len(value) == len(row):
-        try:
-            row[...] = value
-            return True
-        except (ValueError, TypeError):
-            pass
-    value = np.asarray(value, dtype=float)
-    if value.shape != row.shape:
-        return False
-    row[...] = value
-    return True
-
-
-def _checked_stack(h, p_label, rbar, k):
-    """The (n, K, K) channel stack, once every row passes the sample rules.
-
-    h is (n, K^2) complex and holds each record's h_re and h_im as read. It
-    becomes h_re + 1j*h_im in place, with that sum's signed zeros: 1j*h_im
-    has real part h_im*0.0 and imaginary part h_im + 0.0.
-    """
-    re, im = h.real, h.imag
-    re += im * 0.0
-    im += 0.0
-    h = h.reshape(len(h), k, k)
-    bad = _first_invalid(h, p_label, rbar)
-    if bad is not None:
-        i, message = bad
-        raise DatasetFormatError(f"line {i + 2}: {message}")
-    return h
-
-
-def _record_arrays(rows, k):
-    """Per-field arrays for rows records: h (rows, K^2) complex, p_label,
-    rbar, their presence flags and episode ids. Rows without a label or rbar
-    keep the values set here, which pass every rule."""
-    return (
-        np.empty((rows, k * k), dtype=complex),
-        np.zeros((rows, k)),
-        np.ones(rows),
-        np.zeros(rows, dtype=bool),
-        np.zeros(rows, dtype=bool),
-        np.zeros(rows, dtype=int),
-    )
-
-
-def _parse_records(lines, k, n, size) -> SampleSet:
-    """The samples of the n record lines (file line 2 onward), in order.
-
-    Each record is parsed once into per-field arrays, with exact shape
-    checks, h_re and h_im straight into the complex stack's real and
-    imaginary parts; the value rules then run over all rows at once. A count
-    of lines other than n is reported first. Of several bad records the
-    first is reported, with the error a record-by-record reader gives it,
-    and every fault names its line.
-
-    size is the file's byte count, or 0 when that is unknown (a pipe). A
-    valid record holds two lists of K^2 numbers, so 4*K^2 characters or
-    more: the arrays start with as many rows as size can hold and double,
-    up to n, whenever more records come, so neither a header that claims
-    too many records nor a stream of unknown size sizes them wrongly.
-    """
-    cols = _record_arrays(min(n, size // max(4 * k * k, 1) + 1), k)
-    h, p_label, rbar, has_label, has_rbar, episode = cols
-    h_re, h_im = h.real, h.imag
-    found = 0  # lines read
-    checked = 0  # rows whose fields read so far go through the rules
+def _header(fh):
+    """(k, specs, noise, p_max, layout) of a dataset's header line, checked."""
     try:
-        for i, line in enumerate(lines):
-            found = i + 1
-            if i >= n:
-                continue  # surplus lines are only counted
-            if i == len(h):
-                more = _record_arrays(min(n, 2 * i) - i, k)
-                cols = h, p_label, rbar, has_label, has_rbar, episode = [np.concatenate(c) for c in zip(cols, more)]
-                h_re, h_im = h.real, h.imag
-            lineno = i + 2
-            checked = i
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"line {lineno}: invalid JSON record ({e.msg})") from e
-            if not isinstance(rec, dict):
-                rec = {}  # a record that is no JSON object has none of the fields
-            for key in ("k", "episode", "h_re", "h_im"):
-                if key not in rec:
-                    raise DatasetFormatError(f"line {lineno}: record missing field {key!r}")
-            if rec["k"] != k:
-                raise DatasetFormatError(f"line {lineno}: field 'k' is {rec['k']}, header says {k}")
-            try:
-                h_ok = _put(h_re[i], rec["h_re"]) and _put(h_im[i], rec["h_im"])
-            except (ValueError, TypeError):  # an entry that is not a number
-                h_ok = False
-            if not h_ok:
-                raise DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {k * k} values")
-            try:
-                episode[i] = int(rec["episode"])
-                checked = i + 1  # h's rule comes before the label's and rbar's
-                label = rec.get("p_label")
-                if label is not None:
-                    if not _put(p_label[i], label):
-                        raise ValueError(_LABEL_RULE)
-                    has_label[i] = True
-                value = rec.get("rbar")
-                if value is not None:
-                    rbar[i] = float(value)
-                    has_rbar[i] = True
-            except (ValueError, TypeError, OverflowError) as e:
-                raise DatasetFormatError(f"line {lineno}: {e}") from e
-    except (ValueError, TypeError):
-        # a wrong count comes first, then a fault in an earlier row, or
-        # earlier in this one
-        _check_count(found + sum(1 for _ in lines), n)
-        _checked_stack(h[:checked], p_label[:checked], rbar[:checked], k)
-        raise
-    _check_count(found, n)
-    h = _checked_stack(h, p_label, rbar, k)
-    p_label[~has_label] = np.nan
-    rbar[~has_rbar] = np.nan
-    return SampleSet(h, p_label, rbar, episode)
-
-
-def _check_count(found, n):
-    if found != n:
-        raise DatasetFormatError(f"line {found + 2}: expected {n} records after the header, found {found}")
-
-
-def _lines(fh):
-    # the lines str.splitlines gives of the whole text, read line by line
-    for line in fh:
-        yield from line.splitlines()
+        header = json.loads(fh.readline())
+        version = header["version"]
+    except (ValueError, KeyError, TypeError) as e:  # UnicodeDecodeError is a ValueError
+        raise DatasetFormatError(f"header: not a dataset header ({e})") from e
+    if version != DATASET_VERSION:
+        old = "; it is the JSON-lines format, regenerate the dataset with faircl gen" if version == 1 else ""
+        raise DatasetFormatError(f"header: unsupported version {version}{old}")
+    try:
+        k, noise, p_max = header["k"], header["noise"], header["p_max"]
+        specs = [EpisodeSpec(**sp) for sp in header["specs"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetFormatError(f"header: bad header ({e})") from e
+    counts = [k] + [n for sp in specs for n in (sp.n_train, sp.n_test, sp.n_batches)]
+    if any(type(n) is not int for n in counts) or k < 1:
+        raise DatasetFormatError("header: k and the specs' counts must be positive integers")
+    for name, value in (("noise", noise), ("p_max", p_max)):
+        if type(value) not in (int, float) or not 0 < value < math.inf:
+            raise DatasetFormatError(f"header: {name} must be a positive finite number, got {value!r}")
+    layout = _layout(k, sum(sp.n_train + sp.n_test for sp in specs))
+    if header.get("arrays") != layout:
+        raise DatasetFormatError(f"header: arrays {header.get('arrays')} are not the {layout} that k and specs give")
+    return k, specs, noise, p_max, layout
 
 
 def load_dataset(path) -> EpisodeStream:
-    """The stream a dataset file holds, read in one pass, line by line."""
-    with open(path) as fh:
-        lines = _lines(fh)
-        first = next(lines, None)
-        if first is None:
-            raise DatasetFormatError("line 1: empty file, expected header")
-        try:
-            header = json.loads(first)
-            version = header["version"]
-            k = header["k"]
-            specs = [
-                EpisodeSpec(
-                    distribution=sp["distribution"],
-                    n_train=sp["n_train"],
-                    n_test=sp["n_test"],
-                    n_batches=sp["n_batches"],
-                    area_side_m=sp.get("area_side_m"),
-                )
-                for sp in header["specs"]
-            ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DatasetFormatError(f"line 1: bad header ({e})") from e
-        if version != DATASET_VERSION:
-            raise DatasetFormatError(f"line 1: unsupported version {version}")
+    """The stream a dataset file holds, read in one pass.
 
-        expected = sum(sp.n_train + sp.n_test for sp in specs)
-        samples = _parse_records(lines, k, expected, os.fstat(fh.fileno()).st_size)
-    return _episode_stream(k, specs, samples)
+    The header is checked before any array is read; each array is then read
+    into one of the shape the header gives, so a pipe is read as a file is
+    and no file size is trusted. A row whose labels are all NaN has none,
+    and a NaN rbar is no rbar; every other value must pass the sample rules.
+    """
+    with open(path, "rb") as fh:
+        k, specs, noise, p_max, layout = _header(fh)
+        arrays = []
+        for name, dtype, shape in layout:
+            try:
+                array = np.empty(shape, dtype)
+            except MemoryError as e:
+                raise DatasetFormatError(f"header: {shape[0]} rows are more than memory holds") from e
+            if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+                raise DatasetFormatError(f"file ends inside array {name!r}")
+            arrays.append(array)
+        if fh.read(1):
+            raise DatasetFormatError("bytes after the last array")
+    h, labels, rbar = arrays
+    has_label, has_rbar = ~np.isnan(labels).all(1), ~np.isnan(rbar)
+    bad = _first_invalid(h, np.where(has_label[:, None], labels, 0.0), np.where(has_rbar, rbar, 1.0))
+    if bad is not None:
+        raise DatasetFormatError(f"row {bad[0]}: {bad[1]}")
+    return _episode_stream(k, specs, SampleSet(h, labels, rbar), noise, p_max)

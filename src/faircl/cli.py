@@ -9,9 +9,8 @@ Three subcommands cover the experiment lifecycle:
   eval   score a saved model (or the solver itself) on a dataset's test
          sets and write a ratio histogram.
 
-On Linux with OpenBLAS, gen labels and formats shares of the stream's
-rows, and run trains the methods, in forked processes, one per usable CPU
-(see workers).
+On Linux with OpenBLAS, gen labels shares of the stream's rows, and run
+trains the methods, in forked processes, one per usable CPU (see workers).
 
 Every command is deterministic given (config, seed): reruns reproduce
 output files byte for byte. To keep that guarantee the persisted metrics
@@ -70,6 +69,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+        # gen labels at noise, training and scoring use loss.noise
+        if self.noise != self.loss.noise:
+            raise ValueError(f"noise={self.noise} and loss.noise={self.loss.noise} must be equal")
 
     def strategy(self, method: str) -> StrategyConfig:
         return StrategyConfig(
@@ -164,7 +166,7 @@ def cmd_gen(args) -> int:
     cfg = _resolve_config(args)
     rng = np.random.default_rng(cfg.seed)
     stream = channels.build_stream(cfg.episodes, cfg.k_pairs, rng)
-    channels.add_wmmse_labels(stream.samples, noise=cfg.noise, p_max=cfg.p_max)
+    stream.label(noise=cfg.noise, p_max=cfg.p_max)
     channels.save_dataset(stream, args.out)
     n_train = sum(e.n_train for e in cfg.episodes)
     n_test = sum(e.n_test for e in cfg.episodes)
@@ -197,6 +199,11 @@ def cmd_run(args) -> int:
     stream = channels.load_dataset(args.data)
     if stream.k_pairs != cfg.k_pairs:
         raise UsageError(f"dataset has K={stream.k_pairs}, config says K={cfg.k_pairs}")
+    if (cfg.noise, cfg.p_max) != (stream.noise, stream.p_max):
+        raise UsageError(
+            f"dataset labels were solved at noise={stream.noise}, p_max={stream.p_max}; "
+            f"config says noise={cfg.noise}, p_max={cfg.p_max}"
+        )
     selected = cfg.methods
     if args.methods:
         selected = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -232,9 +239,8 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     stream = channels.load_dataset(args.data)
-    noise, p_max = args.noise, args.p_max
     if args.policy == "wmmse":
-        policy = harness.wmmse_policy(noise=noise, p_max=p_max)
+        policy = harness.wmmse_policy(noise=stream.noise, p_max=stream.p_max)
         label = "wmmse"
     else:
         params = model.load_params(args.checkpoint)
@@ -246,7 +252,7 @@ def cmd_eval(args) -> int:
         policy = harness.network_policy(params)
         label = args.checkpoint
     # the policy runs once per test set; the means and the histogram share its ratios
-    scores = harness.score_sets(policy, stream.test_sets, noise=noise)
+    scores = harness.score_sets(policy, stream.test_sets, noise=stream.noise)
     rates, ratios = harness.episode_means(scores)
     for i, (r, q) in enumerate(zip(rates, ratios)):
         print(f"episode {i}: mean rate {r:.6f} nats, mean ratio {q:.6f}")
@@ -307,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output directory")
     ev.add_argument("--policy", choices=["checkpoint", "wmmse"], default="checkpoint")
     ev.add_argument("--bin-width", type=_positive_float, default=0.1)
-    ev.add_argument("--noise", type=_positive_float, default=1.0)
-    ev.add_argument("--p-max", type=_positive_float, default=1.0)
     ev.set_defaults(func=cmd_eval)
     return parser
 

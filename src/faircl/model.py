@@ -149,10 +149,10 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def replacing(path, newline=None):
-    """Open a text file to write that takes path's place only once complete.
+def replacing(path, mode="w", newline=None):
+    """Open a file to write, in mode "w" or "wb", that takes path's place only once complete.
 
-    The text goes to a temp file in path's directory, which os.replace
+    The data goes to a temp file in path's directory, which os.replace
     renames over path when the block exits cleanly, so a reader sees the
     old file or the whole new one, never a truncated one. A block that
     raises leaves path as it was; a writer killed mid-write leaves its
@@ -161,7 +161,7 @@ def replacing(path, newline=None):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -3,23 +3,17 @@
 Central finite differences are the reference for every analytic gradient in
 the package; they are computed here, independent of any library code paths.
 The sequential WMMSE solver below, one sample and one start at a time, is the
-reference that the batched wsr.wmmse_many must match bit for bit. The
-record-by-record dataset reader below is the reference for the array-backed
-channels.load_dataset: the same samples on valid files, in the same stream
-layout, and the same error on malformed ones; the record-by-record writer is
-the one whose bytes the block-formatting channels.save_dataset must write.
-The training loops at the
-end, which hand the oracles a fresh SampleSet take on every call, are the
+reference that the batched wsr.wmmse_many, which labels shares of a set's rows
+in forked workers, must match bit for bit. The training loops at the end,
+which hand the oracles a fresh SampleSet take on every call, are the
 references for the array-backed trainer.
 """
 
 import dataclasses
-import json
-from types import SimpleNamespace
 
 import numpy as np
 
-from faircl import channels, model, objective, wsr
+from faircl import model, objective, wsr
 
 
 def fd_gradient(fn, x, step=1e-5):
@@ -96,126 +90,6 @@ def wmmse_sequential(prob, max_iters=500, tol=1e-6):
         if rate > best_rate:
             best_p, best_rate = p, rate
     return best_p, best_rate
-
-
-def _sample_per_record(line, lineno, k):
-    # one record, checked field by field in the order of the fields' use
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise channels.DatasetFormatError(f"line {lineno}: invalid JSON record ({e.msg})") from e
-    for key in ("k", "episode", "h_re", "h_im"):
-        if key not in rec:
-            raise channels.DatasetFormatError(f"line {lineno}: record missing field {key!r}")
-    if rec["k"] != k:
-        raise channels.DatasetFormatError(f"line {lineno}: field 'k' is {rec['k']}, header says {k}")
-    h_re = np.asarray(rec["h_re"], dtype=float)
-    h_im = np.asarray(rec["h_im"], dtype=float)
-    if h_re.shape != (k * k,) or h_im.shape != (k * k,):
-        raise channels.DatasetFormatError(f"line {lineno}: fields 'h_re'/'h_im' must hold {k * k} values")
-    h = (h_re + 1j * h_im).reshape(k, k)
-    try:
-        episode_id = int(rec["episode"])
-        if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
-            raise ValueError("h must be finite")
-        p_label = rec.get("p_label")
-        if p_label is not None:
-            p_label = np.asarray(p_label, dtype=float)
-            if p_label.shape != (k,) or np.any(p_label < 0):
-                raise ValueError("p_label must be a nonnegative length-K vector")
-        rbar = rec.get("rbar")
-        if rbar is not None:
-            rbar = float(rbar)
-            if not rbar > 0:
-                raise ValueError(f"rbar must be positive, got {rbar}")
-    except ValueError as e:
-        raise channels.DatasetFormatError(f"line {lineno}: {e}") from e
-    return SimpleNamespace(k_pairs=k, h=h, p_label=p_label, rbar=rbar, episode_id=episode_id)
-
-
-def load_dataset_per_record(path):
-    """A dataset file read one record at a time, each checked on its own.
-
-    Samples are plain namespaces with ChannelSample's fields. Non-finite
-    labels and an infinite rbar pass here; load_dataset rejects them.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise channels.DatasetFormatError("line 1: empty file, expected header")
-    try:
-        header = json.loads(lines[0])
-        version = header["version"]
-        k = header["k"]
-        specs = [
-            channels.EpisodeSpec(
-                distribution=sp["distribution"],
-                n_train=sp["n_train"],
-                n_test=sp["n_test"],
-                n_batches=sp["n_batches"],
-                area_side_m=sp.get("area_side_m"),
-            )
-            for sp in header["specs"]
-        ]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise channels.DatasetFormatError(f"line 1: bad header ({e})") from e
-    if version != channels.DATASET_VERSION:
-        raise channels.DatasetFormatError(f"line 1: unsupported version {version}")
-    expected = sum(sp.n_train + sp.n_test for sp in specs)
-    if len(lines) - 1 != expected:
-        raise channels.DatasetFormatError(
-            f"line {len(lines) + 1}: expected {expected} records after the header, found {len(lines) - 1}"
-        )
-    batches, test_sets = [], []
-    lineno = 2
-    for ep, sp in enumerate(specs):
-        train = [_sample_per_record(lines[lineno - 1 + i], lineno + i, k) for i in range(sp.n_train)]
-        lineno += sp.n_train
-        test = [_sample_per_record(lines[lineno - 1 + i], lineno + i, k) for i in range(sp.n_test)]
-        lineno += sp.n_test
-        size = sp.n_train // sp.n_batches
-        for b in range(sp.n_batches):
-            batches.append(train[b * size : (b + 1) * size])
-        test_sets.append(test)
-    return RecordStream(k, specs, batches, test_sets)
-
-
-@dataclasses.dataclass
-class RecordStream:
-    """The reference reader's stream: batches and test sets as sample lists."""
-
-    k_pairs: int
-    specs: list
-    batches: list
-    test_sets: list
-
-    def all_samples(self):
-        for samples in self.batches + self.test_sets:
-            yield from samples
-
-
-def save_dataset_per_record(stream, path):
-    """A dataset file written one record at a time, in row order."""
-    header = {
-        "version": channels.DATASET_VERSION,
-        "k": stream.k_pairs,
-        "specs": [dataclasses.asdict(sp) for sp in stream.specs],
-    }
-    samples = stream.samples
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for i, h in enumerate(samples.h):
-            rec = {
-                "k": stream.k_pairs,
-                "episode": int(samples.episode[i]),
-                "h_re": h.real.ravel().tolist(),
-                "h_im": h.imag.ravel().tolist(),
-            }
-            if not np.isnan(samples.labels[i]).all():
-                rec["p_label"] = samples.labels[i].tolist()
-            if not np.isnan(samples.rbar[i]):
-                rec["rbar"] = float(samples.rbar[i])
-            fh.write(json.dumps(rec) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def labeled_rayleigh(k, n, rng):
 
 def labeled_stream(specs, k, seed):
     stream = channels.build_stream(specs, k, np.random.default_rng(seed))
-    channels.add_wmmse_labels(stream.samples)
+    stream.label()
     return stream
 
 

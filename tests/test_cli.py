@@ -165,9 +165,9 @@ def test_gen_files_same_with_one_or_more_workers(tmp_path, cfg_path, monkeypatch
     find_blas = workers._openblas
     datasets = []
     # (CPUs, an OpenBLAS to hold to one thread per worker, forks): with
-    # workers, labelling and saving each fork one per CPU, up to one per
-    # share; the 24 rows make three shares
-    for n, blas, n_forks in ((1, True, 0), (2, True, 4), (3, True, 6), (8, True, 6), (3, False, 0)):
+    # workers, labelling forks one per CPU, up to one per share; the 24 rows
+    # make three shares
+    for n, blas, n_forks in ((1, True, 0), (2, True, 2), (3, True, 3), (8, True, 3), (3, False, 0)):
         use_cpus(n)
         monkeypatch.setattr(workers, "_openblas", find_blas if blas else lambda: None)
         forks.clear()
@@ -202,20 +202,18 @@ def test_gen_dead_channel_in_a_worker_names_its_sample(tmp_path, cfg_path, monke
 
 
 @forks_here
-@pytest.mark.parametrize("stage", ["label", "save"])
-def test_gen_worker_killed_is_runtime_failure(tmp_path, cfg_path, monkeypatch, capsys, no_children, use_cpus, stage):
+def test_gen_worker_killed_is_runtime_failure(tmp_path, cfg_path, monkeypatch, capsys, no_children, use_cpus):
     gen_forks(monkeypatch)
     use_cpus(2)
     parent = os.getpid()
-    module, name = (wsr, "wmmse_many") if stage == "label" else (channels, "_write_records")
-    call = getattr(module, name)
+    call = wsr.wmmse_many
 
     def killed(*args, **kwargs):
         if os.getpid() != parent:  # never kill the test's process
             os.kill(os.getpid(), signal.SIGKILL)
         return call(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, killed)
+    monkeypatch.setattr(wsr, "wmmse_many", killed)
     out = tmp_path / "data.jsonl"
     out.write_text("old\n")
     assert gen(cfg_path, out) == 2
@@ -289,30 +287,54 @@ def test_run_guard_trip_is_runtime_failure(tmp_path, capsys):
 
 
 def test_run_rejects_non_finite_label_at_load(tmp_path, cfg_path, data_path, capsys):
-    lines = data_path.read_text().splitlines()
-    for value in ("NaN", "Infinity"):
-        rec = json.loads(lines[5])
-        rec["p_label"][1] = float(value)
-        data_path.write_text("\n".join(lines[:5] + [json.dumps(rec)] + lines[6:]) + "\n")
+    data = data_path.read_bytes()
+    # row 4's second label: after the header, 24 rows of 2x2 complex h, then 4*2 + 1 doubles
+    at = data.index(b"\n") + 1 + 24 * 4 * 16 + 9 * 8
+    for value in (np.nan, np.inf):
+        data_path.write_bytes(data[:at] + np.array([value], "<f8").tobytes() + data[at + 8 :])
         capsys.readouterr()
         assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1
-        assert "line 6: p_label must be finite" in capsys.readouterr().err
+        assert "row 4: p_label must be finite" in capsys.readouterr().err
 
 
-def test_run_rejects_malformed_record_with_its_line(tmp_path, cfg_path, data_path, capsys):
-    # values that once escaped the loader as a raw TypeError or a ValueError
-    # naming no line: each is an input error, exit 1, with its line
-    lines = data_path.read_text().splitlines()
-    rec = json.loads(lines[5])
-    for field, value in (("h_im", {}), ("episode", None), ("rbar", [1.0]), ("h_re", ["x"] + rec["h_re"][1:])):
-        bad = json.dumps(dict(rec, **{field: value}))
-        data_path.write_text("\n".join(lines[:5] + [bad] + lines[6:]) + "\n")
+def test_run_rejects_a_malformed_dataset(tmp_path, cfg_path, data_path, capsys):
+    data = data_path.read_bytes()
+    for bad, message in (
+        (data[:-1], "file ends inside array 'rbar'"),
+        (data + b"\n", "bytes after the last array"),
+        (b'{"version": 1, "k": 2, "specs": []}\n', "unsupported version 1; it is the JSON-lines format"),
+    ):
+        data_path.write_bytes(bad)
         capsys.readouterr()
-        assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1, field
-        assert "line 6: " in capsys.readouterr().err, field
-    data_path.write_text("\n".join(lines[:5] + ["5"] + lines[6:]) + "\n")
-    assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1
-    assert "line 6: record missing field 'k'" in capsys.readouterr().err
+        assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 1
+        assert message in capsys.readouterr().err
+
+
+def test_run_rejects_a_dataset_solved_at_another_noise_or_p_max(tmp_path, data_path, capsys):
+    for kw, values in (
+        ({"noise": 2.0, "loss": LossSpec(noise=2.0)}, "noise=1.0, p_max=1.0; config says noise=2.0, p_max=1.0"),
+        ({"p_max": 2.0}, "noise=1.0, p_max=1.0; config says noise=1.0, p_max=2.0"),
+    ):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(config_to_dict(tiny_config(**kw))))
+        capsys.readouterr()
+        assert run_cmd(path, data_path, tmp_path / "runs") == 1
+        assert f"error: dataset labels were solved at {values}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_with_two_noises_is_refused_before_gen(tmp_path, data_path, capsys):
+    # gen would label at noise 2.0 while training scores at loss.noise 1.0
+    raw = config_to_dict(tiny_config())
+    raw["noise"] = 2.0
+    path, data = tmp_path / "two.json", tmp_path / "two.data"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert gen(path, data) == 1
+    assert run_cmd(path, data_path, tmp_path / "runs") == 1
+    err = capsys.readouterr().err
+    assert err.count("error: noise=2.0 and loss.noise=1.0 must be equal") == 2, err
+    assert not data.exists() and not (tmp_path / "runs").exists()
 
 
 def test_run_shared_seen_column(tmp_path, cfg_path, data_path):
@@ -559,6 +581,23 @@ def test_eval_wmmse_policy(tmp_path, data_path, capsys):
     assert sum(int(row.split(",")[2]) for row in lines[1:]) == 8
 
 
+def test_eval_scores_at_the_datasets_noise_and_p_max(tmp_path, monkeypatch):
+    # labels solved at p_max 2 and noise 0.5: the solver scored there gets ratio 1
+    path, data = tmp_path / "p2.json", tmp_path / "data.jsonl"
+    path.write_text(json.dumps(config_to_dict(tiny_config(k_pairs=3, p_max=2.0, noise=0.5, loss=LossSpec(noise=0.5)))))
+    assert gen(path, data) == 0
+    means, episode_means = [], harness.episode_means
+
+    def recorded(scores):
+        means.append(episode_means(scores))
+        return means[-1]
+
+    monkeypatch.setattr(harness, "episode_means", recorded)
+    assert main(["eval", "--data", str(data), "--out", str(tmp_path / "e"), "--policy", "wmmse"]) == 0
+    (_, ratios), = means
+    assert len(ratios) == 2 and all(abs(q - 1.0) <= 1e-12 for q in ratios), ratios
+
+
 def test_eval_runs_the_policy_once_per_test_set(tmp_path, monkeypatch):
     # the acceptance gate's CLI config: 2 x 20 test samples
     raw = config_to_dict(
@@ -626,19 +665,6 @@ def test_eval_rejects_bad_bin_width_before_loading(tmp_path, data_path, capsys, 
     console = capsys.readouterr()
     assert console.out == ""
     assert "--bin-width: must be a positive finite number" in console.err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag", ["--noise", "--p-max"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_eval_rejects_bad_noise_and_p_max_before_loading(tmp_path, data_path, capsys, flag, value):
-    capsys.readouterr()
-    out = tmp_path / "e"
-    argv = ["eval", "--data", str(data_path), "--out", str(out), "--policy", "wmmse", flag, value]
-    assert main(argv) == 1
-    console = capsys.readouterr()
-    assert console.out == ""
-    assert f"{flag}: must be a positive finite number" in console.err
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ def tiny_stream(rng, n_train=8, n_batches=2, n_test=4, episodes=("rayleigh", "ri
         for d in episodes
     ]
     stream = channels.build_stream(specs, K, rng)
-    channels.add_wmmse_labels(stream.samples)
+    stream.label()
     return stream
 
 

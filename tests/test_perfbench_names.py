@@ -33,7 +33,7 @@ def test_names_perfbench_resolves_exist():
     specs = [channels.EpisodeSpec(channels.RAYLEIGH, 4, 2, 2), channels.EpisodeSpec(channels.RICIAN, 4, 2, 2)]
     stream = channels.build_stream(specs, 3, np.random.default_rng(0))
     assert all(s.p_label is None and s.rbar is None for s in stream.all_samples())
-    channels.add_wmmse_labels(stream.samples)
+    stream.label()
     rows = list(stream.all_samples())
     assert [s.episode_id for s in rows] == [0] * 4 + [1] * 4 + [0] * 2 + [1] * 2
     for s in rows:
