@@ -9,9 +9,11 @@ b0, W1, b1, ...
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +39,8 @@ class ModelParams:
         if not np.isfinite(values).all():
             raise ValueError("parameter values must be finite")
         self.p_max = float(self.p_max)
-        if not self.p_max > 0:
-            raise ValueError("p_max must be positive")
+        if not 0 < self.p_max < math.inf:
+            raise ValueError(f"p_max must be a positive finite number, got {self.p_max!r}")
         self.layers = _views(values, spans)
 
     @classmethod
@@ -168,23 +170,44 @@ def replacing(path, mode="w", newline=None):
         tmp.unlink(missing_ok=True)
 
 
+CHECKPOINT_VERSION = 2
+
+
 def save_params(params: ModelParams, path):
-    """Write a checkpoint; floats serialize via repr so round-trips are exact."""
-    doc = {
-        "layer_sizes": list(params.layer_sizes),
-        "p_max": params.p_max,
-        "values": params.values.tolist(),
-    }
-    # one dumps string: json.dump writes the same text chunk by chunk, slower
+    """Write a checkpoint: one JSON line whose values are base64 float64 bytes.
+
+    The keys are version, layer_sizes, p_max and values, the base64 of the
+    flat vector's little-endian float64 bytes, so the round trip is exact.
+    """
+    values = base64.b64encode(params.values.astype("<f8").tobytes()).decode("ascii")
+    doc = {"version": CHECKPOINT_VERSION, "layer_sizes": list(params.layer_sizes), "p_max": params.p_max,
+           "values": values}
     with replacing(path) as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
 
 
 def load_params(path) -> ModelParams:
+    """The ModelParams a checkpoint holds; a malformed one raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    if "version" not in doc and isinstance(doc.get("values"), list):
+        raise ValueError("checkpoint is version 1 (values as a list of floats); rerun faircl run to write it again")
     try:
-        return ModelParams(tuple(doc["layer_sizes"]), np.array(doc["values"], dtype=float), doc["p_max"])
+        version, sizes, p_max, text = doc["version"], doc["layer_sizes"], doc["p_max"], doc["values"]
     except KeyError as e:
         raise ValueError(f"checkpoint missing field {e}") from e
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version {version!r} is not {CHECKPOINT_VERSION}; rerun faircl run")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError; a number is a TypeError
+        raise ValueError(f"checkpoint values are not valid base64 ({e})") from e
+    if len(raw) % 8:
+        raise ValueError(f"checkpoint values hold {len(raw)} bytes, not a whole number of float64s")
+    try:
+        return ModelParams(tuple(sizes), np.frombuffer(raw, "<f8").astype(float), p_max)
+    except (TypeError, ValueError) as e:  # layout, finiteness and p_max checks, or a field's type
+        raise ValueError(f"checkpoint: {e}") from e

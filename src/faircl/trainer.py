@@ -30,7 +30,6 @@ than being clamped, since downstream quantities divide by y.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +64,14 @@ class TrainerState:
             raise ValueError("beta must be in (0, 1]")
         if self.step < 0:
             raise ValueError("step must be nonnegative")
+
+    def _next(self, params, params_prev, y, step) -> "TrainerState":
+        # this state's alpha and beta passed __post_init__ and steps only
+        # grow: the next state without dataclasses.replace's second check
+        s = TrainerState.__new__(TrainerState)
+        s.params, s.params_prev, s.y, s.step = params, params_prev, y, step
+        s.alpha, s.beta, s.rng = self.alpha, self.beta, self.rng
+        return s
 
 
 @dataclass(eq=False)
@@ -132,9 +139,7 @@ def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
         )
     grad = objective.chain_gradient(state.params, terms, y_new)
     params_new = _descend(state.params, -state.alpha * grad)
-    return dataclasses.replace(
-        state, params=params_new, params_prev=state.params, y=y_new, step=state.step + 1
-    )
+    return state._next(params_new, state.params, y_new, state.step + 1)
 
 
 def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int, trace=None) -> TrainerState:
@@ -161,7 +166,7 @@ def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int,
                 raise TrackingCollapseError(
                     f"tracking collapsed at initialization: y = {y0!r} (floor {Y_FLOOR})"
                 )
-            state = dataclasses.replace(state, y=y0)
+            state = state._next(state.params, state.params_prev, y0, state.step)
         before = state.params
         state = scsc_step(state, spec, xi, phi)
         if trace is not None:

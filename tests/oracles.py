@@ -6,10 +6,16 @@ The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many, which labels shares of a set's rows
 in forked workers, must match bit for bit. The training loops at the end,
 which hand the oracles a fresh SampleSet take on every call, are the
-references for the array-backed trainer.
+references for the array-backed trainer. Last, checkpoint text is built from
+the format's description with struct, not numpy, then spoiled one field at a
+time for the model and CLI tests of load_params.
 """
 
+import base64
 import dataclasses
+import json
+import math
+import struct
 
 import numpy as np
 
@@ -151,3 +157,39 @@ def lower_values_lists(spec, params, samples):
     else:
         neg_alpha = -1.0 / samples.rbar
     return neg_alpha * wsr.sum_rate_many(mag * mag, out, noise=spec.noise)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints: version 2 is one JSON line whose "values" is the base64 of the
+# parameter vector's little-endian float64 bytes.
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def checkpoint_text(params) -> str:
+    """The line save_params must write for params, spelled out key by key."""
+    raw = struct.pack(f"<{params.values.size}d", *params.values)
+    return (f'{{"version": 2, "layer_sizes": {list(params.layer_sizes)}, "p_max": {params.p_max!r}, '
+            f'"values": "{_b64(raw)}"}}\n')
+
+
+def bad_checkpoints(params) -> list:
+    """(name, text, message pattern) of checkpoints of params with one fault each."""
+    good = json.loads(checkpoint_text(params))
+    raw = base64.b64decode(good["values"])
+    no_version = {k: v for k, v in good.items() if k != "version"}
+    cases = [
+        ("version 1", dict(no_version, values=params.values.tolist()), "version 1.*rerun faircl run"),
+        ("no version", dict(no_version), "missing field 'version'"),
+        ("invalid base64", dict(good, values="*" + good["values"][1:]), "not valid base64"),
+        ("ragged bytes", dict(good, values=_b64(raw + bytes(4))),
+         f"{len(raw) + 4} bytes, not a whole number of float64s"),
+        ("short count", dict(good, values=_b64(raw[:-8])), f"expected {params.values.size} parameter values"),
+        ("NaN bytes", dict(good, values=_b64(struct.pack("<d", math.nan) + raw[8:])), "must be finite"),
+        ("infinite p_max", dict(good, p_max=math.inf), "p_max must be a positive finite number, got inf"),
+        ("sizes not a list", dict(good, layer_sizes=4), "checkpoint: .*not iterable"),
+        ("not an object", [good], "not a JSON object"),
+    ]
+    return [(name, json.dumps(doc) + "\n", match) for name, doc, match in cases]

@@ -19,6 +19,7 @@ from faircl.cli import ExperimentConfig, config_from_dict, config_to_dict, main
 from faircl.objective import LossSpec
 
 from conftest import forks_here
+from oracles import bad_checkpoints
 
 
 def tiny_config(**kw):
@@ -649,6 +650,21 @@ def test_eval_k_mismatch(tmp_path, data_path, capsys):
     )
     assert code == 1
     assert "K=2" in capsys.readouterr().err
+
+
+BAD_CHECKPOINTS = bad_checkpoints(model.init((4, 6, 2), 1.0, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("name,text,match", BAD_CHECKPOINTS, ids=[c[0] for c in BAD_CHECKPOINTS])
+def test_eval_rejects_malformed_checkpoint(tmp_path, data_path, capsys, name, text, match):
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert main(["eval", "--data", str(data_path), "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+    console = capsys.readouterr()
+    assert re.search(match, console.err), console.err
+    assert not out.exists()
 
 
 def test_eval_needs_checkpoint_or_wmmse(tmp_path, data_path, capsys):

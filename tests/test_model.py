@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from faircl import model
-from oracles import fd_gradient, rel_error
+from oracles import bad_checkpoints, checkpoint_text, fd_gradient, rel_error
 
 
 def test_param_count():
@@ -136,34 +136,54 @@ def test_backward_upstream_shape_check():
         model.backward(other, trace, np.zeros((3, 2)))
 
 
-def test_checkpoint_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(8)
-    params = model.init((4, 5, 2), 0.75, rng)
-    path = tmp_path / "ckpt.json"
-    model.save_params(params, path)
-    back = model.load_params(path)
-    assert back.layer_sizes == params.layer_sizes
-    assert back.p_max == params.p_max
-    np.testing.assert_array_equal(back.values, params.values)
-
-
-def test_checkpoint_bytes_equal_json_dump_form(tmp_path):
+def _checkpoint_cases():
+    # +-0, subnormals, +-max float, and a p_max of 1e-300
     rng = np.random.default_rng(9)
     extreme = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                         -1.7976931348623157e308, 1e16, 0.1, 1 / 3, -2.5e-7, 123456789.0])
-    cases = [
+    return [
         model.init((100, 200, 80, 10), 1.0, rng),
         model.ModelParams((3, 2, 2), rng.standard_normal(14) * 10.0 ** rng.integers(-300, 300, 14), 1e-300),
         model.ModelParams((3, 3, 1), np.resize(extreme, 16), 1.7976931348623157e308),
     ]
-    for params in cases:
-        path = tmp_path / "ckpt.json"
+
+
+def test_checkpoint_round_trip_exact(tmp_path):
+    path = tmp_path / "ckpt.json"
+    for params in [model.init((4, 5, 2), 0.75, np.random.default_rng(8)), *_checkpoint_cases()]:
         model.save_params(params, path)
-        doc = {"layer_sizes": list(params.layer_sizes), "p_max": params.p_max, "values": params.values.tolist()}
-        with open(tmp_path / "dump.json", "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+        back = model.load_params(path)
+        assert back.layer_sizes == params.layer_sizes
+        assert back.p_max == params.p_max
+        assert back.values.tobytes() == params.values.tobytes()  # bit for bit: -0.0 is not 0.0
+
+
+def test_checkpoint_bytes_pin_base64_layout(tmp_path):
+    path = tmp_path / "ckpt.json"
+    for params in _checkpoint_cases():
+        model.save_params(params, path)
+        assert path.read_text() == checkpoint_text(params)
+        json.loads(path.read_text())  # still one valid JSON object
+
+
+def test_checkpoint_saves_are_byte_identical(tmp_path):
+    params = model.init((100, 200, 80, 10), 1.0, np.random.default_rng(10))
+    model.save_params(params, tmp_path / "a.json")
+    model.save_params(model.load_params(tmp_path / "a.json"), tmp_path / "b.json")
+    model.save_params(params, tmp_path / "c.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+
+
+BAD_CHECKPOINTS = bad_checkpoints(model.init((4, 5, 2), 1.0, np.random.default_rng(11)))
+
+
+@pytest.mark.parametrize("name,text,match", BAD_CHECKPOINTS, ids=[c[0] for c in BAD_CHECKPOINTS])
+def test_checkpoint_rejects_malformed(tmp_path, name, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        model.load_params(path)
 
 
 def test_checkpoint_missing_field(tmp_path):
