@@ -284,8 +284,10 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
 
 
 # float entries (rows x K^2) each of gen's forked workers gets at least: 81
-# rows at K=10, 910 at K=3. On a 2-CPU host, forked gen of 84 K=10 rows
-# took as long as serial, and of 164 rows 0.78 times as long
+# rows at K=10, 910 at K=3. On a 2-CPU host, with WMMSE's corner starts in
+# closed form, forked labelling of 1,000 stock K=10 rows took 1.15 times as
+# long as serial, of 2,000 to 4,200 rows about as long, and of 8,400 rows
+# 0.72 times as long (with every start swept, about 250 rows broke even)
 _FORK_ENTRIES = 1 << 13
 
 

@@ -143,11 +143,10 @@ def rate_and_grad_many(gains: np.ndarray, powers: np.ndarray, noise=1.0):
     return rates, direct / tot - cross + c * direct
 
 
-# float64 entries per block of samples. Each (sample, start) row holds its
-# K x K gains and about _ROW_VECTORS live K-vectors (iterates, best point,
-# sweep temporaries), and at small K the vectors outweigh the gains, so both
-# count: the working set, about 1.3 MB, then grows with neither n nor K. A
-# K=10 block is 59 samples, a K=3 block 758
+# float64 entries per block. A block sweeps one row per sample: its K x K
+# gains and about _ROW_VECTORS live K-vectors (iterates, best point, sweep
+# temporaries), which outweigh the gains at small K. So the working set, 1.3
+# to 2.2 MB up to K=50, grows with neither n nor K; a K=10 block is 655 samples
 _BLOCK_ENTRIES = 5 << 15
 _ROW_VECTORS = 15
 
@@ -162,21 +161,22 @@ def wmmse_many(gains, noise=1.0, p_max=1.0, weights=1.0, max_iters: int = 500, t
     with v clipped to [0, sqrt(p_max)] and powers clamped to min(v*v, p_max),
     since sqrt(p_max)**2 can round above p_max. Each run stops once the rate
     changes by less than tol between sweeps, and keeps the best iterate it
-    saw, its start included. The sweeps are run from the full-power point and
-    from every single-user corner, and the first strict maximum across the
-    starts, in that order, is returned: the full-power point is a spurious
+    saw, its start included. The starts are the full-power point, a spurious
     KKT trap of the clipped iteration on a nontrivial fraction of
-    strong-interference draws, and the corner starts (which the updates keep
-    on their corner's support) cover the shut-a-user-off solutions those
-    draws need. The reported rate therefore never drops below the
-    full-power operating point.
+    strong-interference draws, then every single-user corner, which covers
+    the shut-a-user-off solutions those draws need; the first strict maximum
+    across them, in that order, is returned, so the rate never drops below
+    the full-power operating point. Only full power is swept: a corner is its
+    own best point, as with only user j on the others' u is 0, so their v
+    stays 0, and v_j becomes v + sigma_j / (g_jj v) >= sqrt(p_max), which
+    the clip brings back (0, at rate 0, if g_jj = 0; NaN, never better, if
+    1 - u a v rounds to 0). Its rate is closed-form, in sum_rate_many's bits.
 
-    Every (sample, start) pair is one row, and each sweep updates all rows
-    still running at once; a row leaves once it stops. Samples are solved in
-    fixed-size blocks, so the working set does not grow with n. Each row
-    performs the same floating-point operations, in the same order, as a
-    solve of its sample alone, so results do not depend on n or on the block
-    a sample falls in.
+    Each sweep updates every sample still running; a sample leaves once it
+    stops. Samples are solved in fixed-size blocks, so the working set does
+    not grow with n, and each performs the same floating-point operations,
+    in the same order, as a solve of it alone: results depend neither on n
+    nor on the block a sample falls in.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 3 or gains.shape[1] != gains.shape[2]:
@@ -185,9 +185,8 @@ def wmmse_many(gains, noise=1.0, p_max=1.0, weights=1.0, max_iters: int = 500, t
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     n, k = gains.shape[0], gains.shape[2]
-    powers = np.empty((n, k))
-    rates = np.empty(n)
-    size = max(1, _BLOCK_ENTRIES // max(1, (k + 1) * (k * k + _ROW_VECTORS * k)))
+    powers, rates = np.empty((n, k)), np.empty(n)
+    size = max(1, _BLOCK_ENTRIES // max(1, k * k + _ROW_VECTORS * k))
     for lo in range(0, n, size):
         hi = min(n, lo + size)
         powers[lo:hi], rates[lo:hi] = _wmmse_block(gains[lo:hi], noise, p_max, weights, max_iters, tol)
@@ -195,23 +194,21 @@ def wmmse_many(gains, noise=1.0, p_max=1.0, weights=1.0, max_iters: int = 500, t
 
 
 def _wmmse_block(gains, noise, p_max, alpha, max_iters, tol):
-    # rows s*(K+1) .. s*(K+1)+K of sample s start from full power, then from
-    # the corners 0..K-1. Products are matmuls over (K, 1) columns and rates
-    # come from sum_rate_many, which keeps each row's bits those of a
+    # row s sweeps sample s from full power. Matmuls over (K, 1) columns of
+    # C-ordered gains, and rates from sum_rate_many, keep its bits those of a
     # one-sample solve (an einsum for the products would not)
     n, k = gains.shape[0], gains.shape[2]
     v_cap = np.sqrt(p_max)
-    starts = np.vstack([np.full(k, v_cap), np.diag(np.full(k, v_cap))])
-    g = np.repeat(gains, k + 1, axis=0)
-    v = np.tile(starts, (n, 1))
-    a_direct = np.sqrt(g.diagonal(0, 1, 2))
+    g = np.ascontiguousarray(gains)
+    direct = g.diagonal(0, 1, 2)
+    a_direct = np.sqrt(direct)
+    v = np.full((n, k), v_cap)
     best_p = np.minimum(v * v, p_max)
     _check_box(best_p, p_max)
     best_rate = sum_rate_many(g, best_p, noise, alpha)
     prev_rate = best_rate
-    out_p = np.empty_like(best_p)
-    out_rate = np.empty_like(best_rate)
-    rows = np.arange(g.shape[0])
+    out_p, out_rate = np.empty_like(best_p), np.empty_like(best_rate)
+    rows = np.arange(n)
     for _ in range(max_iters):
         u = a_direct * v / (np.matmul(g, (v * v)[..., None])[..., 0] + noise)
         w = 1.0 / (1.0 - u * a_direct * v)
@@ -241,16 +238,20 @@ def _wmmse_block(gains, noise, p_max, alpha, max_iters, tol):
         out_p[rows] = best_p
         out_rate[rows] = best_rate
 
-    # first strict maximum across each sample's starts; a sample whose every
-    # rate is NaN keeps rate -inf and NaN powers
-    out_p = out_p.reshape(n, k + 1, k)
-    out_rate = out_rate.reshape(n, k + 1)
-    powers = np.full((n, k), np.nan)
-    rates = np.full(n, -np.inf)
-    for j in range(k + 1):
-        better = out_rate[:, j] > rates
-        rates[better] = out_rate[better, j]
-        powers[better] = out_p[better, j]
+    # corner j's rate is column j: sum_rate_many's received - signal there is
+    # 0 (NaN where the signal overflows), and each other user adds an exact
+    # +0. The first strict maximum across a sample's starts, full power
+    # first, wins; a sample whose every rate is NaN keeps -inf and NaN powers
+    p_c = np.minimum(v_cap * v_cap, p_max)
+    signal = direct * p_c
+    corner_rate = alpha * np.log1p(signal / (signal - signal + noise))
+    rates = np.fmax(out_rate, -np.inf)
+    powers = np.where(np.isnan(out_rate)[:, None], np.nan, out_p)
+    for j in range(k):
+        better = corner_rate[:, j] > rates
+        rates[better] = corner_rate[better, j]
+        powers[better] = 0.0
+        powers[better, j] = p_c
     return powers, rates
 
 

@@ -214,14 +214,52 @@ def test_wmmse_many_bitwise_equal_sequential_reference(k):
 
 def test_wmmse_many_blocks_bitwise_equal_sequential_reference(monkeypatch):
     rng = np.random.default_rng(31)
-    # stock block size at K=10: 59 samples, so 3 blocks, the last ragged
+    # K=10 blocks of 14750 // (100 + 15 * 10) = 59 samples, so 3 blocks, the
+    # last ragged (a stock K=10 block is 655 samples)
+    monkeypatch.setattr(wsr, "_BLOCK_ENTRIES", 14750)
     gains = stock_gains(10, 33, rng)[:130]
     assert_matches_sequential(gains, 0.7, 2.0, rng.uniform(0.5, 2.0, 10), 500)
-    # small blocks at K=3: 1080 // (4 * (9 + 15 * 3)) = 5 samples per block
-    monkeypatch.setattr(wsr, "_BLOCK_ENTRIES", 1080)
+    # small blocks at K=3: 270 // (9 + 15 * 3) = 5 samples per block
+    monkeypatch.setattr(wsr, "_BLOCK_ENTRIES", 270)
     gains = stock_gains(3, 6, rng)[:23]
     for max_iters in (1, 500):
         assert_matches_sequential(gains, 1.3, 0.5, 1.0, max_iters)
+
+
+def test_wmmse_many_corner_cases_bitwise_equal_sequential_reference():
+    # wmmse_many scores the corner starts in closed form; the reference
+    # sweeps them, so these draws pin the two to the same bits
+    zero_direct = np.array([[[0.0, 1.0], [3.0, 2.0]], [[0.0, 2.0], [2.0, 0.0]]])
+    # 1 - u a v rounds to 0 at user 0's corner, whose sweep goes NaN; the
+    # last draw's user 0 signal overflows at p_max = 2, where its rate is NaN
+    huge = np.array([[[1e20, 1.0], [1.0, 1.0]], [[1e20, 1e30], [1e30, 1e20]],
+                     [[1.7e308, 1.0], [1.0, 1.0]]])
+    one_user = np.array([[[4.0]], [[0.0]], [[1e20]]])
+    # at p_max = 1 the full-power sweep ends at rate 0.0197, and user 0's
+    # corner has log(2)
+    corner_won = np.array([[[1.0, 100.0], [100.0, 1.0]]])
+    for p_max in (0.5, 1.0, 2.0):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for gains in (zero_direct, huge, one_user, corner_won):
+                assert_matches_sequential(gains, 1.0, p_max, 1.0, 500)
+        powers, _ = wsr.wmmse_many(corner_won, p_max=p_max)
+        assert np.array_equal(powers[0], [min(np.sqrt(p_max) ** 2, p_max), 0.0])
+
+
+def test_wmmse_many_sweeps_only_full_power_rows(monkeypatch):
+    # the first rates wmmse_many asks for are its starts: one row per
+    # sample, as the corners are never swept
+    rows = []
+    rate_many = wsr.sum_rate_many
+
+    def spy(gains, powers, *args):
+        rows.append(len(powers))
+        return rate_many(gains, powers, *args)
+
+    monkeypatch.setattr(wsr, "sum_rate_many", spy)
+    gains = stock_gains(4, 3, np.random.default_rng(47))
+    wsr.wmmse_many(gains)
+    assert rows[0] == len(gains) == 12 and max(rows) == len(gains)
 
 
 def test_wmmse_is_one_row_of_wmmse_many():
@@ -231,6 +269,15 @@ def test_wmmse_is_one_row_of_wmmse_many():
     for i, g in enumerate(gains):
         p, rate = wsr.wmmse(wsr.RateProblem(g, 1.0, 0.7, 2.0))
         assert np.array_equal(p, powers[i]) and rate == rates[i] and type(rate) is float
+
+
+def test_wmmse_many_ignores_memory_layout():
+    # a strided or Fortran-ordered stack gives the bits of its C-ordered copy
+    gains = stock_gains(4, 20, np.random.default_rng(53))[::2]
+    want = wsr.wmmse_many(np.ascontiguousarray(gains), 0.7, 2.0)
+    for view in (gains, np.asfortranarray(gains)):
+        got = wsr.wmmse_many(view, 0.7, 2.0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_wmmse_many_ties_keep_the_first_start():
@@ -289,17 +336,17 @@ def wmmse_peak_bytes(rng, n, k):
 
 def test_wmmse_many_working_set_does_not_grow_with_n():
     rng = np.random.default_rng(41)
-    small, large = wmmse_peak_bytes(rng, 200, 10), wmmse_peak_bytes(rng, 2000, 10)
-    # one unblocked batch of 2000 K=10 samples gathers 17.6 MB of gains alone
+    small, large = wmmse_peak_bytes(rng, 2000, 10), wmmse_peak_bytes(rng, 8000, 10)
+    # one unblocked batch of 8000 K=10 samples peaks at 21.6 MB
     assert large < 4e6
     assert large < 1.5 * small
 
 
 def test_wmmse_many_working_set_at_small_k_does_not_grow_with_n():
-    # at K=3 a row's K-vectors outweigh its 9 gains; a budget of gains alone
-    # let one block grow to 1820 samples and 3.4 MB
+    # at K=3 a sample's K-vectors outweigh its 9 gains; a budget of gains
+    # alone would let one block grow to 18204 samples
     rng = np.random.default_rng(43)
-    small, large = wmmse_peak_bytes(rng, 1000, 3), wmmse_peak_bytes(rng, 4000, 3)
+    small, large = wmmse_peak_bytes(rng, 4000, 3), wmmse_peak_bytes(rng, 8000, 3)
     assert large < 2e6
     assert large < 1.25 * small
 
