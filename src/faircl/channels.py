@@ -27,8 +27,11 @@ bit-exact.
 
 Labelling (add_wmmse_labels) shares a set's rows out over usable CPUs
 through workers, one share of at least _FORK_ENTRIES channel entries per
-CPU; a set too small for two shares is labelled in one process. A row's
-label depends on that row alone, so the labels are those of a run in one
+CPU; a set too small for two shares is labelled in one process. A fork
+costs several milliseconds, which a share of WMMSE pays back only from
+about 1,000 K=10 rows or 8,000 K=3 rows on two CPUs, so the 8,400-row
+stock gen forks and sets of a few hundred rows do not. A row's label
+depends on that row alone, so the labels are those of a run in one
 process.
 """
 
@@ -283,12 +286,14 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
     return _episode_stream(k_pairs, specs, samples)
 
 
-# float entries (rows x K^2) each of gen's forked workers gets at least: 81
-# rows at K=10, 910 at K=3. On a 2-CPU host, with WMMSE's corner starts in
-# closed form, forked labelling of 1,000 stock K=10 rows took 1.15 times as
-# long as serial, of 2,000 to 4,200 rows about as long, and of 8,400 rows
-# 0.72 times as long (with every start swept, about 250 rows broke even)
-_FORK_ENTRIES = 1 << 13
+# float entries (rows x K^2) each of gen's forked workers gets at least:
+# about 655 rows at K=10 and 7,282 at K=3, so a set forks from 1,311 K=10
+# or 14,564 K=3 rows. On a 2-CPU host (one BLAS thread, stock families,
+# medians of 15), forked labelling took, against serial, 1.95 times as long
+# at 128 K=10 rows, 1.41 at 504, 1.05 at 1,004, 0.95 at 2,004, 0.82 at
+# 4,004 and 0.73 at 8,004; at K=3, 1.62 at 4,004 rows, 1.02 at 8,004 and
+# 0.78 at 20,004
+_FORK_ENTRIES = 1 << 16
 
 
 def _gen_cpus(samples: SampleSet) -> list[int]:

@@ -253,12 +253,12 @@ def cmd_eval(args) -> int:
         label = args.checkpoint
     # the policy runs once per test set; the means and the histogram share its ratios
     scores = harness.score_sets(policy, stream.test_sets, noise=stream.noise)
+    hist = harness.pooled_histogram(scores, args.bin_width)
     rates, ratios = harness.episode_means(scores)
     for i, (r, q) in enumerate(zip(rates, ratios)):
         print(f"episode {i}: mean rate {r:.6f} nats, mean ratio {q:.6f}")
     print(f"average rate {np.mean(rates):.6f} ({label})")
     out_dir = _ensure_dir(args.out)
-    hist = harness.pooled_histogram(scores, args.bin_width)
     hist_path = out_dir / "histogram.csv"
     with open(hist_path, "w", newline="") as fh:
         fh.write("bin_lo,bin_hi,count\n")

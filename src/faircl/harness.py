@@ -118,14 +118,25 @@ def episode_means(scores):
     return [float(r.mean()) for r, _ in scores], [float(q.mean()) for _, q in scores]
 
 
+# a histogram holds one count, and its CSV one row, per bin up to the
+# largest ratio: a width of 1e-8 would ask for gigabytes
+_MAX_BINS = 100_000
+
+
 def pooled_histogram(scores, bin_width: float):
-    """Histogram of score_sets' ratios, pooled, as (bin_lo, bin_hi, count) rows."""
+    """Histogram of score_sets' ratios, pooled, as (bin_lo, bin_hi, count) rows.
+
+    Raises ValueError if bin_width would need more than _MAX_BINS bins.
+    """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     pooled = np.concatenate([q for _, q in scores])
-    idx = np.floor(pooled / bin_width).astype(int)
-    n_bins = int(idx.max()) + 1
-    counts = np.bincount(idx, minlength=n_bins)
+    with np.errstate(over="ignore"):  # an inf bin index is refused below
+        bins = np.floor(pooled / bin_width)
+    n_bins = bins.max() + 1
+    if not n_bins <= _MAX_BINS:
+        raise ValueError(f"bin width {bin_width!r} needs {n_bins:.4g} bins, more than {_MAX_BINS}")
+    counts = np.bincount(bins.astype(int), minlength=int(n_bins))
     return [(i * bin_width, (i + 1) * bin_width, int(c)) for i, c in enumerate(counts)]
 
 

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from faircl import channels, wsr
+from faircl import channels, cli, wsr
 from conftest import forks_here
 
 
@@ -505,6 +505,17 @@ def forked_stream(monkeypatch, dead_row=None):
         samples = channels.SampleSet(h, episode=stream.samples.episode)
         stream = channels._episode_stream(stream.k_pairs, stream.specs, samples)
     return stream
+
+
+@forks_here
+def test_gen_forks_only_where_each_share_pays_for_its_fork(use_cpus):
+    # the benchmark's 400- and 500-row K=10 sets and 480-row K=3 set are
+    # labelled in this process; the stock configs' sets in two shares
+    use_cpus(2)
+    stock = [sum(e.n_train + e.n_test for e in cli.default_config(s).episodes) for s in (10, 25)]
+    assert stock == [8400, 3360]
+    for n, k, want in ((400, 10, []), (500, 10, []), (480, 3, []), (8400, 10, [0, 1]), (3360, 10, [0, 1])):
+        assert channels._gen_cpus(channels.SampleSet(np.zeros((n, k, k), complex))) == want, (n, k)
 
 
 @forks_here

@@ -684,6 +684,19 @@ def test_eval_rejects_bad_bin_width_before_loading(tmp_path, data_path, capsys, 
     assert not out.exists()
 
 
+def test_eval_rejects_a_bin_width_with_too_many_bins(tmp_path, data_path, capsys):
+    # WMMSE's ratios are about 1: 1e-9 would make 10^9 bins, 2^-13 makes about 8,193
+    capsys.readouterr()
+    out = tmp_path / "e"
+    argv = ["eval", "--data", str(data_path), "--out", str(out), "--policy", "wmmse", "--bin-width"]
+    assert main(argv + ["1e-09"]) == 1
+    assert "error: bin width 1e-09 needs 1e+09 bins, more than 100000" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + [repr(2.0**-13)]) == 0
+    rows = (out / "histogram.csv").read_text().splitlines()[1:]
+    assert len(rows) >= 8192 and sum(int(row.split(",")[2]) for row in rows) == 8
+
+
 # ------------------------------------------------------------------- usage
 
 def test_bad_invocations(capsys):

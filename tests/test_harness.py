@@ -86,6 +86,32 @@ def test_ratio_histogram():
         harness.ratio_histogram(zero, stream.test_sets, 0.0)
 
 
+def loop_histogram(ratios, bin_width):
+    counts = {}
+    for q in ratios:
+        i = int(np.floor(q / bin_width))
+        counts[i] = counts.get(i, 0) + 1
+    return [(i * bin_width, (i + 1) * bin_width, counts.get(i, 0)) for i in range(max(counts) + 1)]
+
+
+@pytest.mark.parametrize("width", [0.1, 0.37, 1e-3, 2.0**-16])
+def test_pooled_histogram_matches_a_loop(width):
+    ratios = np.concatenate([[0.0, 1.0], np.random.default_rng(8).uniform(0.0, 1.4, 200)])
+    scores = [(ratios[:50], ratios[:50]), (ratios[50:], ratios[50:])]
+    assert harness.pooled_histogram(scores, width) == loop_histogram(ratios, width)
+
+
+def test_pooled_histogram_caps_its_bins():
+    width = 2.0**-20
+    # the largest ratio falls in bin _MAX_BINS - 1, then in bin _MAX_BINS
+    top = (harness._MAX_BINS - 1) * width
+    rows = harness.pooled_histogram([(np.ones(2), np.array([0.0, top]))], width)
+    assert len(rows) == harness._MAX_BINS and rows[-1] == (top, top + width, 1)
+    for ratios, w in (([0.0, top + width], width), ([1.0], 1e-9), ([1.0], 5e-324)):
+        with pytest.raises(ValueError, match=f"^bin width {w!r} needs .* bins, more than 100000$"):
+            harness.pooled_histogram([(np.ones(len(ratios)), np.array(ratios))], w)
+
+
 # ------------------------------------------------------------ outer loop
 
 def test_row_schedule_and_fields():
