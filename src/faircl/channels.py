@@ -25,14 +25,10 @@ A dataset file is one JSON header line, then the raw bytes of the set's
 h, labels and rbar arrays (see save_dataset), so a load of a save is
 bit-exact.
 
-Labelling (add_wmmse_labels) shares a set's rows out over usable CPUs
-through workers, one share of at least _FORK_ENTRIES channel entries per
-CPU; a set too small for two shares is labelled in one process. A fork
-costs several milliseconds, which a share of WMMSE pays back only from
-about 1,000 K=10 rows or 8,000 K=3 rows on two CPUs, so the 8,400-row
-stock gen forks and sets of a few hundred rows do not. A row's label
-depends on that row alone, so the labels are those of a run in one
-process.
+Labelling (add_wmmse_labels) solves the whole set in one call, in the
+calling process: at the stock 8,400 rows the solve takes about 0.2 s, and
+the stock run that trains on its labels about 50 s, so forking it out over
+the CPUs would not pay for its code.
 """
 
 from __future__ import annotations
@@ -167,10 +163,11 @@ class EpisodeSpec:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}, expected one of {DISTRIBUTIONS}")
         if self.distribution == GEOMETRY:
-            if self.area_side_m is None or not self.area_side_m > 0:
+            if type(self.area_side_m) not in (int, float) or not self.area_side_m > 0:
                 raise ValueError("geometry episodes need a positive area_side_m")
-        if min(self.n_train, self.n_test, self.n_batches) < 1:
-            raise ValueError("n_train, n_test, n_batches must be positive")
+        counts = (self.n_train, self.n_test, self.n_batches)
+        if any(type(n) is not int for n in counts) or min(counts) < 1:
+            raise ValueError(f"n_train, n_test, n_batches must be positive integers, got {counts}")
         if self.n_train % self.n_batches != 0:
             raise ValueError(f"n_train={self.n_train} not divisible by n_batches={self.n_batches}")
 
@@ -286,56 +283,17 @@ def build_stream(specs: list[EpisodeSpec], k_pairs: int, rng: np.random.Generato
     return _episode_stream(k_pairs, specs, samples)
 
 
-# float entries (rows x K^2) each of gen's forked workers gets at least:
-# about 655 rows at K=10 and 7,282 at K=3, so a set forks from 1,311 K=10
-# or 14,564 K=3 rows. On a 2-CPU host (one BLAS thread, stock families,
-# medians of 15), forked labelling took, against serial, 1.95 times as long
-# at 128 K=10 rows, 1.41 at 504, 1.05 at 1,004, 0.95 at 2,004, 0.82 at
-# 4,004 and 0.73 at 8,004; at K=3, 1.62 at 4,004 rows, 1.02 at 8,004 and
-# 0.78 at 20,004
-_FORK_ENTRIES = 1 << 16
-
-
-def _gen_cpus(samples: SampleSet) -> list[int]:
-    """The CPUs to fork gen's workers on (see workers), one per share.
-
-    As many as shares of _FORK_ENTRIES entries fit, and none, so the set is
-    worked in this process, where fewer than two fit: a fork costs
-    milliseconds, and a share must pay for its own.
-    """
-    n, k = samples.h.shape[:2]
-    cpus = workers.worker_cpus()[: n * k * k // _FORK_ENTRIES]
-    return cpus if len(cpus) > 1 else []
-
-
 def add_wmmse_labels(samples: SampleSet, noise=1.0, p_max=1.0) -> None:
     """Write the solver's powers and rate into every row's labels and rbar.
 
-    The rows are solved on every usable CPU (see workers); each row's solve
-    does not depend on the others, so neither do the labels. Raises
-    ValueError, and labels no sample, if a label's rate is not positive (a
-    channel whose direct gains are all zero): rbar divides every evaluation
-    ratio, and load_dataset rejects it.
+    OpenBLAS runs one thread during the solve (see workers), so the labels do
+    not depend on the BLAS's thread count. Raises ValueError, and labels no
+    sample, if a label's rate is not positive (a channel whose direct gains
+    are all zero): rbar divides every evaluation ratio, and load_dataset
+    rejects it.
     """
-    n = len(samples)
-    if not n:
-        return
-    cpus = _gen_cpus(samples)
-    # job j solves every jobs-th row: the stream's first episodes cost the
-    # most, so contiguous shares would leave the last worker idle
-    jobs = max(1, len(cpus))
-    powers, rates = np.empty(samples.labels.shape), np.empty(n)
-
-    def solve(j):
-        mag = samples.mag[j::jobs]
-        return wsr.wmmse_many(mag * mag, noise=noise, p_max=p_max)
-
-    def report(j, solved):
-        if isinstance(solved, workers.WorkerDied):
-            raise solved
-        powers[j::jobs], rates[j::jobs] = solved
-
-    workers.run(range(jobs), solve, cpus, report)
+    with workers.one_blas_thread():
+        powers, rates = wsr.wmmse_many(samples.mag * samples.mag, noise=noise, p_max=p_max)
     bad = ~(rates > 0)
     if bad.any():
         i = int(bad.argmax())
@@ -392,13 +350,16 @@ def _header(fh):
         old = "; it is the JSON-lines format, regenerate the dataset with faircl gen" if version == 1 else ""
         raise DatasetFormatError(f"header: unsupported version {version}{old}")
     try:
-        k, noise, p_max = header["k"], header["noise"], header["p_max"]
-        specs = [EpisodeSpec(**sp) for sp in header["specs"]]
-    except (KeyError, TypeError, ValueError) as e:
+        k, noise, p_max, specs = header["k"], header["noise"], header["p_max"], header["specs"]
+        counts = [k] + [sp[n] for sp in specs for n in ("n_train", "n_test", "n_batches")]
+    except (KeyError, TypeError) as e:
         raise DatasetFormatError(f"header: bad header ({e})") from e
-    counts = [k] + [n for sp in specs for n in (sp.n_train, sp.n_test, sp.n_batches)]
     if any(type(n) is not int for n in counts) or k < 1:
         raise DatasetFormatError("header: k and the specs' counts must be positive integers")
+    try:
+        specs = [EpisodeSpec(**sp) for sp in specs]
+    except (TypeError, ValueError) as e:
+        raise DatasetFormatError(f"header: bad header ({e})") from e
     for name, value in (("noise", noise), ("p_max", p_max)):
         if type(value) not in (int, float) or not 0 < value < math.inf:
             raise DatasetFormatError(f"header: {name} must be a positive finite number, got {value!r}")

@@ -9,8 +9,8 @@ Three subcommands cover the experiment lifecycle:
   eval   score a saved model (or the solver itself) on a dataset's test
          sets and write a ratio histogram.
 
-On Linux with OpenBLAS, gen labels shares of the stream's rows, and run
-trains the methods, in forked processes, one per usable CPU (see workers).
+gen labels in its own process. On Linux with OpenBLAS, run trains the
+methods in forked processes, one per usable CPU (see workers).
 
 Every command is deterministic given (config, seed): reruns reproduce
 output files byte for byte. To keep that guarantee the persisted metrics
@@ -64,6 +64,9 @@ class ExperimentConfig:
     loss: LossSpec = field(default_factory=LossSpec)
 
     def __post_init__(self):
+        for name in ("seed", "k_pairs"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.episodes:
             raise ValueError("config needs at least one episode")
         for m in self.methods:
@@ -111,6 +114,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _build_nested(cls, raw: dict, label: str):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{label} must be a JSON object, got {raw!r}")
     known = {f.name for f in dataclasses.fields(cls)}
     extra = set(raw) - known
     if extra:
@@ -121,16 +126,18 @@ def _build_nested(cls, raw: dict, label: str):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if "seed" not in raw:
-        raise ValueError("config missing 'seed'")
-    if "k_pairs" not in raw:
-        raise ValueError("config missing 'k_pairs'")
-    if "episodes" not in raw:
-        raise ValueError("config missing 'episodes'")
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {raw!r}")
+    for key in ("seed", "k_pairs", "episodes"):
+        if key not in raw:
+            raise ValueError(f"config missing {key!r}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown config keys: {', '.join(sorted(extra))}")
+    for key in ("episodes", "methods", "hidden_sizes"):
+        if key in raw and not isinstance(raw[key], list):
+            raise ValueError(f"config {key!r} must be a JSON array, got {raw[key]!r}")
     kw = dict(raw)
     kw["episodes"] = [_build_nested(EpisodeSpec, e, "episode") for e in raw["episodes"]]
     if "loss" in raw:
@@ -249,6 +256,8 @@ def cmd_eval(args) -> int:
                 f"checkpoint expects {params.layer_sizes[0]} inputs, "
                 f"dataset K={stream.k_pairs} gives {stream.k_pairs ** 2}"
             )
+        if params.p_max != stream.p_max:
+            raise UsageError(f"checkpoint has p_max={params.p_max}, dataset labels were solved at p_max={stream.p_max}")
         policy = harness.network_policy(params)
         label = args.checkpoint
     # the policy runs once per test set; the means and the histogram share its ratios

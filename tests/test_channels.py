@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from faircl import channels, cli, wsr
+from faircl import channels, workers, wsr
 from conftest import forks_here
 
 
@@ -492,54 +492,30 @@ def test_load_reads_a_fifo(tmp_path):
         assert isinstance(want, str) and _through_fifo(lambda p: _outcome(channels.load_dataset, p), path) == want
 
 
-# ------------------------------------------------------------- gen workers
-
-def forked_stream(monkeypatch, dead_row=None):
-    """24 K=3 samples, enough to fork for; dead_row's direct gains are zero."""
-    monkeypatch.setattr(channels, "_FORK_ENTRIES", 8 * 9)
-    specs = [channels.EpisodeSpec(channels.RAYLEIGH, 8, 4, 2), channels.EpisodeSpec(channels.RICIAN, 8, 4, 2)]
-    stream = channels.build_stream(specs, 3, rng(5))
-    if dead_row is not None:
-        h = stream.samples.h.copy()
-        h[dead_row][np.diag_indices(3)] = 0.0
-        samples = channels.SampleSet(h, episode=stream.samples.episode)
-        stream = channels._episode_stream(stream.k_pairs, stream.specs, samples)
-    return stream
-
+# ------------------------------------------------------------- labelling
 
 @forks_here
-def test_gen_forks_only_where_each_share_pays_for_its_fork(use_cpus):
-    # the benchmark's 400- and 500-row K=10 sets and 480-row K=3 set are
-    # labelled in this process; the stock configs' sets in two shares
+def test_labels_never_fork(use_cpus, forks):
+    # 1,400 K=10 rows: enough for two CPUs' shares, were the solve shared out
     use_cpus(2)
-    stock = [sum(e.n_train + e.n_test for e in cli.default_config(s).episodes) for s in (10, 25)]
-    assert stock == [8400, 3360]
-    for n, k, want in ((400, 10, []), (500, 10, []), (480, 3, []), (8400, 10, [0, 1]), (3360, 10, [0, 1])):
-        assert channels._gen_cpus(channels.SampleSet(np.zeros((n, k, k), complex))) == want, (n, k)
-
-
-@forks_here
-def test_labels_same_in_process_and_in_workers(monkeypatch, no_children, use_cpus, forks):
-    labelled = []
-    # (CPUs, forks): the set holds three shares' entries, so at most three
-    for n, n_forks in ((1, 0), (2, 2), (3, 3), (8, 3)):
-        use_cpus(n)
-        forks.clear()
-        samples = forked_stream(monkeypatch).samples
-        channels.add_wmmse_labels(samples)
-        assert len(forks) == n_forks
-        labelled.append((samples.labels, samples.rbar))
+    samples = channels.gen_rayleigh(10, 1400, rng(5))
+    channels.add_wmmse_labels(samples)
+    assert forks == []
     powers, rates = wsr.wmmse_many(samples.mag**2)
-    for labels, rbar in labelled:
-        np.testing.assert_array_equal(labels, powers)
-        np.testing.assert_array_equal(rbar, rates)
+    np.testing.assert_array_equal(samples.labels, powers)
+    np.testing.assert_array_equal(samples.rbar, rates)
 
 
 @forks_here
-@pytest.mark.parametrize("n_cpus", [1, 3])
-def test_labels_in_workers_name_a_dead_channel_by_its_row(monkeypatch, no_children, use_cpus, n_cpus):
-    use_cpus(n_cpus)
-    samples = forked_stream(monkeypatch, dead_row=23).samples  # in the last worker's share
-    with pytest.raises(ValueError, match="^sample 23: WMMSE label rate 0.0 is not positive$"):
-        channels.add_wmmse_labels(samples)
-    assert np.isnan(samples.labels).all() and np.isnan(samples.rbar).all()
+def test_labels_hold_blas_to_one_thread_then_restore(monkeypatch):
+    set_threads, get_threads = workers._openblas()
+    calls, during, solve = [], [], wsr.wmmse_many
+    monkeypatch.setattr(workers, "_openblas", lambda: (lambda n: calls.append(n) or set_threads(n), get_threads))
+    monkeypatch.setattr(wsr, "wmmse_many", lambda *a, **kw: during.append(get_threads()) or solve(*a, **kw))
+    before = get_threads()
+    set_threads(2)  # an OPENBLAS_NUM_THREADS=2 start
+    try:
+        channels.add_wmmse_labels(small_stream().samples)
+        assert (calls, during, get_threads()) == ([1, 2], [1], 2)
+    finally:
+        set_threads(before)

@@ -100,6 +100,28 @@ def test_config_rejects_bad_input():
         config_from_dict(bad)
 
 
+TINY = config_to_dict(tiny_config())
+MALFORMED_CONFIGS = {
+    "episodes not a list": dict(TINY, episodes=5),
+    "episode not an object": dict(TINY, episodes=[5]),
+    "seed a string": dict(TINY, seed="a"),
+    "k_pairs a string": dict(TINY, k_pairs="2"),
+    "n_train a float": dict(TINY, episodes=[dict(TINY["episodes"][0], n_train=4.0)]),
+    "hidden_sizes a number": dict(TINY, hidden_sizes=5),
+    "loss a list": dict(TINY, loss=[]),
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+def test_gen_rejects_a_malformed_config_in_one_line(tmp_path, capsys, raw):
+    path, out = tmp_path / "bad.json", tmp_path / "data.bin"
+    path.write_text(json.dumps(raw))
+    assert gen(path, out) == 1
+    console = capsys.readouterr()
+    assert console.out == "" and re.fullmatch(r"error: [^\n]+\n", console.err), console.err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- gen
 
 def test_gen_writes_labeled_dataset(tmp_path, cfg_path, capsys):
@@ -152,75 +174,22 @@ def test_gen_seed_flag_overrides(tmp_path, cfg_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-# ------------------------------------------------------------ gen: workers
-
-
-def gen_forks(monkeypatch):
-    """Let gen fork for the tiny config's 24 K=2 rows."""
-    monkeypatch.setattr(channels, "_FORK_ENTRIES", 8 * 4)
+# ------------------------------------------------------------ gen: CPUs
 
 
 @forks_here
 def test_gen_files_same_with_one_or_more_workers(tmp_path, cfg_path, monkeypatch, no_children, use_cpus, forks):
-    gen_forks(monkeypatch)
     find_blas = workers._openblas
     datasets = []
-    # (CPUs, an OpenBLAS to hold to one thread per worker, forks): with
-    # workers, labelling forks one per CPU, up to one per share; the 24 rows
-    # make three shares
-    for n, blas, n_forks in ((1, True, 0), (2, True, 2), (3, True, 3), (8, True, 3), (3, False, 0)):
+    # (CPUs, an OpenBLAS to hold to one thread): gen labels in its own process on each
+    for n, blas in ((1, True), (2, True), (8, True), (2, False)):
         use_cpus(n)
         monkeypatch.setattr(workers, "_openblas", find_blas if blas else lambda: None)
-        forks.clear()
         out = tmp_path / f"data{n}{blas}.jsonl"
         assert gen(cfg_path, out) == 0
-        assert len(forks) == n_forks
         datasets.append(out.read_bytes())
+    assert forks == []
     assert all(data == datasets[0] for data in datasets)
-
-
-@forks_here
-def test_gen_dead_channel_in_a_worker_names_its_sample(tmp_path, cfg_path, monkeypatch, capsys, no_children, use_cpus):
-    gen_forks(monkeypatch)
-    use_cpus(3)
-    build = channels.build_stream
-    built = []
-
-    def with_dead_channel(*args):
-        stream = build(*args)
-        h = stream.samples.h.copy()
-        h[23][np.diag_indices(2)] = 0.0  # the last worker's share: rows 2, 5, ..., 23
-        samples = channels.SampleSet(h, episode=stream.samples.episode)
-        built.append(samples)
-        return channels._episode_stream(stream.k_pairs, stream.specs, samples)
-
-    monkeypatch.setattr(channels, "build_stream", with_dead_channel)
-    out = tmp_path / "data.jsonl"
-    assert gen(cfg_path, out) == 1
-    assert "error: sample 23: WMMSE label rate 0.0 is not positive" in capsys.readouterr().err
-    assert not out.exists()
-    assert np.isnan(built[0].labels).all() and np.isnan(built[0].rbar).all()
-
-
-@forks_here
-def test_gen_worker_killed_is_runtime_failure(tmp_path, cfg_path, monkeypatch, capsys, no_children, use_cpus):
-    gen_forks(monkeypatch)
-    use_cpus(2)
-    parent = os.getpid()
-    call = wsr.wmmse_many
-
-    def killed(*args, **kwargs):
-        if os.getpid() != parent:  # never kill the test's process
-            os.kill(os.getpid(), signal.SIGKILL)
-        return call(*args, **kwargs)
-
-    monkeypatch.setattr(wsr, "wmmse_many", killed)
-    out = tmp_path / "data.jsonl"
-    out.write_text("old\n")
-    assert gen(cfg_path, out) == 2
-    assert "error: worker process killed by signal 9" in capsys.readouterr().err
-    assert out.read_text() == "old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.jsonl"]
 
 
 # --------------------------------------------------------------------- run
@@ -639,6 +608,22 @@ def test_eval_checkpoint(tmp_path, cfg_path, data_path, capsys):
     )
     assert code == 0
     assert "episode 1:" in capsys.readouterr().out
+
+
+def test_eval_rejects_a_checkpoint_of_another_p_max(tmp_path, capsys):
+    # a p_max-4 network on labels solved at p_max 1 spends 4 times their budget
+    path, data = tmp_path / "k3.json", tmp_path / "data.jsonl"
+    path.write_text(json.dumps(config_to_dict(tiny_config(k_pairs=3))))
+    assert gen(path, data) == 0
+    ckpt = tmp_path / "p4.json"
+    model.save_params(model.init((9, 6, 3), 4.0, np.random.default_rng(0)), ckpt)
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert main(["eval", "--data", str(data), "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+    console = capsys.readouterr()
+    assert console.out == ""
+    assert "error: checkpoint has p_max=4.0, dataset labels were solved at p_max=1.0" in console.err
+    assert not out.exists()
 
 
 def test_eval_k_mismatch(tmp_path, data_path, capsys):
