@@ -125,6 +125,20 @@ def _build_nested(cls, raw: dict, label: str):
     return cls(**raw)
 
 
+# the numeric fields training reads, by the JSON types they take: a bool
+# is neither, and an integer field takes no float
+_INTEGER_KEYS = ("memory_capacity", "epochs", "minibatch_size")
+_NUMBER_KEYS = ("p_max", "noise", "alpha", "beta", "gda_alpha_theta", "gda_alpha_lambda")
+
+
+def _check_number(name, value, integer=False, nullable=False):
+    if nullable and value is None:
+        return
+    if type(value) not in ((int,) if integer else (int, float)):
+        what = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {what}{' or null' if nullable else ''}, got {value!r}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {raw!r}")
@@ -138,6 +152,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("episodes", "methods", "hidden_sizes"):
         if key in raw and not isinstance(raw[key], list):
             raise ValueError(f"config {key!r} must be a JSON array, got {raw[key]!r}")
+    for key in _INTEGER_KEYS + _NUMBER_KEYS:
+        if key in raw:
+            _check_number(key, raw[key], integer=key in _INTEGER_KEYS, nullable=key.startswith("gda_"))
+    for size in raw.get("hidden_sizes", ()):
+        _check_number("hidden_sizes entry", size, integer=True)
+    if isinstance(raw.get("loss"), dict) and "noise" in raw["loss"]:
+        _check_number("loss noise", raw["loss"]["noise"])
     kw = dict(raw)
     kw["episodes"] = [_build_nested(EpisodeSpec, e, "episode") for e in raw["episodes"]]
     if "loss" in raw:
@@ -201,6 +222,11 @@ def _run_method(method, stream, cfg, rng, out_dir):
     return rows, err, time.perf_counter() - start
 
 
+# the methods by their measured cost on the stock run, largest first: the
+# joint pools grow to the whole stream, Minimax takes full-pool steps
+_BY_COST = ("JointWeighted", "Minimax", "JointEqual", "Bilevel", "Reservoir", "TL")
+
+
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     stream = channels.load_dataset(args.data)
@@ -238,9 +264,10 @@ def cmd_run(args) -> int:
             f"final avg rate {rows[-1].avg_rate:.4f}, metrics in metrics_{method}.csv"
         )
 
-    # joint methods start first: their pools grow to the whole stream
-    joint_first = sorted(ordered, key=lambda m: m not in harness.JOINT_METHODS)
-    workers.run(ordered, job, workers.worker_cpus(), report, start=joint_first)
+    # the workers start in decreasing cost, so the last to finish is a
+    # short job; the reports, and with them the bytes, stay in canonical order
+    by_cost = sorted(ordered, key=_BY_COST.index)
+    workers.run(ordered, job, workers.worker_cpus(), report, start=by_cost)
     return 2 if failed else 0
 
 

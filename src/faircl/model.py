@@ -5,6 +5,12 @@ layers are ReLU; the output layer is a logistic sigmoid scaled by p_max, so
 every output lands strictly inside (0, p_max) and the power box holds by
 construction. Parameters live in one flat vector, layer-major: W0 row-major,
 b0, W1, b1, ...
+
+forward adds each bias and applies each ReLU in place on its GEMM's output,
+and its trace keeps only the activation entering each layer: backward masks
+the ReLU on a > 0, bitwise the mask z > 0 of the pre-activation. backward
+returns a fresh gradient vector that the caller owns and may overwrite, as
+the trainers do when they build the next parameter vector in it.
 """
 
 from __future__ import annotations
@@ -54,8 +60,9 @@ class ModelParams:
 
 @dataclass(eq=False)
 class ForwardTrace:
-    inputs: list  # activation entering each layer, (n, fan_in)
-    pre_acts: list  # z of each layer, (n, fan_out)
+    """What backward reads of one forward: no pre-activation is kept."""
+
+    inputs: list  # activation entering each layer, (n, fan_in): x, then each hidden layer's ReLU output
     outputs: np.ndarray  # (n, K) powers
     layer_sizes: tuple  # of the params forward ran with
 
@@ -96,8 +103,13 @@ def _sigmoid(z):
     # 1 / (1 + e) for z >= 0 and e / (1 + e) below. As e <= 1, the
     # numerator is max(e, step(z)), with step(0) = 1: float ufuncs in place
     # of a boolean mask, bit for bit the same values.
-    e = np.exp(np.copysign(z, -1.0))  # copysign(z, -1) is -|z|
-    return np.maximum(e, np.heaviside(z, 1.0)) / (1.0 + e)
+    e = np.copysign(z, -1.0)  # -|z|
+    np.exp(e, out=e)
+    s = np.heaviside(z, 1.0)
+    np.maximum(e, s, out=s)
+    e += 1.0
+    s /= e
+    return s
 
 
 def forward(params: ModelParams, x):
@@ -109,24 +121,27 @@ def forward(params: ModelParams, x):
     if a.ndim != 2 or a.shape[1] != params.layer_sizes[0]:
         raise ValueError(f"expected (n, {params.layer_sizes[0]}) inputs, got shape {a.shape}")
     *hidden, (w_out, b_out) = params.layers
-    inputs, pre_acts = [], []
-    # np.dot: on 2-D operands the same products as @, with less overhead
+    inputs = [a]
+    # np.dot: on 2-D operands the same products as @, with less overhead;
+    # the bias add and the ReLU then work in the GEMM's output, the same
+    # bits as z = a @ w.T + b and max(z, 0) made as new arrays
     for w, b in hidden:
+        a = np.dot(a, w.T)
+        a += b
+        np.maximum(a, 0.0, out=a)
         inputs.append(a)
-        z = np.dot(a, w.T) + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
-    inputs.append(a)
-    z = np.dot(a, w_out.T) + b_out
-    pre_acts.append(z)
-    a = params.p_max * _sigmoid(z)
-    return a, ForwardTrace(inputs, pre_acts, a, params.layer_sizes)
+    z = np.dot(a, w_out.T)
+    z += b_out
+    a = _sigmoid(z)
+    a *= params.p_max
+    return a, ForwardTrace(inputs, a, params.layer_sizes)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
     """Gradient of sum_i <upstream_i, pi(params; x_i)> over the flat values.
 
-    upstream is (n, K), one row per row of the forward outputs.
+    upstream is (n, K), one row per row of the forward outputs. The result
+    is a fresh vector, shared with no params and no trace: the caller owns it.
     """
     u = np.asarray(upstream, dtype=float)
     if u.shape != trace.outputs.shape:
@@ -135,8 +150,11 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
         raise ValueError("trace does not match params")
     layers = params.layers
 
+    # dz = u * p_max * s * (1 - s), left to right, in two arrays
     s = trace.outputs / params.p_max
-    dz = u * params.p_max * s * (1.0 - s)
+    dz = u * params.p_max
+    dz *= s
+    dz *= np.subtract(1.0, s, out=s)
     flat = np.empty_like(params.values)
     spans = _layout(params.layer_sizes)
     for i in reversed(range(len(layers))):
@@ -144,9 +162,11 @@ def backward(params: ModelParams, trace: ForwardTrace, upstream) -> np.ndarray:
         np.dot(dz.T, trace.inputs[i], flat[w0:b0].reshape(shape))
         np.add.reduce(dz, 0, out=flat[b0:b1])
         if i > 0:
-            # ReLU derivative as the mask z > 0 (0 at z = 0); a NaN z gives 0
-            # where a float step gives NaN, but its dz row is all NaN anyway
-            dz = np.dot(dz, layers[i][0]) * (trace.pre_acts[i - 1] > 0.0)
+            # ReLU derivative as the mask a > 0 on the activation a = max(z, 0),
+            # which is z > 0 bit for bit (0 at z = +-0); a NaN z gives 0 where a
+            # float step gives NaN, but its dz row is all NaN anyway
+            dz = np.dot(dz, layers[i][0])
+            dz *= trace.inputs[i] > 0.0
     return flat
 
 

@@ -32,7 +32,12 @@ a one-row set. The labels and rbar a set's columns feed are checked on
 entry, while a trainer checks its pool once and passes row takes.
 step_terms and chain_gradient split the compositional trainer's fused step
 around its y update; they share the g and f pull-back formulas with g_eval
-and f_eval.
+and f_eval. step_terms reads phi and xi as one Batch, phi's rows first,
+which the trainer takes from its pool in one row take per step.
+
+Every gradient an oracle returns is model.backward's fresh vector, which
+the caller owns: the trainers build their next parameters inside it.
+weighted_upper takes one scalar weight (SGD's 1/n) or one weight per row.
 
 Every oracle takes its per-sample terms from one _batch_terms pass. The
 value-only callers (g_value, lower_values, pool_stats) take their rates from
@@ -234,14 +239,17 @@ def loss_lower_u(spec: LossSpec, params, sample):
 def weighted_upper(spec: LossSpec, params, batch, weights):
     """Per-sample training losses plus the gradient of their weighted sum.
 
-    One forward pass serves both SGD (uniform weights give the mean loss)
-    and the minimax baseline (dual weights).
+    One forward pass serves both SGD (one scalar weight, 1/n, gives the
+    mean loss) and the minimax baseline (a vector of dual weights, one per
+    sample).
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(batch),):
-        raise ValueError(f"{w.shape} weights for {len(batch)} samples")
+    if w.ndim:
+        if w.shape != (len(batch),):
+            raise ValueError(f"{w.shape} weights for {len(batch)} samples")
+        w = w[:, None]
     t = _batch_terms(spec, params, batch, need_u=False)
-    grad = model.backward(params, t.trace, w[:, None] * t.up_ell)
+    grad = model.backward(params, t.trace, w * t.up_ell)
     return t.ell.copy(), grad
 
 
@@ -309,21 +317,24 @@ class StepTerms:
     n_phi: int
 
 
-def step_terms(spec: LossSpec, params, batch_phi, batch_xi) -> StepTerms:
-    """g on phi and what chain_gradient needs of phi and xi, from one forward."""
-    phi = as_batch(spec, batch_phi)
-    xi = as_batch(spec, batch_xi)
-    stacked = Batch(
-        np.concatenate((phi.mag, xi.mag)), _concat(phi.labels, xi.labels), _concat(phi.neg_alpha, xi.neg_alpha)
-    )
-    t = _batch_terms(spec, params, stacked)
-    m = len(phi)
-    g, g_up = _g_pullback(t.u[:m], t.up_u[:m])
-    return StepTerms(g, g_up, t, m)
+def stack(top: Batch, bottom: Batch) -> Batch:
+    """One Batch of top's rows above bottom's."""
+    return Batch(np.concatenate((top.mag, bottom.mag)), _concat(top.labels, bottom.labels),
+                 _concat(top.neg_alpha, bottom.neg_alpha))
 
 
 def _concat(a, b):
     return None if a is None else np.concatenate((a, b))
+
+
+def step_terms(spec: LossSpec, params, rows: Batch, n_phi: int) -> StepTerms:
+    """g on phi and what chain_gradient needs of phi and xi, from one forward.
+
+    rows holds phi's n_phi rows above xi's, as one take of a pool.
+    """
+    t = _batch_terms(spec, params, rows)
+    g, g_up = _g_pullback(t.u[:n_phi], t.up_u[:n_phi])
+    return StepTerms(g, g_up, t, n_phi)
 
 
 def chain_gradient(params, terms: StepTerms, z: float) -> np.ndarray:

@@ -17,12 +17,19 @@ Four training modes share the objective module's oracles:
 
 Each loop takes its pool's arrays once (objective.as_batch), checking
 labels and rbar there, and takes minibatches as row indices. A
-compositional step is fused: one forward at theta over the stacked
-[phi; xi] rows gives g on phi and every term of f on xi, one value-only
-forward at the previous theta gives g's old value on phi, and once y is
-refreshed one backward pulls back the stacked upstream, phi's g rows scaled
-by d f/d z over xi's rows of grad_theta f. The network's backward is linear
-in its upstream, so this is the chain-rule gradient up to summation order.
+compositional step is fused: scsc_train makes one row take of the pool
+per step, phi's rows above xi's, and one forward at theta over those
+stacked rows gives g on phi and every term of f on xi, one value-only
+forward at the previous theta gives g's old value on phi, a row view of
+the take, and once y is refreshed one backward pulls back the stacked
+upstream, phi's g rows scaled by d f/d z over xi's rows of grad_theta f.
+The network's backward is linear in its upstream, so this is the
+chain-rule gradient up to summation order.
+
+Every loop owns the gradient vector model.backward returns, and _descend
+builds the next parameter vector inside it: theta - alpha * grad without a
+new array. The parameters a step starts from are never written, so a
+compositional state's params_prev and a caller's params stay as they were.
 
 y must stay above a small floor; a collapse aborts with diagnostics rather
 than being clamped, since downstream quantities divide by y.
@@ -108,9 +115,15 @@ def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, *, rng) -> Traine
     return TrainerState(params, params, None, 0, alpha, beta, rng)
 
 
-def _descend(params, delta) -> model.ModelParams:
-    values = params.values + delta
-    if not np.isfinite(values).all():
+def _descend(params, grad, alpha) -> model.ModelParams:
+    """params - alpha * grad, built in grad: the caller's gradient buffer becomes the new values.
+
+    The same bits as params.values + (-alpha * grad); params is not written.
+    """
+    values = np.multiply(grad, -alpha, out=grad)
+    np.add(params.values, values, out=values)
+    # a NaN or an infinity shows in the smallest or the largest entry
+    if not (-np.inf < np.minimum.reduce(values) and np.maximum.reduce(values) < np.inf):
         raise DivergenceError("parameter update produced non-finite values; reduce alpha")
     # params passed the layout check, and values the finite check just made
     return model.ModelParams._checked(params.layer_sizes, values, params.p_max)
@@ -122,23 +135,28 @@ def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
     The minibatches are SampleSets or objective.Batch row takes: xi feeds
     f's terms, phi g's at the current and the previous params.
     """
+    phi = objective.as_batch(spec, batch_phi)
+    return _scsc_step(state, spec, objective.stack(phi, objective.as_batch(spec, batch_xi)), len(phi))
+
+
+def _scsc_step(state: TrainerState, spec, rows, n_phi) -> TrainerState:
+    # rows is one Batch, phi's n_phi rows above xi's
     if state.y is None:
         raise ValueError("tracking variable not initialized; run scsc_train or set y")
     if not state.y >= Y_FLOOR:
         raise TrackingCollapseError(
             f"tracking collapsed at step {state.step}: y = {state.y!r} (floor {Y_FLOOR})"
         )
-    phi = objective.as_batch(spec, batch_phi)
-    terms = objective.step_terms(spec, state.params, phi, batch_xi)
+    terms = objective.step_terms(spec, state.params, rows, n_phi)
     g_cur = terms.g_value
-    g_prev = objective.g_value(spec, state.params_prev, phi)
+    g_prev = objective.g_value(spec, state.params_prev, rows.take(slice(n_phi)))
     y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
     if not y_new >= Y_FLOOR:
         raise TrackingCollapseError(
             f"tracking collapsed at step {state.step}: y = {y_new!r} (floor {Y_FLOOR})"
         )
     grad = objective.chain_gradient(state.params, terms, y_new)
-    params_new = _descend(state.params, -state.alpha * grad)
+    params_new = _descend(state.params, grad, state.alpha)
     return state._next(params_new, state.params, y_new, state.step + 1)
 
 
@@ -158,17 +176,18 @@ def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int,
     pool = objective.as_batch(spec, pool)
     n = len(pool)
     for _ in range(iters):
-        xi = pool.take(state.rng.integers(0, n, minibatch_size))
-        phi = pool.take(state.rng.integers(0, n, minibatch_size))
+        xi_idx = state.rng.integers(0, n, minibatch_size)
+        phi_idx = state.rng.integers(0, n, minibatch_size)
+        rows = pool.take(np.concatenate((phi_idx, xi_idx)))
         if state.y is None:
-            y0 = objective.g_value(spec, state.params, phi)
+            y0 = objective.g_value(spec, state.params, rows.take(slice(minibatch_size)))
             if not y0 >= Y_FLOOR:
                 raise TrackingCollapseError(
                     f"tracking collapsed at initialization: y = {y0!r} (floor {Y_FLOOR})"
                 )
             state = state._next(state.params, state.params_prev, y0, state.step)
         before = state.params
-        state = scsc_step(state, spec, xi, phi)
+        state = _scsc_step(state, spec, rows, minibatch_size)
         if trace is not None:
             f_val, g_bar = objective.pool_stats(spec, before, pool)
             trace.append(
@@ -195,7 +214,7 @@ def gd_train(params, spec, dataset, iters: int, alpha: float, trace=None) -> mod
             raise DivergenceError(f"objective diverged at iteration {k}; reduce alpha")
         if trace is not None:
             trace.append(TraceRow(step=k, objective=value, grad_norm=float(np.linalg.norm(grad))))
-        params = _descend(params, -alpha * grad)
+        params = _descend(params, grad, alpha)
     return params
 
 
@@ -213,12 +232,10 @@ def sgd_train(params, spec, dataset, epochs: int, minibatch: int, alpha: float, 
         perm = rng.permutation(n)
         for s in range(0, n, minibatch):
             batch = pool.take(perm[s : s + minibatch])
-            ells, grad = objective.weighted_upper(
-                spec, params, batch, np.full(len(batch), 1.0 / len(batch))
-            )
+            ells, grad = objective.weighted_upper(spec, params, batch, 1.0 / len(batch))
             if not np.all(np.isfinite(ells)):
                 raise DivergenceError("training loss diverged; reduce alpha")
-            params = _descend(params, -alpha * grad)
+            params = _descend(params, grad, alpha)
     return params
 
 
@@ -243,7 +260,7 @@ def gda_train(params, dual: DualWeights, spec, dataset, iters: int, alpha_theta:
         ells, grad = objective.weighted_upper(spec, params, pool, lam)
         if not np.all(np.isfinite(ells)):
             raise DivergenceError("training loss diverged; reduce alpha_theta")
-        params = _descend(params, -alpha_theta * grad)
+        params = _descend(params, grad, alpha_theta)
         lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
         lam = lam / lam.sum()
     return params, DualWeights(lam)

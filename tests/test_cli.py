@@ -122,6 +122,43 @@ def test_gen_rejects_a_malformed_config_in_one_line(tmp_path, capsys, raw):
     assert not out.exists()
 
 
+# one case per numeric training field: each escaped cli.main as a
+# TypeError, or ran with a value of the wrong JSON type (TL reads no beta)
+MALFORMED_TRAINING_FIELDS = {
+    "p_max a bool": dict(TINY, p_max=True),
+    "noise a bool": dict(TINY, noise=True),
+    "memory_capacity a string": dict(TINY, memory_capacity="x"),
+    "epochs a float": dict(TINY, epochs=1.5),
+    "minibatch_size a string": dict(TINY, minibatch_size="4"),
+    "alpha a string": dict(TINY, alpha="x"),
+    "beta a string": dict(TINY, beta="x"),
+    "gda_alpha_theta a bool": dict(TINY, gda_alpha_theta=True),
+    "gda_alpha_lambda a string": dict(TINY, gda_alpha_lambda="x"),
+    "hidden_sizes entry a string": dict(TINY, hidden_sizes=["a"]),
+    "loss noise a string": dict(TINY, loss=dict(TINY["loss"], noise="1")),
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED_TRAINING_FIELDS.values(), ids=MALFORMED_TRAINING_FIELDS)
+def test_run_rejects_a_malformed_training_field_in_one_line(tmp_path, data_path, capsys, raw):
+    path, out = tmp_path / "bad.json", tmp_path / "runs"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run_cmd(path, data_path, out, "--methods", "TL") == 1
+    console = capsys.readouterr()
+    assert console.out == "" and re.fullmatch(r"error: [^\n]+\n", console.err), console.err
+    assert not out.exists()
+    # gen loads the same config, so it refuses it too
+    assert gen(path, tmp_path / "again.bin") == 1
+    assert not (tmp_path / "again.bin").exists()
+
+
+def test_config_keeps_numbers_of_either_json_type():
+    raw = dict(TINY, alpha=1, p_max=2, gda_alpha_theta=None, gda_alpha_lambda=0.5, loss=dict(TINY["loss"], noise=1))
+    cfg = config_from_dict(dict(raw, noise=1))
+    assert (cfg.alpha, cfg.p_max, cfg.gda_alpha_theta, cfg.loss.noise) == (1, 2, None, 1)
+
+
 # --------------------------------------------------------------------- gen
 
 def test_gen_writes_labeled_dataset(tmp_path, cfg_path, capsys):
@@ -217,6 +254,15 @@ def test_run_single_method(tmp_path, cfg_path, data_path, capsys):
     restored = model.load_params(out / "model_TL.json")
     assert restored.layer_sizes == (4, 6, 2)
     assert not (out / "metrics_Bilevel.csv").exists()
+
+
+def test_run_starts_the_workers_in_decreasing_cost(tmp_path, cfg_path, data_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(workers, "run", lambda keys, job, cpus, report, start: calls.append((keys, start)))
+    assert run_cmd(cfg_path, data_path, tmp_path / "runs", "--methods", "TL,Minimax,JointWeighted,Bilevel") == 0
+    # reports come in canonical order, starts in cost order
+    assert calls == [(["TL", "Bilevel", "Minimax", "JointWeighted"], ["JointWeighted", "Minimax", "Bilevel", "TL"])]
+    assert sorted(cli._BY_COST) == sorted(harness.METHODS)
 
 
 def test_run_unknown_method(tmp_path, cfg_path, data_path, capsys):

@@ -247,7 +247,8 @@ def _forward_reference(params, x):
 
 def _backward_concatenated(params, trace, upstream, relu_grad=lambda z: z > 0.0):
     # reference: per-layer gradients joined with np.concatenate, ReLU
-    # derivative as the boolean mask z > 0 unless relu_grad says otherwise
+    # derivative as the boolean mask z > 0 unless relu_grad says otherwise,
+    # on each pre-activation z made again from the layer's input
     u = np.atleast_2d(upstream)
     s = trace.outputs / params.p_max
     dz = u * params.p_max * s * (1.0 - s)
@@ -255,7 +256,8 @@ def _backward_concatenated(params, trace, upstream, relu_grad=lambda z: z > 0.0)
     for i in reversed(range(len(params.layers))):
         grads[i] = (dz.T @ trace.inputs[i], dz.sum(axis=0))
         if i > 0:
-            dz = (dz @ params.layers[i][0]) * relu_grad(trace.pre_acts[i - 1])
+            w, b = params.layers[i - 1]
+            dz = (dz @ params.layers[i][0]) * relu_grad(trace.inputs[i - 1] @ w.T + b)
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
 
@@ -276,8 +278,8 @@ def test_forward_backward_bitwise_equal_to_reference_forms(sizes):
         up = rng.standard_normal((n, sizes[-1]))
         got = model.backward(params, trace, up)
         assert np.array_equal(got, _backward_concatenated(params, trace, up))
-        for pre in trace.pre_acts[:-1]:
-            pre[0, ::2] = -0.0  # both zeros sit at the kink; neither passes
+        for act in trace.inputs[1:]:
+            act[0, ::2] = -0.0  # both zeros sit at the kink; neither passes
         got = model.backward(params, trace, up)
         assert np.array_equal(got, _backward_concatenated(params, trace, up, _heaviside_grad))
 
@@ -292,7 +294,7 @@ def test_relu_mask_matches_heaviside_at_nan_pre_activations(sizes):
     x[1] = np.nan
     x[2] = 0.0
     _, trace = model.forward(params, x)
-    assert np.isnan(trace.pre_acts[0][1]).all()
+    assert np.isnan(trace.inputs[1][1]).all()
     up = rng.standard_normal((4, sizes[-1]))
     got = model.backward(params, trace, up)
     want = _backward_concatenated(params, trace, up, _heaviside_grad)

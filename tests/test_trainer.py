@@ -369,3 +369,55 @@ def test_pool_checks_raise_once_per_pool():
         trainer.scsc_train(trainer.init_state(params, rng=rng), LossSpec(), pool, 1, 2)
     # SGD reads no rbar
     trainer.sgd_train(params, LossSpec(), pool, 1, 2, 0.1, rng)
+
+
+def _bits(values):
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("k, hidden, mb", SHAPES)
+@pytest.mark.parametrize("spec_index", range(4))
+def test_scsc_train_equals_steps_on_separate_takes(k, hidden, mb, spec_index):
+    # scsc_train takes phi's and xi's rows in one take; a loop of scsc_step
+    # on two takes of the same draws gives the same bits
+    spec = SPEC_GRID[spec_index]
+    _, pool, params, _ = reference_case(k, hidden, spec_index)
+    got = trainer.scsc_train(trainer.init_state(params, 0.05, 0.2, rng=np.random.default_rng(7)), spec, pool, 5, mb)
+    rng = np.random.default_rng(7)
+    want = trainer.init_state(params, 0.05, 0.2, rng=rng)
+    for _ in range(5):
+        xi = pool.take(rng.integers(0, len(pool), mb))
+        phi = pool.take(rng.integers(0, len(pool), mb))
+        if want.y is None:
+            want = trainer.TrainerState(params, params, objective.g_value(spec, params, phi), 0, 0.05, 0.2, rng)
+        want = trainer.scsc_step(want, spec, xi, phi)
+    assert got.y == want.y and got.step == want.step == 5
+    assert _bits(got.params.values) == _bits(want.params.values)
+    assert _bits(got.params_prev.values) == _bits(want.params_prev.values)
+
+
+@pytest.mark.parametrize("spec_index", range(4))
+def test_updates_never_write_a_live_parameter_vector(spec_index):
+    # every trainer builds its next parameters in the gradient that
+    # model.backward returned: the vectors a step reads stay as they were
+    spec = SPEC_GRID[spec_index]
+    rng, pool, params, prev = reference_case(3, (16,), spec_index)
+    kept, kept_prev = _bits(params.values), _bits(prev.values)
+
+    state = trainer.TrainerState(params, prev, 1.0, 3, 0.1, 0.2, np.random.default_rng(0))
+    out = trainer.scsc_step(state, spec, pool.take(np.arange(0, 20)), pool.take(np.arange(20, 40)))
+    assert _bits(state.params.values) == kept and _bits(state.params_prev.values) == kept_prev
+    assert out.params_prev is params and not np.shares_memory(out.params.values, params.values)
+    trained = trainer.scsc_train(state, spec, pool, 3, 20)
+    assert _bits(params.values) == kept and _bits(prev.values) == kept_prev
+    assert not np.shares_memory(trained.params.values, params.values)
+
+    got = trainer.sgd_train(params, spec, pool, 2, 20, 0.1, np.random.default_rng(1))
+    assert _bits(params.values) == kept and not np.shares_memory(got.values, params.values)
+    got, _ = trainer.gda_train(params, DualWeights.uniform(len(pool)), spec, pool, 3, 0.05, 0.5)
+    assert _bits(params.values) == kept and not np.shares_memory(got.values, params.values)
+
+    _, trace = model.forward(params, pool.mag.reshape(len(pool), -1))
+    grad = model.backward(params, trace, rng.standard_normal(trace.outputs.shape))
+    assert not np.shares_memory(grad, params.values)
+    assert not any(np.shares_memory(grad, a) for a in trace.inputs)
