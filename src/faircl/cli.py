@@ -12,6 +12,10 @@ Three subcommands cover the experiment lifecycle:
 gen labels in its own process. On Linux with OpenBLAS, run trains the
 methods in forked processes, one per usable CPU (see workers).
 
+ExperimentConfig takes its training fields from harness.Training, which
+checks them at load; run also builds each selected method's StrategyConfig
+before it writes or forks anything, so a bad config writes nothing.
+
 Every command is deterministic given (config, seed): reruns reproduce
 output files byte for byte. To keep that guarantee the persisted metrics
 zero out the wall_ms column; real timings go to the console instead.
@@ -32,10 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channels, harness, model, workers
+from . import channels, harness, model, objective, workers
 from .channels import EpisodeSpec
 from .harness import METHODS, StrategyConfig
-from .objective import LossSpec
 
 DEFAULT_SCALE = 10
 
@@ -45,25 +48,16 @@ class UsageError(Exception):
 
 
 @dataclass
-class ExperimentConfig:
-    # the training fields default to StrategyConfig's values
+class ExperimentConfig(harness.Training):
     seed: int
     k_pairs: int
     episodes: list[EpisodeSpec]
     methods: list[str] = field(default_factory=lambda: list(METHODS))
-    p_max: float = StrategyConfig.p_max
     noise: float = 1.0
-    hidden_sizes: tuple[int, ...] = StrategyConfig.hidden_sizes
-    memory_capacity: int = 200
-    epochs: int = StrategyConfig.epochs
-    minibatch_size: int = StrategyConfig.minibatch_size
-    alpha: float = StrategyConfig.alpha
-    beta: float = StrategyConfig.beta
-    gda_alpha_theta: float | None = StrategyConfig.gda_alpha_theta
-    gda_alpha_lambda: float | None = StrategyConfig.gda_alpha_lambda
-    loss: LossSpec = field(default_factory=LossSpec)
+    memory_capacity: int = field(default=200, kw_only=True)
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("seed", "k_pairs"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -72,24 +66,14 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+        objective.check_positive("noise", self.noise)
         # gen labels at noise, training and scoring use loss.noise
         if self.noise != self.loss.noise:
             raise ValueError(f"noise={self.noise} and loss.noise={self.loss.noise} must be equal")
 
     def strategy(self, method: str) -> StrategyConfig:
-        return StrategyConfig(
-            method=method,
-            memory_capacity=self.memory_capacity,
-            loss=self.loss,
-            hidden_sizes=tuple(self.hidden_sizes),
-            p_max=self.p_max,
-            epochs=self.epochs,
-            minibatch_size=self.minibatch_size,
-            alpha=self.alpha,
-            beta=self.beta,
-            gda_alpha_theta=self.gda_alpha_theta,
-            gda_alpha_lambda=self.gda_alpha_lambda,
-        )
+        training = {f.name: getattr(self, f.name) for f in dataclasses.fields(harness.Training)}
+        return StrategyConfig(method=method, **training)
 
 
 def default_config(scale: int = DEFAULT_SCALE) -> ExperimentConfig:
@@ -106,11 +90,7 @@ def default_config(scale: int = DEFAULT_SCALE) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["hidden_sizes"] = list(cfg.hidden_sizes)
-    out["episodes"] = [dataclasses.asdict(e) for e in cfg.episodes]
-    out["loss"] = dataclasses.asdict(cfg.loss)
-    return out
+    return dict(dataclasses.asdict(cfg), hidden_sizes=list(cfg.hidden_sizes))
 
 
 def _build_nested(cls, raw: dict, label: str):
@@ -125,20 +105,6 @@ def _build_nested(cls, raw: dict, label: str):
     return cls(**raw)
 
 
-# the numeric fields training reads, by the JSON types they take: a bool
-# is neither, and an integer field takes no float
-_INTEGER_KEYS = ("memory_capacity", "epochs", "minibatch_size")
-_NUMBER_KEYS = ("p_max", "noise", "alpha", "beta", "gda_alpha_theta", "gda_alpha_lambda")
-
-
-def _check_number(name, value, integer=False, nullable=False):
-    if nullable and value is None:
-        return
-    if type(value) not in ((int,) if integer else (int, float)):
-        what = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {what}{' or null' if nullable else ''}, got {value!r}")
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {raw!r}")
@@ -149,22 +115,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     extra = set(raw) - known
     if extra:
         raise ValueError(f"unknown config keys: {', '.join(sorted(extra))}")
-    for key in ("episodes", "methods", "hidden_sizes"):
+    for key in ("episodes", "methods"):
         if key in raw and not isinstance(raw[key], list):
             raise ValueError(f"config {key!r} must be a JSON array, got {raw[key]!r}")
-    for key in _INTEGER_KEYS + _NUMBER_KEYS:
-        if key in raw:
-            _check_number(key, raw[key], integer=key in _INTEGER_KEYS, nullable=key.startswith("gda_"))
-    for size in raw.get("hidden_sizes", ()):
-        _check_number("hidden_sizes entry", size, integer=True)
-    if isinstance(raw.get("loss"), dict) and "noise" in raw["loss"]:
-        _check_number("loss noise", raw["loss"]["noise"])
     kw = dict(raw)
     kw["episodes"] = [_build_nested(EpisodeSpec, e, "episode") for e in raw["episodes"]]
     if "loss" in raw:
-        kw["loss"] = _build_nested(LossSpec, raw["loss"], "loss")
-    if "hidden_sizes" in raw:
-        kw["hidden_sizes"] = tuple(raw["hidden_sizes"])
+        kw["loss"] = _build_nested(objective.LossSpec, raw["loss"], "loss")
     return ExperimentConfig(**kw)
 
 
@@ -209,11 +166,12 @@ def _zeroed(row: harness.MetricsRow) -> harness.MetricsRow:
     return dataclasses.replace(row, wall_ms=0)
 
 
-def _run_method(method, stream, cfg, rng, out_dir):
+def _run_method(strategy, stream, rng, out_dir):
+    method = strategy.method
     start = time.perf_counter()
     rows, err = [], None
     try:
-        rows, params = harness.run_continual(stream, cfg.strategy(method), rng)
+        rows, params = harness.run_continual(stream, strategy, rng)
         model.save_params(params, out_dir / f"model_{method}.json")
     except harness.TrainingAborted as exc:
         rows, err = exc.rows, str(exc)
@@ -240,16 +198,17 @@ def cmd_run(args) -> int:
     selected = cfg.methods
     if args.methods:
         selected = [m.strip() for m in args.methods.split(",") if m.strip()]
-        for m in selected:
-            if m not in METHODS:
-                raise UsageError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
-    ordered = [m for m in METHODS if m in selected]
+    if not selected:
+        raise UsageError("no methods selected")
+    # every strategy is checked before anything is written or forked
+    strategies = {m: cfg.strategy(m) for m in selected}
+    ordered = [m for m in METHODS if m in strategies]
     out_dir = _ensure_dir(args.out)
     rngs = method_rngs(cfg.seed)
     failed = []
 
     def job(method):
-        return _run_method(method, stream, cfg, rngs[method], out_dir)
+        return _run_method(strategies[method], stream, rngs[method], out_dir)
 
     def report(method, outcome):
         if isinstance(outcome, workers.WorkerDied):

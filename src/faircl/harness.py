@@ -16,6 +16,9 @@ round's parameters:
 Training takes the stream's sample set at row indices, the memory's first
 and then the batch's, and never sees episode boundaries; only evaluation
 groups the held-out sets by episode.
+
+Training declares the training fields once and checks their types and
+ranges; StrategyConfig adds the method and Minimax's two-timescale check.
 """
 
 from __future__ import annotations
@@ -45,9 +48,13 @@ class TrainingAborted(RuntimeError):
         self.rows = rows
 
 
-@dataclass
-class StrategyConfig:
-    method: str
+@dataclass(kw_only=True)
+class Training:
+    """The training fields of a strategy and of an experiment config.
+
+    __post_init__ checks each field's JSON type and range.
+    """
+
     memory_capacity: int = 0
     loss: LossSpec = field(default_factory=LossSpec)
     hidden_sizes: tuple[int, ...] = (200, 80)
@@ -60,12 +67,38 @@ class StrategyConfig:
     gda_alpha_lambda: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.hidden_sizes, (list, tuple)):
+            raise ValueError(f"hidden_sizes must be an array of integers >= 1, got {self.hidden_sizes!r}")
+        self.hidden_sizes = tuple(self.hidden_sizes)
+        counts = [("memory_capacity", self.memory_capacity, 0), ("epochs", self.epochs, 0),
+                  ("minibatch_size", self.minibatch_size, 1)]
+        for name, value, least in counts + [("hidden_sizes entry", n, 1) for n in self.hidden_sizes]:
+            if type(value) is bool or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        objective.check_positive("p_max", self.p_max)
+        objective.check_positive("alpha", self.alpha)
+        objective.check_positive("beta", self.beta, most=1)
+        objective.check_positive("gda_alpha_theta", self.gda_alpha_theta, nullable=True)
+        objective.check_positive("gda_alpha_lambda", self.gda_alpha_lambda, nullable=True)
+
+
+@dataclass
+class StrategyConfig(Training):
+    method: str
+
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; valid: {', '.join(METHODS)}")
-        if self.memory_capacity < 0:
-            raise ValueError("memory_capacity must be nonnegative")
-        if self.epochs < 0 or self.minibatch_size < 1:
-            raise ValueError("bad epochs or minibatch_size")
+        super().__post_init__()
+        if self.method == "Minimax":
+            a_theta, a_lambda = self.gda_rates()
+            if not a_lambda > a_theta:
+                raise ValueError(f"Minimax needs gda_alpha_lambda > gda_alpha_theta, got {a_lambda!r} <= {a_theta!r}")
+
+    def gda_rates(self) -> tuple[float, float]:
+        """Minimax's (alpha_theta, alpha_lambda): theta defaults to alpha, lambda to 10 theta."""
+        a_theta = self.alpha if self.gda_alpha_theta is None else self.gda_alpha_theta
+        return a_theta, 10.0 * a_theta if self.gda_alpha_lambda is None else self.gda_alpha_lambda
 
 
 @dataclass
@@ -163,8 +196,7 @@ def _train_round(cfg, params, train_set, rng):
         state = trainer.scsc_train(state, cfg.loss, train_set, iters, cfg.minibatch_size)
         return state.params, None
     # Minimax: fresh uniform dual each round, final dual drives selection
-    a_theta = cfg.alpha if cfg.gda_alpha_theta is None else cfg.gda_alpha_theta
-    a_lambda = 10.0 * a_theta if cfg.gda_alpha_lambda is None else cfg.gda_alpha_lambda
+    a_theta, a_lambda = cfg.gda_rates()
     params, dual = trainer.gda_train(
         params, trainer.DualWeights.uniform(len(train_set)), cfg.loss, train_set, iters, a_theta, a_lambda
     )

@@ -71,6 +71,15 @@ class GuardExceededError(ValueError):
     """Some |u| exceeded U_GUARD, so e^u is no longer a usable weight."""
 
 
+def check_positive(name, value, most=math.inf, nullable=False):
+    """Refuse all but a number in (0, most], or None if nullable: a bool, NaN and +-inf fail."""
+    if nullable and value is None:
+        return
+    if type(value) is bool or not isinstance(value, (int, float)) or not (0 < value < math.inf and value <= most):
+        want = "a positive finite number" if most == math.inf else f"a number in (0, {most}]"
+        raise ValueError(f"{name} must be {'null or ' if nullable else ''}{want}, got {value!r}")
+
+
 @dataclass
 class LossSpec:
     upper: str = "mse"
@@ -85,8 +94,7 @@ class LossSpec:
             raise ValueError(f"unknown lower loss {self.lower!r}")
         if self.alpha_mode not in ALPHA_MODES:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if not self.noise > 0:
-            raise ValueError("noise must be positive")
+        check_positive("loss.noise", self.noise)
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import pickle
 import re
@@ -157,6 +158,65 @@ def test_config_keeps_numbers_of_either_json_type():
     raw = dict(TINY, alpha=1, p_max=2, gda_alpha_theta=None, gda_alpha_lambda=0.5, loss=dict(TINY["loss"], noise=1))
     cfg = config_from_dict(dict(raw, noise=1))
     assert (cfg.alpha, cfg.p_max, cfg.gda_alpha_theta, cfg.loss.noise) == (1, 2, None, 1)
+
+
+# one case per range rule. Each was checked only inside training, so
+# some wrote other methods' files, or reported one ABORTED, before the error
+OUT_OF_RANGE = {
+    "beta 0": dict(TINY, beta=0),
+    "beta 2.0": dict(TINY, beta=2.0),
+    "alpha 0": dict(TINY, alpha=0),
+    "alpha NaN": dict(TINY, alpha=math.nan),
+    "alpha Infinity": dict(TINY, alpha=math.inf),
+    "epochs -1": dict(TINY, epochs=-1),
+    "minibatch_size 0": dict(TINY, minibatch_size=0),
+    "memory_capacity -1": dict(TINY, memory_capacity=-1),
+    "hidden_sizes [0]": dict(TINY, hidden_sizes=[0]),
+    "p_max 0": dict(TINY, p_max=0),
+    "gda_alpha_theta -1": dict(TINY, gda_alpha_theta=-1),
+    "gda_alpha_lambda Infinity": dict(TINY, gda_alpha_lambda=math.inf),
+    "noise NaN": dict(TINY, noise=math.nan),
+    "loss.noise NaN": dict(TINY, loss=dict(TINY["loss"], noise=math.nan)),
+}
+
+
+def refused_in_one_line(capsys, code):
+    console = capsys.readouterr()
+    return code == 1 and console.out == "" and re.fullmatch(r"error: [^\n]+\n", console.err)
+
+
+@pytest.mark.parametrize("raw", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_run_refuses_a_training_field_out_of_range_before_writing(tmp_path, data_path, capsys, use_cpus, forks, raw):
+    use_cpus(2)
+    path, out = tmp_path / "bad.json", tmp_path / "runs"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert refused_in_one_line(capsys, run_cmd(path, data_path, out, "--methods", "TL,Bilevel,Minimax"))
+    assert not out.exists() and forks == []
+    assert refused_in_one_line(capsys, gen(path, tmp_path / "again.bin"))
+    assert not (tmp_path / "again.bin").exists()
+
+
+def test_run_checks_minimax_rates_only_when_minimax_runs(tmp_path, data_path, capsys, use_cpus, forks):
+    # the effective lambda, 1e-4, is not above the effective theta, alpha's 1e-3
+    use_cpus(2)
+    path, out = tmp_path / "slow_dual.json", tmp_path / "runs"
+    path.write_text(json.dumps(dict(TINY, alpha=1e-3, gda_alpha_lambda=1e-4)))
+    capsys.readouterr()
+    assert refused_in_one_line(capsys, run_cmd(path, data_path, out, "--methods", "TL,Minimax"))
+    assert not out.exists() and forks == []
+    assert run_cmd(path, data_path, out, "--methods", "TL") == 0
+    assert sorted(p.name for p in out.iterdir()) == ["metrics_TL.csv", "model_TL.json"]
+
+
+def test_run_refuses_an_empty_method_selection(tmp_path, data_path, capsys, use_cpus, forks):
+    use_cpus(2)
+    path, out = tmp_path / "none.json", tmp_path / "runs"
+    path.write_text(json.dumps(dict(TINY, methods=[])))
+    capsys.readouterr()
+    for extra in ((), ("--methods", ",")):
+        assert refused_in_one_line(capsys, run_cmd(path, data_path, out, *extra))
+        assert not out.exists() and forks == []
 
 
 # --------------------------------------------------------------------- gen

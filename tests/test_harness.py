@@ -194,11 +194,53 @@ def test_aborted_run_carries_partial_rows(monkeypatch):
     assert len(info.value.rows) == 1
 
 
-def test_strategy_config_validation():
-    with pytest.raises(ValueError, match="valid"):
-        StrategyConfig(method="EWMA")
-    with pytest.raises(ValueError, match="memory_capacity"):
-        StrategyConfig(method="TL", memory_capacity=-1)
+# (keyword arguments, the refusal's text): one case per rule of Training
+# and StrategyConfig; NaN and +-inf fail every numeric range
+REFUSED_STRATEGIES = {
+    "method EWMA": (dict(method="EWMA"), "unknown method 'EWMA'; valid"),
+    "memory_capacity -1": (dict(memory_capacity=-1), "memory_capacity must be an integer >= 0, got -1"),
+    "memory_capacity a float": (dict(memory_capacity=2.0), "memory_capacity must be an integer"),
+    "epochs -1": (dict(epochs=-1), "epochs must be an integer >= 0"),
+    "epochs a bool": (dict(epochs=True), "epochs must be an integer"),
+    "minibatch_size 0": (dict(minibatch_size=0), "minibatch_size must be an integer >= 1"),
+    "hidden_sizes [0]": (dict(hidden_sizes=[0]), "hidden_sizes entry must be an integer >= 1"),
+    "hidden_sizes a number": (dict(hidden_sizes=5), "hidden_sizes must be an array"),
+    "p_max 0": (dict(p_max=0), "p_max must be a positive finite number, got 0"),
+    "p_max a bool": (dict(p_max=True), "p_max must be a positive finite number"),
+    "alpha NaN": (dict(alpha=float("nan")), "alpha must be a positive finite number, got nan"),
+    "alpha Infinity": (dict(alpha=float("inf")), "alpha must be a positive finite number, got inf"),
+    "beta 0": (dict(beta=0.0), r"beta must be a number in \(0, 1\], got 0.0"),
+    "beta 2.0": (dict(beta=2.0), r"beta must be a number in \(0, 1\]"),
+    "gda_alpha_theta -1": (dict(gda_alpha_theta=-1), "gda_alpha_theta must be null or a positive"),
+    "gda_alpha_lambda -inf": (dict(gda_alpha_lambda=float("-inf")), "gda_alpha_lambda must be null or"),
+    "Minimax lambda below theta": (
+        dict(method="Minimax", alpha=1e-3, gda_alpha_lambda=1e-4),
+        "Minimax needs gda_alpha_lambda > gda_alpha_theta, got 0.0001 <= 0.001",
+    ),
+    "Minimax lambda equal to theta": (
+        dict(method="Minimax", gda_alpha_theta=0.5, gda_alpha_lambda=0.5),
+        "Minimax needs gda_alpha_lambda > gda_alpha_theta",
+    ),
+}
+
+
+@pytest.mark.parametrize("kw, message", REFUSED_STRATEGIES.values(), ids=REFUSED_STRATEGIES)
+def test_strategy_config_validation(kw, message):
+    with pytest.raises(ValueError, match=message):
+        StrategyConfig(**dict(dict(method="TL"), **kw))
+
+
+def test_loss_noise_is_checked_by_its_own_spec():
+    for noise in (0, float("nan"), float("inf"), True, "1"):
+        with pytest.raises(ValueError, match="loss.noise must be a positive finite number"):
+            LossSpec(noise=noise)
+
+
+def test_minimax_rates_default_from_alpha_and_pass_other_methods():
+    assert StrategyConfig(method="Minimax", alpha=0.02).gda_rates() == (0.02, 0.2)
+    assert StrategyConfig(method="Minimax", gda_alpha_theta=0.1, gda_alpha_lambda=0.3).gda_rates() == (0.1, 0.3)
+    StrategyConfig(method="Bilevel", alpha=1e-3, gda_alpha_lambda=1e-4)  # the condition is Minimax's alone
+    assert StrategyConfig(method="TL", hidden_sizes=[3, 2]).hidden_sizes == (3, 2)
 
 
 # ----------------------------------------------------------------- output
