@@ -43,7 +43,7 @@ for method in harness.METHODS:
         hidden_sizes=(16,),
         epochs=20,
         minibatch_size=20,
-        alpha=0.5 if method in harness.SGD_METHODS else 0.3,
+        alpha=0.5 if harness.STRATEGIES[method].trainer == "sgd" else 0.3,
         beta=0.1,
         gda_alpha_theta=0.5,
         gda_alpha_lambda=1.0,

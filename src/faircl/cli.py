@@ -58,9 +58,10 @@ class ExperimentConfig(harness.Training):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("seed", "k_pairs"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, least in (("seed", 0), ("k_pairs", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.episodes:
             raise ValueError("config needs at least one episode")
         for m in self.methods:
@@ -133,7 +134,7 @@ def load_config(path) -> ExperimentConfig:
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)  # the flag passes the config's checks
     return cfg
 
 
@@ -241,6 +242,10 @@ def cmd_eval(args) -> int:
             raise UsageError(
                 f"checkpoint expects {params.layer_sizes[0]} inputs, "
                 f"dataset K={stream.k_pairs} gives {stream.k_pairs ** 2}"
+            )
+        if params.layer_sizes[-1] != stream.k_pairs:
+            raise UsageError(
+                f"checkpoint outputs {params.layer_sizes[-1]} powers, dataset K={stream.k_pairs} needs {stream.k_pairs}"
             )
         if params.p_max != stream.p_max:
             raise UsageError(f"checkpoint has p_max={params.p_max}, dataset labels were solved at p_max={stream.p_max}")

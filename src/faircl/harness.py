@@ -1,17 +1,13 @@
-"""Continual-learning outer loop, strategy dispatch, and evaluation.
+"""Continual-learning outer loop, strategy table, and evaluation.
 
-Six strategies consume the same episode stream. All of them train first and
-update their memory afterwards, warm-starting each round from the previous
-round's parameters:
-
-  TL             newest batch only, plain SGD, no memory.
-  Reservoir      memory + batch with SGD; reservoir-sampled memory.
-  Bilevel        memory + batch with the compositional trainer; keeps the
-                 M worst-served samples (largest u) of the training pool.
-  Minimax        memory + batch with descent/ascent; keeps the M samples
-                 with the largest final dual weights.
-  JointEqual     every sample seen so far, plain SGD.
-  JointWeighted  every sample seen so far, compositional trainer.
+Six strategies consume the same episode stream. Each is one row of
+STRATEGIES: a trainer (sgd: plain SGD, scsc: the compositional trainer,
+gda: descent/ascent) paired with a memory rule (see memory). All of them
+train first and update their memory afterwards, warm-starting each round
+from the previous round's parameters. _train_round branches on the
+trainer and run_continual on the memory rule, never on a method name.
+Both call through the trainer and memory module attributes, so a tracer
+that replaces those attributes sees every call.
 
 Training takes the stream's sample set at row indices, the memory's first
 and then the batch's, and never sees episode boundaries; only evaluation
@@ -27,6 +23,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +31,23 @@ from . import memory as memory_mod
 from . import model, objective, trainer, wsr
 from .objective import LossSpec
 
-METHODS = ("TL", "Reservoir", "Bilevel", "Minimax", "JointEqual", "JointWeighted")
-SGD_METHODS = ("TL", "Reservoir", "JointEqual")
-SCSC_METHODS = ("Bilevel", "JointWeighted")
-JOINT_METHODS = ("JointEqual", "JointWeighted")
+
+class Strategy(NamedTuple):
+    trainer: str  # "sgd", "scsc" or "gda"
+    memory: str | None  # None, "reservoir", "top_m" or "joint"
+
+
+# the row order is the canonical method order: it fixes each method's
+# random stream (cli.method_rngs) and the report order
+STRATEGIES = {
+    "TL": Strategy("sgd", None),  # the newest batch only
+    "Reservoir": Strategy("sgd", "reservoir"),  # plus a uniform sample of the stream
+    "Bilevel": Strategy("scsc", "top_m"),  # plus the M worst-served (largest u) pool rows
+    "Minimax": Strategy("gda", "top_m"),  # plus the M pool rows of largest final dual weight
+    "JointEqual": Strategy("sgd", "joint"),  # every sample seen so far
+    "JointWeighted": Strategy("scsc", "joint"),
+}
+METHODS = tuple(STRATEGIES)
 
 
 class TrainingAborted(RuntimeError):
@@ -184,33 +194,21 @@ def ratio_histogram(policy, test_sets, bin_width: float, noise: float = 1.0):
 
 
 def _train_round(cfg, params, train_set, rng):
-    method = cfg.method
-    if method in SGD_METHODS:
+    """(params, scores): scores are the final dual for gda, else None."""
+    kind = STRATEGIES[cfg.method].trainer
+    if kind == "sgd":
         return trainer.sgd_train(
             params, cfg.loss, train_set, cfg.epochs, cfg.minibatch_size, cfg.alpha, rng
         ), None
     # the step count of cfg.epochs passes over the pool
     iters = cfg.epochs * math.ceil(len(train_set) / cfg.minibatch_size)
-    if method in SCSC_METHODS:
+    if kind == "scsc":
         state = trainer.init_state(params, cfg.alpha, cfg.beta, rng=rng)
         state = trainer.scsc_train(state, cfg.loss, train_set, iters, cfg.minibatch_size)
         return state.params, None
-    # Minimax: fresh uniform dual each round, final dual drives selection
+    # gda: a fresh uniform dual each round
     a_theta, a_lambda = cfg.gda_rates()
-    params, dual = trainer.gda_train(
-        params, trainer.DualWeights.uniform(len(train_set)), cfg.loss, train_set, iters, a_theta, a_lambda
-    )
-    return params, dual
-
-
-def _make_buffer(cfg, rng):
-    if cfg.method == "TL":
-        return memory_mod.MemoryBuffer(0, memory_mod.NO_MEMORY)
-    if cfg.method == "Reservoir":
-        return memory_mod.MemoryBuffer(cfg.memory_capacity, memory_mod.RESERVOIR, rng=rng)
-    if cfg.method in ("Bilevel", "Minimax"):
-        return memory_mod.MemoryBuffer(cfg.memory_capacity, memory_mod.BILEVEL_TOP_M)
-    return memory_mod.MemoryBuffer(0, memory_mod.JOINT_UNBOUNDED)
+    return trainer.gda_train(params, cfg.loss, train_set, iters, a_theta, a_lambda)
 
 
 def run_continual(stream, cfg: StrategyConfig, rng):
@@ -222,33 +220,33 @@ def run_continual(stream, cfg: StrategyConfig, rng):
     """
     k = stream.k_pairs
     params = model.init((k * k, *cfg.hidden_sizes, k), cfg.p_max, rng)
-    buf = _make_buffer(cfg, rng)
+    rule = STRATEGIES[cfg.method].memory
+    items: list = []  # the memory: row indices of stream.samples
     rows: list[MetricsRow] = []
     seen = 0
     for batch in stream.batches:
         start = time.perf_counter()
-        seen += len(batch)
-        pool = buf.items + list(batch)  # row indices: memory first, then the batch
-        dual = None
+        pool = items + list(batch)  # row indices: memory first, then the batch
+        scores = None
         try:
             if pool:
                 train_set = stream.samples.take(pool)
-                params, dual = _train_round(cfg, params, train_set, rng)
-            if cfg.method == "Reservoir":
-                memory_mod.update_reservoir(buf, batch)
-            elif cfg.method == "Bilevel" and pool:
-                u = objective.lower_values(cfg.loss, params, train_set)
-                memory_mod.update_bilevel(buf, pool, u)
-            elif cfg.method == "Minimax" and dual is not None:
-                memory_mod.update_bilevel(buf, pool, dual.lam)
-            elif cfg.method in JOINT_METHODS:
-                memory_mod.update_joint(buf, batch)
+                params, scores = _train_round(cfg, params, train_set, rng)
+            if rule == "reservoir":
+                items = memory_mod.update_reservoir(items, batch, seen, cfg.memory_capacity, rng)
+            elif rule == "top_m" and pool:
+                if scores is None:
+                    scores = objective.lower_values(cfg.loss, params, train_set)
+                items = memory_mod.update_bilevel(pool, scores, cfg.memory_capacity)
+            elif rule == "joint":
+                items = memory_mod.update_joint(items, batch)
         except (
             trainer.DivergenceError,
             objective.TrackingCollapseError,
             objective.GuardExceededError,
         ) as exc:
             raise TrainingAborted(f"{cfg.method}: {exc}", rows) from exc
+        seen += len(batch)
         rates, ratios = evaluate(network_policy(params), stream.test_sets, cfg.loss.noise)
         row = MetricsRow(
             seen_samples=seen,

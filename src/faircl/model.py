@@ -228,6 +228,10 @@ def load_params(path) -> ModelParams:
     if len(raw) % 8:
         raise ValueError(f"checkpoint values hold {len(raw)} bytes, not a whole number of float64s")
     try:
-        return ModelParams(tuple(sizes), np.frombuffer(raw, "<f8").astype(float), p_max)
+        sizes = tuple(sizes)
+        for s in sizes:
+            if type(s) is not int:  # ModelParams would truncate 4.9 to 4 and take True as 1
+                raise ValueError(f"layer size {s!r} is not an integer")
+        return ModelParams(sizes, np.frombuffer(raw, "<f8").astype(float), p_max)
     except (TypeError, ValueError) as e:  # layout, finiteness and p_max checks, or a field's type
         raise ValueError(f"checkpoint: {e}") from e

@@ -12,8 +12,9 @@ Four training modes share the objective module's oracles:
   sgd_train   plain epoch SGD on the unweighted mean training loss, the
               optimizer behind the non-fairness baselines.
   gda_train   two-timescale descent/ascent for the minimax baseline: theta
-              descends the dual-weighted loss while the dual ascends by a
-              multiplicative update that keeps it on the simplex exactly.
+              descends the dual-weighted loss while the dual, uniform at
+              the start, ascends by a multiplicative update that keeps it
+              on the simplex exactly.
 
 Each loop takes its pool's arrays once (objective.as_batch), checking
 labels and rbar there, and takes minibatches as row indices. A
@@ -79,24 +80,6 @@ class TrainerState:
         s.params, s.params_prev, s.y, s.step = params, params_prev, y, step
         s.alpha, s.beta, s.rng = self.alpha, self.beta, self.rng
         return s
-
-
-@dataclass(eq=False)
-class DualWeights:
-    """Per-sample dual weights on the probability simplex."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if self.lam.ndim != 1 or self.lam.size == 0:
-            raise ValueError("dual weights must be a nonempty vector")
-        if np.any(self.lam < 0) or abs(self.lam.sum() - 1.0) > 1e-12:
-            raise ValueError("dual weights are not on the simplex")
-
-    @classmethod
-    def uniform(cls, n: int) -> "DualWeights":
-        return cls(np.full(n, 1.0 / n))
 
 
 @dataclass
@@ -239,23 +222,22 @@ def sgd_train(params, spec, dataset, epochs: int, minibatch: int, alpha: float, 
     return params
 
 
-def gda_train(params, dual: DualWeights, spec, dataset, iters: int, alpha_theta: float, alpha_lambda: float):
+def gda_train(params, spec, dataset, iters: int, alpha_theta: float, alpha_lambda: float):
     """Two-timescale minimax: simultaneous theta descent and dual ascent.
 
-    Both updates at step k use the same loss evaluation. The dual moves by
+    The dual starts uniform on the simplex. Both updates at step k use the
+    same loss evaluation. The dual moves by
     lam_i <- lam_i * exp(alpha_lambda * ell_i), max-shifted and renormalized,
-    so it stays on the simplex exactly.
+    so it stays on the simplex exactly. Returns (params, lam).
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if dual.lam.size != len(dataset):
-        raise ValueError(f"{dual.lam.size} dual weights for {len(dataset)} samples")
     if not alpha_lambda > alpha_theta:
         raise ValueError("two-timescale ascent needs alpha_lambda > alpha_theta")
     if alpha_theta < 0 or iters < 0:
         raise ValueError("alpha_theta and iters must be nonnegative")
     pool = objective.as_batch(spec, dataset, need_u=False)
-    lam = dual.lam.copy()
+    lam = np.full(len(pool), 1.0 / len(pool))
     for _ in range(iters):
         ells, grad = objective.weighted_upper(spec, params, pool, lam)
         if not np.all(np.isfinite(ells)):
@@ -263,4 +245,4 @@ def gda_train(params, dual: DualWeights, spec, dataset, iters: int, alpha_theta:
         params = _descend(params, grad, alpha_theta)
         lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
         lam = lam / lam.sum()
-    return params, DualWeights(lam)
+    return params, lam

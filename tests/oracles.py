@@ -180,6 +180,7 @@ def bad_checkpoints(params) -> list:
     good = json.loads(checkpoint_text(params))
     raw = base64.b64decode(good["values"])
     no_version = {k: v for k, v in good.items() if k != "version"}
+    sizes = good["layer_sizes"]
     cases = [
         ("version 1", dict(no_version, values=params.values.tolist()), "version 1.*rerun faircl run"),
         ("no version", dict(no_version), "missing field 'version'"),
@@ -190,6 +191,10 @@ def bad_checkpoints(params) -> list:
         ("NaN bytes", dict(good, values=_b64(struct.pack("<d", math.nan) + raw[8:])), "must be finite"),
         ("infinite p_max", dict(good, p_max=math.inf), "p_max must be a positive finite number, got inf"),
         ("sizes not a list", dict(good, layer_sizes=4), "checkpoint: .*not iterable"),
+        # ModelParams would read 4.9 as 4 and True as 1
+        ("float layer size", dict(good, layer_sizes=[sizes[0] + 0.9, *sizes[1:]]),
+         f"checkpoint: layer size {sizes[0] + 0.9!r} is not an integer"),
+        ("bool layer size", dict(good, layer_sizes=[*sizes[:-1], True]), "checkpoint: layer size True is not an integer"),
         ("not an object", [good], "not a JSON object"),
     ]
     return [(name, json.dumps(doc) + "\n", match) for name, doc, match in cases]

@@ -269,10 +269,9 @@ def test_memory_selection_rules_are_exact():
     counts = np.zeros(n, dtype=np.int64)
     root = np.random.default_rng(20240817)
     for _ in range(trials):
-        buf = memory.MemoryBuffer(capacity=cap, strategy=memory.RESERVOIR,
-                                  rng=np.random.default_rng(int(root.integers(2 ** 63))))
-        memory.update_reservoir(buf, stream)
-        counts[buf.items] += 1
+        items = memory.update_reservoir([], stream, 0, cap,
+                                        np.random.default_rng(int(root.integers(2 ** 63))))
+        counts[items] += 1
     expected = trials * cap / n
     stat = float(((counts - expected) ** 2 / expected).sum())
     # Each trial keeps exactly cap of n positions, which correlates the cell

@@ -197,6 +197,30 @@ def test_run_refuses_a_training_field_out_of_range_before_writing(tmp_path, data
     assert not (tmp_path / "again.bin").exists()
 
 
+# (config, flags, the refusal's text): each passed load, so run made --out
+# and then failed with a line that named no field, or with a K mismatch
+REFUSED_AT_LOAD = {
+    "config seed -1": (dict(TINY, seed=-1), [], "seed must be an integer >= 0, got -1"),
+    "--seed -3": (TINY, ["--seed", "-3"], "seed must be an integer >= 0, got -3"),
+    "k_pairs 0": (dict(TINY, k_pairs=0), [], "k_pairs must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("raw, flags, message", REFUSED_AT_LOAD.values(), ids=REFUSED_AT_LOAD)
+def test_run_and_gen_refuse_a_bad_seed_or_k_pairs_naming_the_field(tmp_path, data_path, capsys, raw, flags, message):
+    path, out = tmp_path / "bad.json", tmp_path / "runs"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run_cmd(path, data_path, out, *flags) == 1
+    console = capsys.readouterr()
+    assert console.out == "" and console.err == f"error: {message}\n"
+    assert not out.exists()
+    again = tmp_path / "again.bin"
+    assert main(["gen", "--config", str(path), "--out", str(again), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not again.exists()
+
+
 def test_run_checks_minimax_rates_only_when_minimax_runs(tmp_path, data_path, capsys, use_cpus, forks):
     # the effective lambda, 1e-4, is not above the effective theta, alpha's 1e-3
     use_cpus(2)
@@ -338,11 +362,14 @@ def test_run_is_byte_deterministic(tmp_path, cfg_path, data_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_run_method_rng_independent_of_filter(tmp_path, cfg_path, data_path):
-    both, solo = tmp_path / "both", tmp_path / "solo"
-    assert run_cmd(cfg_path, data_path, both) == 0
-    assert run_cmd(cfg_path, data_path, solo, "--methods", "Bilevel") == 0
-    assert (both / "metrics_Bilevel.csv").read_bytes() == (solo / "metrics_Bilevel.csv").read_bytes()
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_run_method_rng_independent_of_filter(tmp_path, cfg_path, data_path, method):
+    # the table's order, not the selection, fixes each method's random stream
+    every, solo = tmp_path / "every", tmp_path / "solo"
+    assert run_cmd(cfg_path, data_path, every, "--methods", ",".join(harness.METHODS)) == 0
+    assert run_cmd(cfg_path, data_path, solo, "--methods", method) == 0
+    for name in (f"metrics_{method}.csv", f"model_{method}.json"):
+        assert (every / name).read_bytes() == (solo / name).read_bytes(), name
 
 
 def test_run_guard_trip_is_runtime_failure(tmp_path, capsys):
@@ -733,14 +760,19 @@ def test_eval_rejects_a_checkpoint_of_another_p_max(tmp_path, capsys):
 
 
 def test_eval_k_mismatch(tmp_path, data_path, capsys):
-    ckpt = tmp_path / "wrong.json"
-    params = model.init((9, 4, 3), 1.0, np.random.default_rng(0))
-    model.save_params(params, ckpt)
-    code = main(
-        ["eval", "--data", str(data_path), "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt)]
-    )
-    assert code == 1
-    assert "K=2" in capsys.readouterr().err
+    # a (4, 6, 1) network scored its one power broadcast to both users, a
+    # (4, 6, 3) one failed in numpy's broadcasting
+    for sizes, message in (
+        ((9, 4, 3), "checkpoint expects 9 inputs, dataset K=2 gives 4"),
+        ((4, 6, 1), "checkpoint outputs 1 powers, dataset K=2 needs 2"),
+        ((4, 6, 3), "checkpoint outputs 3 powers, dataset K=2 needs 2"),
+    ):
+        ckpt, out = tmp_path / "wrong.json", tmp_path / "e"
+        model.save_params(model.init(sizes, 1.0, np.random.default_rng(0)), ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data_path), "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 BAD_CHECKPOINTS = bad_checkpoints(model.init((4, 6, 2), 1.0, np.random.default_rng(0)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faircl import channels, harness, memory, model
+from faircl import channels, harness, memory, model, objective, trainer
 from faircl.channels import EpisodeSpec, EpisodeStream, SampleSet
 from faircl.harness import StrategyConfig
 from faircl.objective import LossSpec
@@ -131,6 +131,64 @@ def test_every_method_produces_full_rows():
     for method in harness.METHODS:
         rows, _ = harness.run_continual(stream, tiny_cfg(method), np.random.default_rng(8))
         assert len(rows) == 4, method
+
+
+RULE_FUNCTIONS = {"reservoir": "update_reservoir", "top_m": "update_bilevel", "joint": "update_joint"}
+
+
+def test_each_method_calls_its_trainer_and_memory_rule_through_the_modules(monkeypatch):
+    # a wrapper on the module attribute, as a tracer installs, sees each call
+    calls = []
+    for mod, names in ((trainer, ("sgd_train", "scsc_train", "gda_train")), (memory, RULE_FUNCTIONS.values())):
+        for name in names:
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    stream = tiny_stream(np.random.default_rng(7))
+    assert harness.METHODS == ("TL", "Reservoir", "Bilevel", "Minimax", "JointEqual", "JointWeighted")
+    for method, (trainer_name, rule) in harness.STRATEGIES.items():
+        calls.clear()
+        harness.run_continual(stream, tiny_cfg(method), np.random.default_rng(8))
+        want = [f"{trainer_name}_train"] + ([RULE_FUNCTIONS[rule]] if rule else [])
+        assert calls == want * 4, method
+
+
+def test_reservoir_is_told_the_rows_seen_before_each_batch(monkeypatch):
+    seen = []
+    update = memory.update_reservoir
+
+    def update_reservoir(items, batch, n, *rest):
+        seen.append(n)
+        return update(items, batch, n, *rest)
+
+    monkeypatch.setattr(memory, "update_reservoir", update_reservoir)
+    harness.run_continual(tiny_stream(np.random.default_rng(7)), tiny_cfg("Reservoir"), np.random.default_rng(8))
+    assert seen == [0, 4, 8, 12]
+
+
+def test_top_m_ranks_minimax_by_its_final_dual_and_bilevel_by_u(monkeypatch):
+    stream = tiny_stream(np.random.default_rng(7))
+    duals, ranked = [], []
+    gda, update = trainer.gda_train, memory.update_bilevel
+
+    def gda_train(*args):
+        params, lam = gda(*args)
+        duals.append(lam)
+        return params, lam
+
+    def update_bilevel(pool, scores, capacity):
+        ranked.append((pool, scores))
+        return update(pool, scores, capacity)
+
+    monkeypatch.setattr(trainer, "gda_train", gda_train)
+    monkeypatch.setattr(memory, "update_bilevel", update_bilevel)
+    harness.run_continual(stream, tiny_cfg("Minimax"), np.random.default_rng(8))
+    assert len(ranked) == 4 and all(scores is lam for (_, scores), lam in zip(ranked, duals))
+    ranked.clear()
+    cfg = tiny_cfg("Bilevel")
+    _, params = harness.run_continual(stream, cfg, np.random.default_rng(8))
+    # the last round ranks its pool by u at the final params
+    pool, scores = ranked[-1]
+    assert np.array_equal(scores, objective.lower_values(cfg.loss, params, stream.samples.take(pool)))
 
 
 def test_tl_skips_empty_batch():

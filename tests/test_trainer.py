@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from faircl import channels, memory, model, objective, trainer
 from faircl.objective import LossSpec, TrackingCollapseError
-from faircl.trainer import DivergenceError, DualWeights
+from faircl.trainer import DivergenceError
 
 from oracles import gda_train_lists, lower_values_lists, rel_error, scsc_step_unfused, sgd_train_lists
 
@@ -214,45 +214,45 @@ def test_gda_identical_losses_keep_uniform_dual():
     rng = np.random.default_rng(13)
     pool = labeled_batch(rng, 1).take([0] * 5)
     params = model.init(SIZES, 1.0, rng)
-    _, dual = trainer.gda_train(params, DualWeights.uniform(5), gda_spec(), pool, 20, 0.01, 0.1)
-    assert_allclose(dual.lam, np.full(5, 0.2), rtol=0, atol=0)
+    _, lam = trainer.gda_train(params, gda_spec(), pool, 20, 0.01, 0.1)
+    assert_allclose(lam, np.full(5, 0.2), rtol=0, atol=0)
 
 
 def test_gda_single_sample_dual_stays_one():
     rng = np.random.default_rng(14)
     pool = labeled_batch(rng, 1)
     params = model.init(SIZES, 1.0, rng)
-    _, dual = trainer.gda_train(params, DualWeights.uniform(1), gda_spec(), pool, 10, 0.01, 0.1)
-    assert dual.lam[0] == 1.0
+    _, lam = trainer.gda_train(params, gda_spec(), pool, 10, 0.01, 0.1)
+    assert lam.tolist() == [1.0]
 
 
 def test_gda_dual_follows_closed_form():
     # frozen theta (alpha_theta = 0): ell_1 = 0.25, ell_2 = 0 are constants,
-    # so lam_1 after k steps is 1 / (1 + c^k) with c = exp(-alpha_lambda/4)
+    # so lam_1 after k steps from the uniform dual is 1 / (1 + c^k) with
+    # c = exp(-alpha_lambda/4)
     pool = channels.SampleSet(np.zeros((2, K, K), dtype=complex), np.array([[1.0, 0.5], [0.5, 0.5]]))
     params = zero_params()
     alpha_lambda = 0.8
     c = np.exp(-alpha_lambda * 0.25)
-    dual = DualWeights.uniform(2)
     prev = 0.5
     for k in range(1, 12):
-        _, dual = trainer.gda_train(params, dual, gda_spec(), pool, 1, 0.0, alpha_lambda)
-        assert dual.lam[0] == pytest.approx(1.0 / (1.0 + c**k), rel=1e-12)
-        assert dual.lam[0] > prev
-        assert dual.lam.sum() == pytest.approx(1.0, abs=1e-12)
-        prev = dual.lam[0]
+        _, lam = trainer.gda_train(params, gda_spec(), pool, k, 0.0, alpha_lambda)
+        assert lam[0] == pytest.approx(1.0 / (1.0 + c**k), rel=1e-12)
+        assert lam[0] > prev
+        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        prev = lam[0]
 
 
 def test_gda_validation():
     rng = np.random.default_rng(15)
     pool = labeled_batch(rng, 3)
     params = model.init(SIZES, 1.0, rng)
-    with pytest.raises(ValueError, match="simplex"):
-        DualWeights(np.array([0.7, 0.7, -0.4]))
     with pytest.raises(ValueError, match="alpha_lambda"):
-        trainer.gda_train(params, DualWeights.uniform(3), gda_spec(), pool, 1, 0.1, 0.1)
-    with pytest.raises(ValueError, match="dual weights"):
-        trainer.gda_train(params, DualWeights.uniform(2), gda_spec(), pool, 1, 0.01, 0.1)
+        trainer.gda_train(params, gda_spec(), pool, 1, 0.1, 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        trainer.gda_train(params, gda_spec(), pool, 1, -0.1, 0.1)
+    with pytest.raises(ValueError, match="empty"):
+        trainer.gda_train(params, gda_spec(), pool.take(np.arange(0)), 1, 0.01, 0.1)
 
 
 # ---------------------------------------------------------------- plumbing
@@ -320,13 +320,12 @@ def test_sgd_and_gda_bitwise_equal_list_reference(k, hidden, mb, spec_index):
     want = sgd_train_lists(params, spec, pool, 2, mb, 0.1, np.random.default_rng(1))
     assert np.array_equal(got.values, want.values)
 
-    dual = DualWeights.uniform(len(pool))
-    got_params, got_dual = trainer.gda_train(params, dual, spec, pool, 5, 0.05, 0.5)
-    want_params, want_lam = gda_train_lists(params, dual.lam, spec, pool, 5, 0.05, 0.5)
+    got_params, got_lam = trainer.gda_train(params, spec, pool, 5, 0.05, 0.5)
+    want_params, want_lam = gda_train_lists(params, np.full(len(pool), 1 / len(pool)), spec, pool, 5, 0.05, 0.5)
     assert np.array_equal(got_params.values, want_params.values)
-    assert np.array_equal(got_dual.lam, want_lam)
+    assert np.array_equal(got_lam, want_lam)
     # Minimax keeps the largest final dual weights
-    assert np.array_equal(memory.top_m_indices(got_dual.lam, 10), memory.top_m_indices(want_lam, 10))
+    assert np.array_equal(memory.top_m_indices(got_lam, 10), memory.top_m_indices(want_lam, 10))
 
 
 @pytest.mark.parametrize("k, hidden, mb", SHAPES)
@@ -346,9 +345,8 @@ def test_lower_values_and_bilevel_selection_bitwise_equal_list_reference(k, hidd
         objective.lower_values(spec, params, batch.take(idx)),
         lower_values_lists(spec, params, pool.take(idx)),
     )
-    buf = memory.MemoryBuffer(10, memory.BILEVEL_TOP_M)
-    memory.update_bilevel(buf, range(len(pool)), objective.lower_values(spec, params, pool))
-    assert buf.items == memory.top_m_indices(want, 10).tolist()
+    kept = memory.update_bilevel(range(len(pool)), objective.lower_values(spec, params, pool), 10)
+    assert kept == memory.top_m_indices(want, 10).tolist()
 
 
 def test_pool_checks_raise_once_per_pool():
@@ -414,7 +412,7 @@ def test_updates_never_write_a_live_parameter_vector(spec_index):
 
     got = trainer.sgd_train(params, spec, pool, 2, 20, 0.1, np.random.default_rng(1))
     assert _bits(params.values) == kept and not np.shares_memory(got.values, params.values)
-    got, _ = trainer.gda_train(params, DualWeights.uniform(len(pool)), spec, pool, 3, 0.05, 0.5)
+    got, _ = trainer.gda_train(params, spec, pool, 3, 0.05, 0.5)
     assert _bits(params.values) == kept and not np.shares_memory(got.values, params.values)
 
     _, trace = model.forward(params, pool.mag.reshape(len(pool), -1))
