@@ -3,7 +3,7 @@ The fairness-weighted objective and its tracking variable
 =========================================================
 
 The training objective is a softmax-weighted sum of per-sample losses,
-where the weights come from a lower-level score u (here the negative
+where the weights come from a lower-level score u (the negative
 solver-normalized rate). Written as a composition f(g(theta); theta) it
 admits a cheap stochastic scheme in which a scalar y tracks the inner
 mean g. This script shows the weights concentrating on the worst samples
@@ -13,10 +13,9 @@ and the tracker converging onto g during training.
 import numpy as np
 
 from faircl import channels, model, objective, trainer
-from faircl.objective import LossSpec
 
 rng = np.random.default_rng(4)
-spec = LossSpec()  # squared error upstairs, ratio-weighted rate downstairs
+noise = 1.0  # the noise power the labels are solved at, and u's rates taken at
 
 pool = channels.gen_rayleigh(2, 8, rng)
 channels.add_wmmse_labels(pool)
@@ -24,7 +23,7 @@ params = model.init((4, 12, 2), 1.0, rng)
 
 # Untrained network: sample ratios are all over the place, and the softmax
 # weights single out whoever underperforms the solver the most.
-u = objective.lower_values(spec, params, pool)
+u = objective.lower_values(noise, params, pool)
 lam = objective.softmax_weights(u)
 print("sample   rate/solver   weight")
 for i in range(len(pool)):
@@ -33,8 +32,8 @@ print(f"worst sample {int(np.argmax(u))} carries the largest weight")
 
 # The weighted sum and the composed form are the same number; the chain rule
 # through (g, f) matches the direct gradient to machine precision.
-value, grad = objective.full_objective(spec, params, pool)
-ev = objective.eval_composition(spec, params, pool)
+value, grad = objective.full_objective(noise, params, pool)
+ev = objective.eval_composition(noise, params, pool)
 chain = ev.grad_g * ev.grad1_f + ev.grad2_f
 print(f"\nweighted objective {value:.10f}")
 print(f"composed  f(g)     {ev.f_value:.10f}")
@@ -48,7 +47,7 @@ channels.add_wmmse_labels(pool)
 params = model.init((4, 8, 2), 1.0, rng)
 state = trainer.init_state(params, alpha=0.005, beta=0.05, rng=rng)
 rows = []
-state = trainer.scsc_train(state, spec, pool, iters=800, minibatch_size=10,
+state = trainer.scsc_train(state, noise, pool, iters=800, minibatch_size=10,
                            trace=rows)
 print("\nstep   objective        y        |y - g|^2")
 for row in rows[::100] + [rows[-1]]:

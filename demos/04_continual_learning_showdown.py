@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from faircl import channels, cli, harness
-from faircl.objective import LossSpec
 
 SEED = 0
 K = 3
@@ -39,7 +38,6 @@ for method in harness.METHODS:
     cfg = harness.StrategyConfig(
         method=method,
         memory_capacity=50,
-        loss=LossSpec(),
         hidden_sizes=(16,),
         epochs=20,
         minibatch_size=20,

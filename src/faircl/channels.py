@@ -27,7 +27,7 @@ bit-exact.
 
 Labelling (add_wmmse_labels) solves the whole set in one call, in the
 calling process: at the stock 8,400 rows the solve takes about 0.2 s, and
-the stock run that trains on its labels about 50 s, so forking it out over
+the stock run that trains on its labels about 30 s, so forking it out over
 the CPUs would not pay for its code.
 """
 
@@ -163,8 +163,8 @@ class EpisodeSpec:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}, expected one of {DISTRIBUTIONS}")
         if self.distribution == GEOMETRY:
-            if type(self.area_side_m) not in (int, float) or not self.area_side_m > 0:
-                raise ValueError("geometry episodes need a positive area_side_m")
+            if type(self.area_side_m) not in (int, float) or not 0 < self.area_side_m < math.inf:
+                raise ValueError(f"geometry episodes need a positive finite area_side_m, got {self.area_side_m!r}")
         counts = (self.n_train, self.n_test, self.n_batches)
         if any(type(n) is not int for n in counts) or min(counts) < 1:
             raise ValueError(f"n_train, n_test, n_batches must be positive integers, got {counts}")

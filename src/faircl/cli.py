@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channels, harness, model, objective, workers
+from . import channels, harness, model, workers
 from .channels import EpisodeSpec
 from .harness import METHODS, StrategyConfig
 
@@ -53,7 +53,6 @@ class ExperimentConfig(harness.Training):
     k_pairs: int
     episodes: list[EpisodeSpec]
     methods: list[str] = field(default_factory=lambda: list(METHODS))
-    noise: float = 1.0
     memory_capacity: int = field(default=200, kw_only=True)
 
     def __post_init__(self):
@@ -67,10 +66,6 @@ class ExperimentConfig(harness.Training):
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
-        objective.check_positive("noise", self.noise)
-        # gen labels at noise, training and scoring use loss.noise
-        if self.noise != self.loss.noise:
-            raise ValueError(f"noise={self.noise} and loss.noise={self.loss.noise} must be equal")
 
     def strategy(self, method: str) -> StrategyConfig:
         training = {f.name: getattr(self, f.name) for f in dataclasses.fields(harness.Training)}
@@ -121,8 +116,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValueError(f"config {key!r} must be a JSON array, got {raw[key]!r}")
     kw = dict(raw)
     kw["episodes"] = [_build_nested(EpisodeSpec, e, "episode") for e in raw["episodes"]]
-    if "loss" in raw:
-        kw["loss"] = _build_nested(objective.LossSpec, raw["loss"], "loss")
     return ExperimentConfig(**kw)
 
 

@@ -22,14 +22,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import memory as memory_mod
 from . import model, objective, trainer, wsr
-from .objective import LossSpec
 
 
 class Strategy(NamedTuple):
@@ -62,11 +61,13 @@ class TrainingAborted(RuntimeError):
 class Training:
     """The training fields of a strategy and of an experiment config.
 
-    __post_init__ checks each field's JSON type and range.
+    noise and p_max are those the labels are solved at: training and
+    scoring take their rates at noise, and the network's powers stay below
+    p_max. __post_init__ checks each field's JSON type and range.
     """
 
     memory_capacity: int = 0
-    loss: LossSpec = field(default_factory=LossSpec)
+    noise: float = 1.0
     hidden_sizes: tuple[int, ...] = (200, 80)
     p_max: float = 1.0
     epochs: int = 20
@@ -85,6 +86,7 @@ class Training:
         for name, value, least in counts + [("hidden_sizes entry", n, 1) for n in self.hidden_sizes]:
             if type(value) is bool or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        objective.check_positive("noise", self.noise)
         objective.check_positive("p_max", self.p_max)
         objective.check_positive("alpha", self.alpha)
         objective.check_positive("beta", self.beta, most=1)
@@ -197,18 +199,16 @@ def _train_round(cfg, params, train_set, rng):
     """(params, scores): scores are the final dual for gda, else None."""
     kind = STRATEGIES[cfg.method].trainer
     if kind == "sgd":
-        return trainer.sgd_train(
-            params, cfg.loss, train_set, cfg.epochs, cfg.minibatch_size, cfg.alpha, rng
-        ), None
+        return trainer.sgd_train(params, train_set, cfg.epochs, cfg.minibatch_size, cfg.alpha, rng), None
     # the step count of cfg.epochs passes over the pool
     iters = cfg.epochs * math.ceil(len(train_set) / cfg.minibatch_size)
     if kind == "scsc":
         state = trainer.init_state(params, cfg.alpha, cfg.beta, rng=rng)
-        state = trainer.scsc_train(state, cfg.loss, train_set, iters, cfg.minibatch_size)
+        state = trainer.scsc_train(state, cfg.noise, train_set, iters, cfg.minibatch_size)
         return state.params, None
     # gda: a fresh uniform dual each round
     a_theta, a_lambda = cfg.gda_rates()
-    return trainer.gda_train(params, cfg.loss, train_set, iters, a_theta, a_lambda)
+    return trainer.gda_train(params, train_set, iters, a_theta, a_lambda)
 
 
 def run_continual(stream, cfg: StrategyConfig, rng):
@@ -236,7 +236,7 @@ def run_continual(stream, cfg: StrategyConfig, rng):
                 items = memory_mod.update_reservoir(items, batch, seen, cfg.memory_capacity, rng)
             elif rule == "top_m" and pool:
                 if scores is None:
-                    scores = objective.lower_values(cfg.loss, params, train_set)
+                    scores = objective.lower_values(cfg.noise, params, train_set)
                 items = memory_mod.update_bilevel(pool, scores, cfg.memory_capacity)
             elif rule == "joint":
                 items = memory_mod.update_joint(items, batch)
@@ -247,7 +247,7 @@ def run_continual(stream, cfg: StrategyConfig, rng):
         ) as exc:
             raise TrainingAborted(f"{cfg.method}: {exc}", rows) from exc
         seen += len(batch)
-        rates, ratios = evaluate(network_policy(params), stream.test_sets, cfg.loss.noise)
+        rates, ratios = evaluate(network_policy(params), stream.test_sets, cfg.noise)
         row = MetricsRow(
             seen_samples=seen,
             method=cfg.method,

@@ -232,6 +232,8 @@ def load_params(path) -> ModelParams:
         for s in sizes:
             if type(s) is not int:  # ModelParams would truncate 4.9 to 4 and take True as 1
                 raise ValueError(f"layer size {s!r} is not an integer")
+        if type(p_max) not in (int, float):  # ModelParams would read true and "1.0" as 1.0
+            raise ValueError(f"p_max must be a positive finite number, got {p_max!r}")
         return ModelParams(sizes, np.frombuffer(raw, "<f8").astype(float), p_max)
     except (TypeError, ValueError) as e:  # layout, finiteness and p_max checks, or a field's type
         raise ValueError(f"checkpoint: {e}") from e

@@ -2,11 +2,11 @@
 
 Two per-sample losses drive everything:
 
-  ell  training loss: squared error against the solver label, or the
-       negative achieved sum rate.
-  u    performance loss feeding the sample weights: by default the negative
-       of the rate ratio, u = -R(pi(theta, h); h) / rbar(h), so a sample the
-       policy serves badly scores high.
+  ell  training loss: squared error against the solver label.
+  u    performance loss feeding the sample weights: the negative of the
+       rate ratio, u = -R(pi(theta, h); h) / rbar(h), so a sample the
+       policy serves badly scores high. R is the sum rate at the noise
+       power each oracle that reads u takes as its first argument.
 
 The sample weights are lam_i = e^{u_i} / sum_j e^{u_j}, and the training
 objective is the weighted loss F = sum_i lam_i ell_i. F factors into a
@@ -55,10 +55,6 @@ import numpy as np
 
 from . import model, wsr
 
-UPPER_LOSSES = ("mse", "neg_sum_rate")
-LOWER_LOSSES = ("weighted_neg_sum_rate", "same_as_upper")
-ALPHA_MODES = ("wmmse_ratio", "unit")
-
 U_GUARD = 50.0
 Y_FLOOR = 1e-8
 
@@ -80,23 +76,6 @@ def check_positive(name, value, most=math.inf, nullable=False):
         raise ValueError(f"{name} must be {'null or ' if nullable else ''}{want}, got {value!r}")
 
 
-@dataclass
-class LossSpec:
-    upper: str = "mse"
-    lower: str = "weighted_neg_sum_rate"
-    alpha_mode: str = "wmmse_ratio"
-    noise: float = 1.0
-
-    def __post_init__(self):
-        if self.upper not in UPPER_LOSSES:
-            raise ValueError(f"unknown upper loss {self.upper!r}")
-        if self.lower not in LOWER_LOSSES:
-            raise ValueError(f"unknown lower loss {self.lower!r}")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        check_positive("loss.noise", self.noise)
-
-
 @dataclass(eq=False)
 class CompositionalEval:
     """One batch's compositional pieces at a given z."""
@@ -112,9 +91,9 @@ class CompositionalEval:
 class Batch:
     """Samples as arrays: the |h| stack plus the fields the losses read.
 
-    mag is (n, K, K); labels (n, K) and neg_alpha (n,), which is -1/rbar
-    or -1, are None where the oracle the batch was built for does not read
-    them. A pool is converted once and its minibatches are row takes.
+    mag is (n, K, K); labels (n, K) and neg_alpha (n,), which is -1/rbar,
+    are None where the oracle the batch was built for does not read them.
+    A pool is converted once and its minibatches are row takes.
     """
 
     mag: np.ndarray
@@ -133,8 +112,8 @@ def _take(a, idx):
     return None if a is None else a[idx]
 
 
-def as_batch(spec, samples, need_ell=True, need_u=True) -> Batch:
-    """A SampleSet's columns as a Batch, checking the labels and rbar that spec reads.
+def as_batch(samples, need_ell=True, need_u=True) -> Batch:
+    """A SampleSet's columns as a Batch, checking the labels ell reads and the rbar u reads.
 
     need_ell and need_u name the losses the batch will feed, as in the
     oracles. A Batch passes through unchanged.
@@ -144,23 +123,19 @@ def as_batch(spec, samples, need_ell=True, need_u=True) -> Batch:
     if isinstance(samples, Batch):
         return samples
     labels = neg_alpha = None
-    if spec.upper == "mse" and (need_ell or spec.lower == "same_as_upper"):
+    if need_ell:
         labels = samples.labels
         missing = np.isnan(labels).all(1)
         if missing.any():
             raise ValueError(f"sample {int(missing.argmax())} has no p_label; MSE loss needs solver labels")
-    if need_u and spec.lower == "weighted_neg_sum_rate":
-        # -alpha; -1/r is bitwise -(1/r)
-        if spec.alpha_mode == "unit":
-            neg_alpha = np.full(len(samples), -1.0)
-        else:
-            rbar = samples.rbar
-            bad = ~(rbar > 0)
-            if bad.any():
-                i = int(bad.argmax())
-                r = None if math.isnan(rbar[i]) else float(rbar[i])
-                raise ValueError(f"sample {i} is degenerate: rbar must be positive, got {r}")
-            neg_alpha = -1.0 / rbar
+    if need_u:
+        rbar = samples.rbar
+        bad = ~(rbar > 0)
+        if bad.any():
+            i = int(bad.argmax())
+            r = None if math.isnan(rbar[i]) else float(rbar[i])
+            raise ValueError(f"sample {i} is degenerate: rbar must be positive, got {r}")
+        neg_alpha = -1.0 / rbar  # -1/r is bitwise -(1/r)
     return Batch(samples.mag, labels, neg_alpha)
 
 
@@ -173,38 +148,27 @@ class _BatchTerms:
     trace: model.ForwardTrace
 
 
-def _batch_terms(spec, params, samples, need_ell=True, need_u=True, grad=True) -> _BatchTerms:
-    # with grad=False, up_ell and up_u stay None
-    batch = as_batch(spec, samples, need_ell, need_u)
+def _batch_terms(noise, params, samples, need_ell=True, need_u=True, grad=True) -> _BatchTerms:
+    # with grad=False, up_ell and up_u stay None; only u reads noise
+    batch = as_batch(samples, need_ell, need_u)
     mag = batch.mag
     outputs, trace = model.forward(params, mag.reshape(len(mag), -1))
 
-    need_rate = spec.upper == "neg_sum_rate" or (need_u and spec.lower == "weighted_neg_sum_rate")
-    rates = grad_p = None
-    if need_rate:
-        if grad:
-            rates, grad_p = wsr.rate_and_grad_many(mag * mag, outputs, noise=spec.noise)
-        else:
-            rates = wsr.sum_rate_many(mag * mag, outputs, noise=spec.noise)
-
     ell = up_ell = None
-    if need_ell or spec.lower == "same_as_upper":
-        if spec.upper == "mse":
-            diff = outputs - batch.labels
-            ell = np.add.reduce(diff * diff, 1)
-            up_ell = 2.0 * diff if grad else None
-        else:
-            ell = -rates
-            up_ell = -grad_p if grad else None
+    if need_ell:
+        diff = outputs - batch.labels
+        ell = np.add.reduce(diff * diff, 1)
+        up_ell = 2.0 * diff if grad else None
 
     u = up_u = None
     if need_u:
-        if spec.lower == "same_as_upper":
-            u, up_u = ell, up_ell
+        neg_alpha = batch.neg_alpha
+        if grad:
+            rates, grad_p = wsr.rate_and_grad_many(mag * mag, outputs, noise=noise)
+            up_u = neg_alpha[:, None] * grad_p
         else:
-            neg_alpha = batch.neg_alpha
-            u = neg_alpha * rates
-            up_u = neg_alpha[:, None] * grad_p if grad else None
+            rates = wsr.sum_rate_many(mag * mag, outputs, noise=noise)
+        u = neg_alpha * rates
         abs_u = np.abs(u)
         if np.fmax.reduce(abs_u) > U_GUARD:  # NaN-skipping, as a comparison per entry
             raise _guard_error(abs_u)
@@ -232,19 +196,19 @@ def _f_pullback(u, up_u, ell, up_ell, z):
     return value, -value / z, upstream
 
 
-def loss_upper(spec: LossSpec, params, sample):
+def loss_upper(params, sample):
     """(value, grad) of the training loss on one sample, a one-row set."""
-    t = _batch_terms(spec, params, sample, need_u=False)
+    t = _batch_terms(None, params, sample, need_u=False)
     return t.ell.item(), model.backward(params, t.trace, t.up_ell)
 
 
-def loss_lower_u(spec: LossSpec, params, sample):
+def loss_lower_u(noise: float, params, sample):
     """(value, grad) of the performance loss u on one sample, a one-row set."""
-    t = _batch_terms(spec, params, sample, need_ell=False)
+    t = _batch_terms(noise, params, sample, need_ell=False)
     return t.u.item(), model.backward(params, t.trace, t.up_u)
 
 
-def weighted_upper(spec: LossSpec, params, batch, weights):
+def weighted_upper(params, batch, weights):
     """Per-sample training losses plus the gradient of their weighted sum.
 
     One forward pass serves both SGD (one scalar weight, 1/n, gives the
@@ -256,14 +220,14 @@ def weighted_upper(spec: LossSpec, params, batch, weights):
         if w.shape != (len(batch),):
             raise ValueError(f"{w.shape} weights for {len(batch)} samples")
         w = w[:, None]
-    t = _batch_terms(spec, params, batch, need_u=False)
+    t = _batch_terms(None, params, batch, need_u=False)
     grad = model.backward(params, t.trace, w * t.up_ell)
     return t.ell.copy(), grad
 
 
-def lower_values(spec: LossSpec, params, samples) -> np.ndarray:
+def lower_values(noise: float, params, samples) -> np.ndarray:
     """u values for a whole pool, no gradients; used for memory selection."""
-    return _batch_terms(spec, params, samples, need_ell=False, grad=False).u.copy()
+    return _batch_terms(noise, params, samples, need_ell=False, grad=False).u.copy()
 
 
 def softmax_weights(u_values) -> np.ndarray:
@@ -282,36 +246,36 @@ def _softmax(u):
     return e / np.add.reduce(e)
 
 
-def g_value(spec: LossSpec, params, batch) -> float:
+def g_value(noise: float, params, batch) -> float:
     """Raw mean of e^{u_i} over the batch, no gradients."""
-    t = _batch_terms(spec, params, batch, need_ell=False, grad=False)
+    t = _batch_terms(noise, params, batch, need_ell=False, grad=False)
     return float(np.add.reduce(np.exp(t.u)) / len(t.u))  # np.mean's bits, less overhead
 
 
-def g_eval(spec: LossSpec, params, batch):
+def g_eval(noise: float, params, batch):
     """(value, grad) of g(theta) = (1/n) sum_i e^{u_i} on a batch."""
-    t = _batch_terms(spec, params, batch, need_ell=False)
+    t = _batch_terms(noise, params, batch, need_ell=False)
     value, upstream = _g_pullback(t.u, t.up_u)
     return value, model.backward(params, t.trace, upstream)
 
 
-def f_eval(spec: LossSpec, params, batch, z: float):
+def f_eval(noise: float, params, batch, z: float):
     """(value, d/dz, grad_theta) of f(z; theta) = sum_i e^{u_i} ell_i / (n z)."""
     if not z >= Y_FLOOR:
         raise TrackingCollapseError(f"f evaluated at z={z!r}, below the {Y_FLOOR} floor")
-    t = _batch_terms(spec, params, batch)
+    t = _batch_terms(noise, params, batch)
     value, grad1, upstream = _f_pullback(t.u, t.up_u, t.ell, t.up_ell, z)
     return value, grad1, model.backward(params, t.trace, upstream)
 
 
-def eval_composition(spec: LossSpec, params, batch, z: float | None = None) -> CompositionalEval:
+def eval_composition(noise: float, params, batch, z: float | None = None) -> CompositionalEval:
     """All compositional pieces of one batch: g_eval, then f_eval at z.
 
     With z omitted, f is evaluated at the batch's own raw g value, so
     f_value is the batch's compositional objective.
     """
-    gv, grad_g = g_eval(spec, params, batch)
-    fv, grad1, grad2 = f_eval(spec, params, batch, gv if z is None else z)
+    gv, grad_g = g_eval(noise, params, batch)
+    fv, grad1, grad2 = f_eval(noise, params, batch, gv if z is None else z)
     return CompositionalEval(gv, fv, grad_g, grad1, grad2)
 
 
@@ -335,12 +299,12 @@ def _concat(a, b):
     return None if a is None else np.concatenate((a, b))
 
 
-def step_terms(spec: LossSpec, params, rows: Batch, n_phi: int) -> StepTerms:
+def step_terms(noise: float, params, rows: Batch, n_phi: int) -> StepTerms:
     """g on phi and what chain_gradient needs of phi and xi, from one forward.
 
     rows holds phi's n_phi rows above xi's, as one take of a pool.
     """
-    t = _batch_terms(spec, params, rows)
+    t = _batch_terms(noise, params, rows)
     g, g_up = _g_pullback(t.u[:n_phi], t.up_u[:n_phi])
     return StepTerms(g, g_up, t, n_phi)
 
@@ -359,22 +323,22 @@ def chain_gradient(params, terms: StepTerms, z: float) -> np.ndarray:
     return model.backward(params, t.trace, np.concatenate((grad1 * terms.g_upstream, f_up)))
 
 
-def full_objective(spec: LossSpec, params, dataset):
+def full_objective(noise: float, params, dataset):
     """(F, gradF) of the weighted objective over a full dataset.
 
     Computed in shifted form: with lam the softmax of u, F = sum lam_i ell_i
     and grad F = sum_i lam_i (up_ell_i + (ell_i - F) up_u_i) pulled back
     through the network, which is exactly grad_g * d f/d z + grad_theta f.
     """
-    t = _batch_terms(spec, params, dataset)
+    t = _batch_terms(noise, params, dataset)
     lam = _softmax(t.u)  # _batch_terms applied the |u| guard
     value = float(lam @ t.ell)
     upstream = lam[:, None] * (t.up_ell + (t.ell - value)[:, None] * t.up_u)
     return value, model.backward(params, t.trace, upstream)
 
 
-def pool_stats(spec: LossSpec, params, dataset):
+def pool_stats(noise: float, params, dataset):
     """(F, raw g) over a dataset, values only; cheap instrumentation hook."""
-    t = _batch_terms(spec, params, dataset, grad=False)
+    t = _batch_terms(noise, params, dataset, grad=False)
     lam = _softmax(t.u)  # _batch_terms applied the |u| guard
     return float(lam @ t.ell), float(np.mean(np.exp(t.u)))

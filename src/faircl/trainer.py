@@ -17,7 +17,9 @@ Four training modes share the objective module's oracles:
               on the simplex exactly.
 
 Each loop takes its pool's arrays once (objective.as_batch), checking
-labels and rbar there, and takes minibatches as row indices. A
+labels and rbar there, and takes minibatches as row indices. The two
+weighted loops take the noise power at which u's rates are computed; SGD
+and descent/ascent read only the squared error, which needs none. A
 compositional step is fused: scsc_train makes one row take of the pool
 per step, phi's rows above xi's, and one forward at theta over those
 stacked rows gives g on phi and every term of f on xi, one value-only
@@ -112,17 +114,17 @@ def _descend(params, grad, alpha) -> model.ModelParams:
     return model.ModelParams._checked(params.layer_sizes, values, params.p_max)
 
 
-def scsc_step(state: TrainerState, spec, batch_xi, batch_phi) -> TrainerState:
+def scsc_step(state: TrainerState, noise, batch_xi, batch_phi) -> TrainerState:
     """One fused compositional update: refresh y, then descend at z = y.
 
     The minibatches are SampleSets or objective.Batch row takes: xi feeds
     f's terms, phi g's at the current and the previous params.
     """
-    phi = objective.as_batch(spec, batch_phi)
-    return _scsc_step(state, spec, objective.stack(phi, objective.as_batch(spec, batch_xi)), len(phi))
+    phi = objective.as_batch(batch_phi)
+    return _scsc_step(state, noise, objective.stack(phi, objective.as_batch(batch_xi)), len(phi))
 
 
-def _scsc_step(state: TrainerState, spec, rows, n_phi) -> TrainerState:
+def _scsc_step(state: TrainerState, noise, rows, n_phi) -> TrainerState:
     # rows is one Batch, phi's n_phi rows above xi's
     if state.y is None:
         raise ValueError("tracking variable not initialized; run scsc_train or set y")
@@ -130,9 +132,9 @@ def _scsc_step(state: TrainerState, spec, rows, n_phi) -> TrainerState:
         raise TrackingCollapseError(
             f"tracking collapsed at step {state.step}: y = {state.y!r} (floor {Y_FLOOR})"
         )
-    terms = objective.step_terms(spec, state.params, rows, n_phi)
+    terms = objective.step_terms(noise, state.params, rows, n_phi)
     g_cur = terms.g_value
-    g_prev = objective.g_value(spec, state.params_prev, rows.take(slice(n_phi)))
+    g_prev = objective.g_value(noise, state.params_prev, rows.take(slice(n_phi)))
     y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
     if not y_new >= Y_FLOOR:
         raise TrackingCollapseError(
@@ -143,7 +145,7 @@ def _scsc_step(state: TrainerState, spec, rows, n_phi) -> TrainerState:
     return state._next(params_new, state.params, y_new, state.step + 1)
 
 
-def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int, trace=None) -> TrainerState:
+def scsc_train(state: TrainerState, noise, pool, iters: int, minibatch_size: int, trace=None) -> TrainerState:
     """iters compositional steps with fresh uniform minibatches per step.
 
     Trace rows, when requested, snapshot each step's pre-update params:
@@ -156,23 +158,23 @@ def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int,
         raise ValueError("minibatch_size must be at least 1")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    pool = objective.as_batch(spec, pool)
+    pool = objective.as_batch(pool)
     n = len(pool)
     for _ in range(iters):
         xi_idx = state.rng.integers(0, n, minibatch_size)
         phi_idx = state.rng.integers(0, n, minibatch_size)
         rows = pool.take(np.concatenate((phi_idx, xi_idx)))
         if state.y is None:
-            y0 = objective.g_value(spec, state.params, rows.take(slice(minibatch_size)))
+            y0 = objective.g_value(noise, state.params, rows.take(slice(minibatch_size)))
             if not y0 >= Y_FLOOR:
                 raise TrackingCollapseError(
                     f"tracking collapsed at initialization: y = {y0!r} (floor {Y_FLOOR})"
                 )
             state = state._next(state.params, state.params_prev, y0, state.step)
         before = state.params
-        state = _scsc_step(state, spec, rows, minibatch_size)
+        state = _scsc_step(state, noise, rows, minibatch_size)
         if trace is not None:
-            f_val, g_bar = objective.pool_stats(spec, before, pool)
+            f_val, g_bar = objective.pool_stats(noise, before, pool)
             trace.append(
                 TraceRow(
                     step=state.step - 1,
@@ -184,15 +186,15 @@ def scsc_train(state: TrainerState, spec, pool, iters: int, minibatch_size: int,
     return state
 
 
-def gd_train(params, spec, dataset, iters: int, alpha: float, trace=None) -> model.ModelParams:
+def gd_train(params, noise, dataset, iters: int, alpha: float, trace=None) -> model.ModelParams:
     """Full-batch descent on the weighted objective."""
     if not dataset:
         raise ValueError("empty dataset")
     if iters < 0 or alpha < 0:
         raise ValueError("iters and alpha must be nonnegative")
-    dataset = objective.as_batch(spec, dataset)
+    dataset = objective.as_batch(dataset)
     for k in range(iters):
-        value, grad = objective.full_objective(spec, params, dataset)
+        value, grad = objective.full_objective(noise, params, dataset)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise DivergenceError(f"objective diverged at iteration {k}; reduce alpha")
         if trace is not None:
@@ -201,7 +203,7 @@ def gd_train(params, spec, dataset, iters: int, alpha: float, trace=None) -> mod
     return params
 
 
-def sgd_train(params, spec, dataset, epochs: int, minibatch: int, alpha: float, rng) -> model.ModelParams:
+def sgd_train(params, dataset, epochs: int, minibatch: int, alpha: float, rng) -> model.ModelParams:
     """Epoch SGD on the unweighted mean training loss."""
     if not dataset:
         raise ValueError("empty dataset")
@@ -209,20 +211,20 @@ def sgd_train(params, spec, dataset, epochs: int, minibatch: int, alpha: float, 
         raise ValueError("minibatch must be at least 1")
     if epochs < 0 or alpha < 0:
         raise ValueError("epochs and alpha must be nonnegative")
-    pool = objective.as_batch(spec, dataset, need_u=False)
+    pool = objective.as_batch(dataset, need_u=False)
     n = len(pool)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for s in range(0, n, minibatch):
             batch = pool.take(perm[s : s + minibatch])
-            ells, grad = objective.weighted_upper(spec, params, batch, 1.0 / len(batch))
+            ells, grad = objective.weighted_upper(params, batch, 1.0 / len(batch))
             if not np.all(np.isfinite(ells)):
                 raise DivergenceError("training loss diverged; reduce alpha")
             params = _descend(params, grad, alpha)
     return params
 
 
-def gda_train(params, spec, dataset, iters: int, alpha_theta: float, alpha_lambda: float):
+def gda_train(params, dataset, iters: int, alpha_theta: float, alpha_lambda: float):
     """Two-timescale minimax: simultaneous theta descent and dual ascent.
 
     The dual starts uniform on the simplex. Both updates at step k use the
@@ -236,10 +238,10 @@ def gda_train(params, spec, dataset, iters: int, alpha_theta: float, alpha_lambd
         raise ValueError("two-timescale ascent needs alpha_lambda > alpha_theta")
     if alpha_theta < 0 or iters < 0:
         raise ValueError("alpha_theta and iters must be nonnegative")
-    pool = objective.as_batch(spec, dataset, need_u=False)
+    pool = objective.as_batch(dataset, need_u=False)
     lam = np.full(len(pool), 1.0 / len(pool))
     for _ in range(iters):
-        ells, grad = objective.weighted_upper(spec, params, pool, lam)
+        ells, grad = objective.weighted_upper(params, pool, lam)
         if not np.all(np.isfinite(ells)):
             raise DivergenceError("training loss diverged; reduce alpha_theta")
         params = _descend(params, grad, alpha_theta)

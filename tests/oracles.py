@@ -110,53 +110,44 @@ def _descend_checked(params, delta):
     return model.ModelParams(params.layer_sizes, params.values + delta, params.p_max)
 
 
-def scsc_step_unfused(state, spec, batch_xi, batch_phi):
+def scsc_step_unfused(state, noise, batch_xi, batch_phi):
     """One compositional update from g_eval, g_value and f_eval on sample sets."""
-    g_cur, grad_g = objective.g_eval(spec, state.params, batch_phi)
-    g_prev = objective.g_value(spec, state.params_prev, batch_phi)
+    g_cur, grad_g = objective.g_eval(noise, state.params, batch_phi)
+    g_prev = objective.g_value(noise, state.params_prev, batch_phi)
     y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
-    _, grad1, grad2 = objective.f_eval(spec, state.params, batch_xi, z=y_new)
+    _, grad1, grad2 = objective.f_eval(noise, state.params, batch_xi, z=y_new)
     params = _descend_checked(state.params, -state.alpha * (grad_g * grad1 + grad2))
     return dataclasses.replace(state, params=params, params_prev=state.params, y=y_new, step=state.step + 1)
 
 
-def sgd_train_lists(params, spec, dataset, epochs, minibatch, alpha, rng):
+def sgd_train_lists(params, dataset, epochs, minibatch, alpha, rng):
     """Epoch SGD with every minibatch a fresh take of the sample set."""
     n = len(dataset)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for s in range(0, n, minibatch):
             batch = dataset.take(perm[s : s + minibatch])
-            _, grad = objective.weighted_upper(spec, params, batch, np.full(len(batch), 1.0 / len(batch)))
+            _, grad = objective.weighted_upper(params, batch, np.full(len(batch), 1.0 / len(batch)))
             params = _descend_checked(params, -alpha * grad)
     return params
 
 
-def gda_train_lists(params, lam, spec, dataset, iters, alpha_theta, alpha_lambda):
+def gda_train_lists(params, lam, dataset, iters, alpha_theta, alpha_lambda):
     """Descent/ascent with the whole sample set converted every iteration."""
     lam = np.array(lam, dtype=float)
     for _ in range(iters):
-        ells, grad = objective.weighted_upper(spec, params, dataset, lam)
+        ells, grad = objective.weighted_upper(params, dataset, lam)
         params = _descend_checked(params, -alpha_theta * grad)
         lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
         lam = lam / lam.sum()
     return params, lam
 
 
-def lower_values_lists(spec, params, samples):
-    """u of every sample from one value-only pass over a set's channels."""
+def lower_values_lists(noise, params, samples):
+    """u = -rate/rbar of every sample from one value-only pass over a set's channels."""
     mag = np.abs(samples.h)
     out, _ = model.forward(params, mag.reshape(len(samples), -1))
-    if spec.lower == "same_as_upper":
-        if spec.upper == "mse":
-            diff = out - samples.labels
-            return np.add.reduce(diff * diff, 1)
-        return -wsr.sum_rate_many(mag * mag, out, noise=spec.noise)
-    if spec.alpha_mode == "unit":
-        neg_alpha = np.full(len(samples), -1.0)
-    else:
-        neg_alpha = -1.0 / samples.rbar
-    return neg_alpha * wsr.sum_rate_many(mag * mag, out, noise=spec.noise)
+    return -1.0 / samples.rbar * wsr.sum_rate_many(mag * mag, out, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +181,8 @@ def bad_checkpoints(params) -> list:
         ("short count", dict(good, values=_b64(raw[:-8])), f"expected {params.values.size} parameter values"),
         ("NaN bytes", dict(good, values=_b64(struct.pack("<d", math.nan) + raw[8:])), "must be finite"),
         ("infinite p_max", dict(good, p_max=math.inf), "p_max must be a positive finite number, got inf"),
+        ("bool p_max", dict(good, p_max=True), "checkpoint: p_max must be a positive finite number, got True"),
+        ("string p_max", dict(good, p_max="1.0"), "checkpoint: p_max must be a positive finite number, got '1.0'"),
         ("sizes not a list", dict(good, layer_sizes=4), "checkpoint: .*not iterable"),
         # ModelParams would read 4.9 as 4 and True as 1
         ("float layer size", dict(good, layer_sizes=[sizes[0] + 0.9, *sizes[1:]]),

@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from faircl import channels, cli, harness, memory, model, objective, trainer, wsr
-from faircl.objective import LossSpec
 
 from oracles import fd_gradient, rel_error
 
@@ -55,13 +54,7 @@ def labeled_stream(specs, k, seed):
     return stream
 
 
-# The four loss configurations exercised by the gradient and identity gates.
-SPEC_GRID = (
-    LossSpec(),
-    LossSpec(upper="neg_sum_rate"),
-    LossSpec(alpha_mode="unit"),
-    LossSpec(upper="neg_sum_rate", lower="same_as_upper"),
-)
+NOISE = 1.0  # the noise power the labels are solved at
 
 
 # ------------------------------------------------------- 1: gradient oracles
@@ -82,7 +75,6 @@ def test_gradient_oracles_match_finite_differences():
             worst_rate = max(worst_rate, err)
             assert err <= 1e-6
 
-            spec = SPEC_GRID[i % 4]
             params = model.init(sizes, 1.0, rng)
             batch = labeled_rayleigh(k, 3, rng)
 
@@ -92,26 +84,26 @@ def test_gradient_oracles_match_finite_differences():
             checks = [
                 (model.backward(params, trace, w[None]),
                  lambda q: float(w @ model.forward(q, x)[0][0])),
-                (objective.loss_upper(spec, params, sample)[1],
-                 lambda q: objective.loss_upper(spec, q, sample)[0]),
-                (objective.loss_lower_u(spec, params, sample)[1],
-                 lambda q: objective.loss_lower_u(spec, q, sample)[0]),
-                (objective.g_eval(spec, params, batch)[1],
-                 lambda q: objective.g_eval(spec, q, batch)[0]),
-                (objective.full_objective(spec, params, batch)[1],
-                 lambda q: objective.full_objective(spec, q, batch)[0]),
+                (objective.loss_upper(params, sample)[1],
+                 lambda q: objective.loss_upper(q, sample)[0]),
+                (objective.loss_lower_u(NOISE, params, sample)[1],
+                 lambda q: objective.loss_lower_u(NOISE, q, sample)[0]),
+                (objective.g_eval(NOISE, params, batch)[1],
+                 lambda q: objective.g_eval(NOISE, q, batch)[0]),
+                (objective.full_objective(NOISE, params, batch)[1],
+                 lambda q: objective.full_objective(NOISE, q, batch)[0]),
             ]
             z = 0.5 + rng.random()
-            _, grad1, grad2 = objective.f_eval(spec, params, batch, z)
-            checks.append((grad2, lambda q: objective.f_eval(spec, q, batch, z)[0]))
+            _, grad1, grad2 = objective.f_eval(NOISE, params, batch, z)
+            checks.append((grad2, lambda q: objective.f_eval(NOISE, q, batch, z)[0]))
             for analytic, fn in checks:
                 err = rel_error(fd_param_gradient(fn, params), analytic)
                 worst_net = max(worst_net, err)
                 assert err <= 1e-4
 
             h = 1e-5
-            fd1 = (objective.f_eval(spec, params, batch, z + h)[0]
-                   - objective.f_eval(spec, params, batch, z - h)[0]) / (2 * h)
+            fd1 = (objective.f_eval(NOISE, params, batch, z + h)[0]
+                   - objective.f_eval(NOISE, params, batch, z - h)[0]) / (2 * h)
             err = rel_error(np.array([fd1]), np.array([grad1]))
             worst_net = max(worst_net, err)
             assert err <= 1e-4
@@ -147,15 +139,14 @@ def test_objective_equals_weighted_sum_of_losses():
     worst_val = 0.0
     worst_grad = 0.0
     for i in range(50):
-        spec = SPEC_GRID[i % 4]
         batch = labeled_rayleigh(2, 6, rng)
         params = model.init((4, 6, 2), 1.0, rng)
-        value, grad = objective.full_objective(spec, params, batch)
-        lam = objective.softmax_weights(objective.lower_values(spec, params, batch))
-        ells = np.array([objective.loss_upper(spec, params, batch[j:j + 1])[0]
+        value, grad = objective.full_objective(NOISE, params, batch)
+        lam = objective.softmax_weights(objective.lower_values(NOISE, params, batch))
+        ells = np.array([objective.loss_upper(params, batch[j:j + 1])[0]
                          for j in range(len(batch))])
         direct = float(lam @ ells)
-        ev = objective.eval_composition(spec, params, batch)
+        ev = objective.eval_composition(NOISE, params, batch)
         chain = ev.grad_g * ev.grad1_f + ev.grad2_f
         worst_val = max(worst_val, abs(value - direct), abs(ev.f_value - direct))
         worst_grad = max(worst_grad, rel_error(chain, grad))
@@ -176,7 +167,7 @@ def test_tracking_error_contracts_over_training():
     params = model.init((4, 8, 2), 1.0, rng)
     state = trainer.init_state(params, alpha=0.005, beta=0.05, rng=rng)
     rows = []
-    trainer.scsc_train(state, LossSpec(), pool, iters=2000, minibatch_size=10,
+    trainer.scsc_train(state, NOISE, pool, iters=2000, minibatch_size=10,
                        trace=rows)
     te = np.array([r.tracking_error for r in rows])
     ys = np.array([r.y for r in rows])
@@ -195,7 +186,7 @@ def test_gradient_norm_keeps_shrinking_past_early_iterations():
     data = labeled_rayleigh(2, 10, np.random.default_rng(7))
     params = model.init((4, 8, 2), 1.0, np.random.default_rng(7))
     rows = []
-    trainer.gd_train(params, LossSpec(), data, iters=1000, alpha=0.05, trace=rows)
+    trainer.gd_train(params, NOISE, data, iters=1000, alpha=0.05, trace=rows)
     g2 = np.array([r.grad_norm for r in rows]) ** 2
     early, late = g2[:100].min(), g2.min()
     assert late < early
@@ -216,7 +207,7 @@ def test_memory_preserves_early_episode_where_retraining_forgets():
     ]
     stream = labeled_stream(specs, 3, seed=0)
     rngs = cli.method_rngs(0)
-    common = dict(loss=LossSpec(), hidden_sizes=(16,), epochs=20,
+    common = dict(hidden_sizes=(16,), epochs=20,
                   minibatch_size=20)
     tl_cfg = harness.StrategyConfig(method="TL", alpha=0.5, **common)
     tl_rows, _ = harness.run_continual(stream, tl_cfg, rngs["TL"])
@@ -289,7 +280,7 @@ def test_memory_selection_rules_are_exact():
 def test_full_capacity_memory_reduces_to_joint_training():
     stream = labeled_stream([channels.EpisodeSpec("rayleigh", 40, 8, 4)], 2,
                             seed=11)
-    common = dict(loss=LossSpec(), hidden_sizes=(6,), epochs=3,
+    common = dict(hidden_sizes=(6,), epochs=3,
                   minibatch_size=8, alpha=0.05, beta=0.1)
     bl_cfg = harness.StrategyConfig(method="Bilevel", memory_capacity=64, **common)
     jw_cfg = harness.StrategyConfig(method="JointWeighted", **common)

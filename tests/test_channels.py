@@ -366,6 +366,8 @@ def test_load_rejects_a_header_that_does_not_give_the_arrays(tmp_path):
         ({"specs": [dict(header["specs"][0], n_test=3)]}, "header: arrays .* are not the .* that k and specs give"),
         ({"specs": [dict(header["specs"][0], n_batches=3)]}, "^header: bad header .*divisible"),
         ({"specs": [dict(header["specs"][0], note=1)]}, "^header: bad header .*note"),
+        ({"specs": [dict(header["specs"][0], distribution="geometry", area_side_m=float("inf"))]},
+         "^header: bad header .*positive finite area_side_m, got inf"),
         ({"specs": "rayleigh"}, "^header: bad header"),
         ({"noise": 0.0}, "^header: noise must be a positive finite number, got 0.0$"),
         ({"noise": "1.0"}, "^header: noise must be a positive finite number, got '1.0'$"),

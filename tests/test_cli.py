@@ -17,7 +17,6 @@ import pytest
 from faircl import channels, cli, harness, model, workers, wsr
 from faircl.channels import EpisodeSpec
 from faircl.cli import ExperimentConfig, config_from_dict, config_to_dict, main
-from faircl.objective import LossSpec
 
 from conftest import forks_here
 from oracles import bad_checkpoints
@@ -96,8 +95,8 @@ def test_config_rejects_bad_input():
     bad = dict(good, episodes=[dict(good["episodes"][0], family="rayleigh")])
     with pytest.raises(ValueError, match="episode keys"):
         config_from_dict(bad)
-    bad = dict(good, loss=dict(good["loss"], upper_loss="mse"))
-    with pytest.raises(ValueError, match="loss keys"):
+    bad = dict(good, loss={"upper": "mse"})
+    with pytest.raises(ValueError, match="unknown config keys: loss"):
         config_from_dict(bad)
 
 
@@ -110,6 +109,8 @@ MALFORMED_CONFIGS = {
     "n_train a float": dict(TINY, episodes=[dict(TINY["episodes"][0], n_train=4.0)]),
     "hidden_sizes a number": dict(TINY, hidden_sizes=5),
     "loss a list": dict(TINY, loss=[]),
+    # the nested loss object of earlier releases, which held a second noise
+    "loss an object": dict(TINY, loss={"noise": 1.0}),
 }
 
 
@@ -136,7 +137,7 @@ MALFORMED_TRAINING_FIELDS = {
     "gda_alpha_theta a bool": dict(TINY, gda_alpha_theta=True),
     "gda_alpha_lambda a string": dict(TINY, gda_alpha_lambda="x"),
     "hidden_sizes entry a string": dict(TINY, hidden_sizes=["a"]),
-    "loss noise a string": dict(TINY, loss=dict(TINY["loss"], noise="1")),
+    "noise a string": dict(TINY, noise="1"),
 }
 
 
@@ -155,9 +156,9 @@ def test_run_rejects_a_malformed_training_field_in_one_line(tmp_path, data_path,
 
 
 def test_config_keeps_numbers_of_either_json_type():
-    raw = dict(TINY, alpha=1, p_max=2, gda_alpha_theta=None, gda_alpha_lambda=0.5, loss=dict(TINY["loss"], noise=1))
-    cfg = config_from_dict(dict(raw, noise=1))
-    assert (cfg.alpha, cfg.p_max, cfg.gda_alpha_theta, cfg.loss.noise) == (1, 2, None, 1)
+    raw = dict(TINY, alpha=1, p_max=2, gda_alpha_theta=None, gda_alpha_lambda=0.5, noise=1)
+    cfg = config_from_dict(raw)
+    assert (cfg.alpha, cfg.p_max, cfg.gda_alpha_theta, cfg.noise) == (1, 2, None, 1)
 
 
 # one case per range rule. Each was checked only inside training, so
@@ -176,7 +177,8 @@ OUT_OF_RANGE = {
     "gda_alpha_theta -1": dict(TINY, gda_alpha_theta=-1),
     "gda_alpha_lambda Infinity": dict(TINY, gda_alpha_lambda=math.inf),
     "noise NaN": dict(TINY, noise=math.nan),
-    "loss.noise NaN": dict(TINY, loss=dict(TINY["loss"], noise=math.nan)),
+    # rng.uniform raised an OverflowError in gen, and the header loaded
+    "area_side_m Infinity": dict(TINY, episodes=[dict(TINY["episodes"][0], distribution="geometry", area_side_m=math.inf)]),
 }
 
 
@@ -372,21 +374,21 @@ def test_run_method_rng_independent_of_filter(tmp_path, cfg_path, data_path, met
         assert (every / name).read_bytes() == (solo / name).read_bytes(), name
 
 
-def test_run_guard_trip_is_runtime_failure(tmp_path, capsys):
-    # squared-error u on a [0, 9] power box runs far past the |u| guard
-    raw = config_to_dict(
-        tiny_config(
-            k_pairs=4, p_max=9.0, loss=LossSpec(upper="mse", lower="same_as_upper")
-        )
-    )
-    path = tmp_path / "guard.json"
-    path.write_text(json.dumps(raw))
-    data, out = tmp_path / "data.jsonl", tmp_path / "runs"
-    assert gen(path, data) == 0
+def test_run_guard_trip_is_runtime_failure(tmp_path, cfg_path, data_path, capsys):
+    # on gen's labels |u| <= K: each rate is at most its user's single-user
+    # corner rate, and rbar at least the best corner. rbar at 1e-3 of the
+    # solver's puts u = -rate/rbar far past the |u| guard
+    data = bytearray(data_path.read_bytes())
+    n = json.loads(data[: data.index(b"\n")])["arrays"][2][2][0]
+    rbar = np.frombuffer(data[-8 * n :], "<f8") * 1e-3
+    data[-8 * n :] = rbar.astype("<f8").tobytes()
+    data_path.write_bytes(bytes(data))
+    out = tmp_path / "runs"
     capsys.readouterr()
-    assert run_cmd(path, data, out) == 2
-    assert "Bilevel: ABORTED" in capsys.readouterr().err
+    assert run_cmd(cfg_path, data_path, out) == 2
+    assert "Bilevel: ABORTED after 0 rounds" in capsys.readouterr().err
     assert len((out / "metrics_TL.csv").read_text().splitlines()) == 5
+    assert not (out / "metrics_Bilevel.csv").exists()
 
 
 def test_run_rejects_non_finite_label_at_load(tmp_path, cfg_path, data_path, capsys):
@@ -415,7 +417,7 @@ def test_run_rejects_a_malformed_dataset(tmp_path, cfg_path, data_path, capsys):
 
 def test_run_rejects_a_dataset_solved_at_another_noise_or_p_max(tmp_path, data_path, capsys):
     for kw, values in (
-        ({"noise": 2.0, "loss": LossSpec(noise=2.0)}, "noise=1.0, p_max=1.0; config says noise=2.0, p_max=1.0"),
+        ({"noise": 2.0}, "noise=1.0, p_max=1.0; config says noise=2.0, p_max=1.0"),
         ({"p_max": 2.0}, "noise=1.0, p_max=1.0; config says noise=1.0, p_max=2.0"),
     ):
         path = tmp_path / "other.json"
@@ -424,20 +426,6 @@ def test_run_rejects_a_dataset_solved_at_another_noise_or_p_max(tmp_path, data_p
         assert run_cmd(path, data_path, tmp_path / "runs") == 1
         assert f"error: dataset labels were solved at {values}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
-
-
-def test_config_with_two_noises_is_refused_before_gen(tmp_path, data_path, capsys):
-    # gen would label at noise 2.0 while training scores at loss.noise 1.0
-    raw = config_to_dict(tiny_config())
-    raw["noise"] = 2.0
-    path, data = tmp_path / "two.json", tmp_path / "two.data"
-    path.write_text(json.dumps(raw))
-    capsys.readouterr()
-    assert gen(path, data) == 1
-    assert run_cmd(path, data_path, tmp_path / "runs") == 1
-    err = capsys.readouterr().err
-    assert err.count("error: noise=2.0 and loss.noise=1.0 must be equal") == 2, err
-    assert not data.exists() and not (tmp_path / "runs").exists()
 
 
 def test_run_shared_seen_column(tmp_path, cfg_path, data_path):
@@ -687,7 +675,7 @@ def test_eval_wmmse_policy(tmp_path, data_path, capsys):
 def test_eval_scores_at_the_datasets_noise_and_p_max(tmp_path, monkeypatch):
     # labels solved at p_max 2 and noise 0.5: the solver scored there gets ratio 1
     path, data = tmp_path / "p2.json", tmp_path / "data.jsonl"
-    path.write_text(json.dumps(config_to_dict(tiny_config(k_pairs=3, p_max=2.0, noise=0.5, loss=LossSpec(noise=0.5)))))
+    path.write_text(json.dumps(config_to_dict(tiny_config(k_pairs=3, p_max=2.0, noise=0.5))))
     assert gen(path, data) == 0
     means, episode_means = [], harness.episode_means
 

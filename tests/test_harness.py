@@ -4,7 +4,6 @@ import pytest
 from faircl import channels, harness, memory, model, objective, trainer
 from faircl.channels import EpisodeSpec, EpisodeStream, SampleSet
 from faircl.harness import StrategyConfig
-from faircl.objective import LossSpec
 
 K = 2
 
@@ -188,7 +187,7 @@ def test_top_m_ranks_minimax_by_its_final_dual_and_bilevel_by_u(monkeypatch):
     _, params = harness.run_continual(stream, cfg, np.random.default_rng(8))
     # the last round ranks its pool by u at the final params
     pool, scores = ranked[-1]
-    assert np.array_equal(scores, objective.lower_values(cfg.loss, params, stream.samples.take(pool)))
+    assert np.array_equal(scores, objective.lower_values(cfg.noise, params, stream.samples.take(pool)))
 
 
 def test_tl_skips_empty_batch():
@@ -244,7 +243,7 @@ def test_aborted_run_carries_partial_rows(monkeypatch):
     samples = SampleSet.concat([train, test])
     spec = EpisodeSpec(distribution="rayleigh", n_train=4, n_test=3, n_batches=2)
     stream = EpisodeStream(K, [spec], samples, [range(0, 2), range(2, 4)], [samples[4:]])
-    cfg = tiny_cfg("TL", epochs=1, minibatch_size=2, alpha=1e306, loss=LossSpec(upper="mse"))
+    cfg = tiny_cfg("TL", epochs=1, minibatch_size=2, alpha=1e306)
     params = model.ModelParams((K * K, 6, K), np.zeros(model.param_count((K * K, 6, K))), 1.0)
     monkeypatch.setattr(model, "init", lambda *args: params)
     with np.errstate(over="ignore"), pytest.raises(harness.TrainingAborted, match="TL") as info:
@@ -265,6 +264,11 @@ REFUSED_STRATEGIES = {
     "hidden_sizes a number": (dict(hidden_sizes=5), "hidden_sizes must be an array"),
     "p_max 0": (dict(p_max=0), "p_max must be a positive finite number, got 0"),
     "p_max a bool": (dict(p_max=True), "p_max must be a positive finite number"),
+    "noise 0": (dict(noise=0), "noise must be a positive finite number, got 0"),
+    "noise NaN": (dict(noise=float("nan")), "noise must be a positive finite number, got nan"),
+    "noise Infinity": (dict(noise=float("inf")), "noise must be a positive finite number, got inf"),
+    "noise a bool": (dict(noise=True), "noise must be a positive finite number, got True"),
+    "noise a string": (dict(noise="1"), "noise must be a positive finite number, got '1'"),
     "alpha NaN": (dict(alpha=float("nan")), "alpha must be a positive finite number, got nan"),
     "alpha Infinity": (dict(alpha=float("inf")), "alpha must be a positive finite number, got inf"),
     "beta 0": (dict(beta=0.0), r"beta must be a number in \(0, 1\], got 0.0"),
@@ -286,12 +290,6 @@ REFUSED_STRATEGIES = {
 def test_strategy_config_validation(kw, message):
     with pytest.raises(ValueError, match=message):
         StrategyConfig(**dict(dict(method="TL"), **kw))
-
-
-def test_loss_noise_is_checked_by_its_own_spec():
-    for noise in (0, float("nan"), float("inf"), True, "1"):
-        with pytest.raises(ValueError, match="loss.noise must be a positive finite number"):
-            LossSpec(noise=noise)
 
 
 def test_minimax_rates_default_from_alpha_and_pass_other_methods():

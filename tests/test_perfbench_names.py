@@ -1,9 +1,10 @@
-"""The package names that perfbench/ looks up at run time still exist.
+"""The package names and config keys that perfbench/ relies on still exist.
 
 perfbench/spans.py wraps every function its TRACED table names, through
-getattr on the faircl module, and perfbench/bench.py reads fields off the
-rows of EpisodeStream.all_samples(). A rename breaks the benchmark without
-failing any other test here.
+getattr on the faircl module, perfbench/bench.py reads fields off the
+rows of EpisodeStream.all_samples(), and bench.set_up writes the configs
+that every benchmark command loads. A rename, or a config key the package
+no longer takes, breaks the benchmark without failing any other test here.
 """
 
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from faircl import channels
+from faircl import channels, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +41,17 @@ def test_names_perfbench_resolves_exist():
         assert s.h.shape == (3, 3) and s.h.dtype == complex
         assert s.p_label.shape == (3,)
         assert type(s.rbar) is float and type(s.episode_id) is int
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("bench")
+    for name, plan in bench.PLANS.items():
+        files, ledger = bench.Files(tmp_path / name, len(plan.runs)), bench.Ledger()
+        bench.set_up(plan, 3, files, ledger)  # the set-up gen loads the data config
+        assert ledger.failed == 0, name
+        cli.load_config(files.fresh_config)
+        for path, (methods, _) in zip(files.run_configs, plan.runs):
+            cfg = cli.load_config(path)
+            for method in methods.split(","):
+                cfg.strategy(method)
