@@ -23,7 +23,9 @@ test_sets.
 
 A dataset file is one JSON header line, then the raw bytes of the set's
 h, labels and rbar arrays (see save_dataset), so a load of a save is
-bit-exact.
+bit-exact. A checkpoint has the same layout, and model.write_arrays and
+model.read_arrays write and read both; this module checks the dataset's
+header and rows.
 
 Labelling (add_wmmse_labels) solves the whole set in one call, in the
 calling process: at the stock 8,400 rows the solve takes about 0.2 s, and
@@ -35,8 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -321,22 +321,15 @@ def save_dataset(stream: EpisodeStream, path) -> None:
     solved at, and arrays, the layout of what follows it (see _layout).
     Episode ids are not stored: build_stream and load_dataset lay each
     episode out as its training rows in batch order, then its test rows, so
-    the specs give them. A regular file, or a new one, is replaced only once
-    complete, so a failed save leaves the old file; a pipe, a device or a
-    symlink is written in place.
+    the specs give them. model.write_arrays writes the file through
+    model.replacing: a failed save leaves the old file, and a pipe, a
+    device or a symlink is written in place.
     """
     samples = stream.samples
     layout = _layout(stream.k_pairs, len(samples))
     header = {"version": DATASET_VERSION, "k": stream.k_pairs, "specs": [asdict(sp) for sp in stream.specs],
               "noise": stream.noise, "p_max": stream.p_max, "arrays": layout}
-    try:
-        regular = stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    with (model.replacing(path, "wb") if regular else open(path, "wb")) as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for name, dtype, _ in layout:
-            fh.write(np.ascontiguousarray(getattr(samples, name), dtype=dtype).data)
+    model.write_arrays(path, header, [getattr(samples, name) for name, _, _ in layout])
 
 
 def _header(fh):
@@ -372,25 +365,16 @@ def _header(fh):
 def load_dataset(path) -> EpisodeStream:
     """The stream a dataset file holds, read in one pass.
 
-    The header is checked before any array is read; each array is then read
-    into one of the shape the header gives, so a pipe is read as a file is
-    and no file size is trusted. A row whose labels are all NaN has none,
-    and a NaN rbar is no rbar; every other value must pass the sample rules.
+    The header is checked before any array is read; model.read_arrays then
+    reads each array into one of the shape the header gives, so a pipe is
+    read as a file is and no file size is trusted. A row whose labels are
+    all NaN has none, and a NaN rbar is no rbar; every other value must pass
+    the sample rules.
     """
     with open(path, "rb") as fh:
         k, specs, noise, p_max, layout = _header(fh)
-        arrays = []
-        for name, dtype, shape in layout:
-            try:
-                array = np.empty(shape, dtype)
-            except MemoryError as e:
-                raise DatasetFormatError(f"header: {shape[0]} rows are more than memory holds") from e
-            if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
-                raise DatasetFormatError(f"file ends inside array {name!r}")
-            arrays.append(array)
-        if fh.read(1):
-            raise DatasetFormatError("bytes after the last array")
-    h, labels, rbar = arrays
+        too_big = f"header: {layout[0][2][0]} rows are more than memory holds"
+        h, labels, rbar = model.read_arrays(fh, layout, too_big, DatasetFormatError)
     has_label, has_rbar = ~np.isnan(labels).all(1), ~np.isnan(rbar)
     bad = _first_invalid(h, np.where(has_label[:, None], labels, 0.0), np.where(has_rbar, rbar, 1.0))
     if bad is not None:

@@ -253,7 +253,7 @@ def cmd_eval(args) -> int:
     print(f"average rate {np.mean(rates):.6f} ({label})")
     out_dir = _ensure_dir(args.out)
     hist_path = out_dir / "histogram.csv"
-    with open(hist_path, "w", newline="") as fh:
+    with model.replacing(hist_path, newline="") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         for lo, hi, count in hist:
             fh.write(f"{lo!r},{hi!r},{count}\n")

@@ -11,16 +11,21 @@ and its trace keeps only the activation entering each layer: backward masks
 the ReLU on a > 0, bitwise the mask z > 0 of the pre-activation. backward
 returns a fresh gradient vector that the caller owns and may overwrite, as
 the trainers do when they build the next parameter vector in it.
+
+A checkpoint is one JSON header line (version, layer_sizes, p_max and the
+arrays layout), then the flat vector's little-endian float64 bytes: the
+layout of a dataset file. write_arrays and read_arrays are the one writer
+and reader of both kinds, and every output file goes through replacing.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import functools
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,9 +183,19 @@ def replacing(path, mode="w", newline=None):
     renames over path when the block exits cleanly, so a reader sees the
     old file or the whole new one, never a truncated one. A block that
     raises leaves path as it was; a writer killed mid-write leaves its
-    hidden temp file beside it.
+    hidden temp file beside it. A path that exists and is not a regular
+    file (a pipe, a device or a symlink) is written in place: a rename
+    would put a file where the link or the pipe was.
     """
     path = Path(path)
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, mode, newline=newline) as fh:
+            yield fh
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, newline=newline) as fh:
@@ -190,50 +205,90 @@ def replacing(path, mode="w", newline=None):
         tmp.unlink(missing_ok=True)
 
 
-CHECKPOINT_VERSION = 2
+# Checkpoints and datasets share one file layout: a JSON header line whose
+# "arrays" entry lists [name, dtype, shape] of each array in file order,
+# then each array's C-order bytes in that dtype, with nothing after them.
+
+
+def write_arrays(path, header: dict, arrays) -> None:
+    """Write header as one JSON line, then the bytes of arrays, through replacing.
+
+    arrays are the arrays header["arrays"] names, in its order; each is
+    written in the dtype its entry gives.
+    """
+    with replacing(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for (_, dtype, _), array in zip(header["arrays"], arrays):
+            fh.write(np.ascontiguousarray(array, dtype=dtype).data)
+
+
+def read_arrays(fh, layout, too_big: str, error=ValueError) -> list:
+    """The arrays layout names, read from fh after its header line, then the file's end.
+
+    Each array is read into one of the shape its entry gives, so a pipe is
+    read as a file is and no file size is trusted. A short file, or bytes
+    after the last array, raise error; so does a shape that asks for more
+    memory than there is, with the message too_big.
+    """
+    arrays = []
+    for name, dtype, shape in layout:
+        try:
+            array = np.empty(shape, dtype)
+        except (MemoryError, ValueError) as e:  # numpy refuses a byte count past the address space
+            raise error(too_big) from e
+        if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+            raise error(f"file ends inside array {name!r}")
+        arrays.append(array)
+    if fh.read(1):
+        raise error("bytes after the last array")
+    return arrays
+
+
+CHECKPOINT_VERSION = 3
 
 
 def save_params(params: ModelParams, path):
-    """Write a checkpoint: one JSON line whose values are base64 float64 bytes.
+    """Write a checkpoint: one JSON header line, then the flat vector's float64 bytes.
 
-    The keys are version, layer_sizes, p_max and values, the base64 of the
-    flat vector's little-endian float64 bytes, so the round trip is exact.
+    The header's keys are version, layer_sizes, p_max and arrays, which is
+    [["values", "<f8", [n]]]; the n little-endian float64s follow it, so
+    the round trip is exact.
     """
-    values = base64.b64encode(params.values.astype("<f8").tobytes()).decode("ascii")
-    doc = {"version": CHECKPOINT_VERSION, "layer_sizes": list(params.layer_sizes), "p_max": params.p_max,
-           "values": values}
-    with replacing(path) as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+    header = {"version": CHECKPOINT_VERSION, "layer_sizes": list(params.layer_sizes), "p_max": params.p_max,
+              "arrays": [["values", "<f8", [params.values.size]]]}
+    write_arrays(path, header, [params.values])
 
 
 def load_params(path) -> ModelParams:
-    """The ModelParams a checkpoint holds; a malformed one raises ValueError."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("checkpoint is not a JSON object")
-    if "version" not in doc and isinstance(doc.get("values"), list):
-        raise ValueError("checkpoint is version 1 (values as a list of floats); rerun faircl run to write it again")
-    try:
-        version, sizes, p_max, text = doc["version"], doc["layer_sizes"], doc["p_max"], doc["values"]
-    except KeyError as e:
-        raise ValueError(f"checkpoint missing field {e}") from e
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version {version!r} is not {CHECKPOINT_VERSION}; rerun faircl run")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError; a number is a TypeError
-        raise ValueError(f"checkpoint values are not valid base64 ({e})") from e
-    if len(raw) % 8:
-        raise ValueError(f"checkpoint values hold {len(raw)} bytes, not a whole number of float64s")
-    try:
-        sizes = tuple(sizes)
-        for s in sizes:
-            if type(s) is not int:  # ModelParams would truncate 4.9 to 4 and take True as 1
-                raise ValueError(f"layer size {s!r} is not an integer")
-        if type(p_max) not in (int, float):  # ModelParams would read true and "1.0" as 1.0
-            raise ValueError(f"p_max must be a positive finite number, got {p_max!r}")
-        return ModelParams(sizes, np.frombuffer(raw, "<f8").astype(float), p_max)
-    except (TypeError, ValueError) as e:  # layout, finiteness and p_max checks, or a field's type
-        raise ValueError(f"checkpoint: {e}") from e
+    """The ModelParams a checkpoint holds, read in one pass; a malformed one raises ValueError."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.loads(fh.readline())
+        except ValueError as e:  # UnicodeDecodeError is a ValueError
+            raise ValueError(f"checkpoint header is not JSON ({e})") from e
+        if not isinstance(doc, dict):
+            raise ValueError("checkpoint is not a JSON object")
+        if "version" not in doc and isinstance(doc.get("values"), list):
+            raise ValueError("checkpoint is version 1 (values as a list of floats); rerun faircl run to write it again")
+        try:
+            version = doc["version"]
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"checkpoint version {version!r} is not {CHECKPOINT_VERSION}; rerun faircl run")
+            sizes, p_max, arrays = doc["layer_sizes"], doc["p_max"], doc["arrays"]
+        except KeyError as e:
+            raise ValueError(f"checkpoint missing field {e}") from e
+        try:
+            sizes = tuple(sizes)
+            for s in sizes:
+                if type(s) is not int:  # ModelParams would truncate 4.9 to 4 and take True as 1
+                    raise ValueError(f"layer size {s!r} is not an integer")
+            if type(p_max) not in (int, float):  # ModelParams would read true and "1.0" as 1.0
+                raise ValueError(f"p_max must be a positive finite number, got {p_max!r}")
+            n = _layout(sizes)[-1][2]
+            layout = [["values", "<f8", [n]]]
+            if arrays != layout:
+                raise ValueError(f"arrays {arrays} are not the {layout} that layer_sizes give")
+            (values,) = read_arrays(fh, layout, f"layer sizes {list(sizes)} ask for {n} values, more than memory holds")
+            return ModelParams(sizes, values, p_max)  # the finiteness and p_max range checks
+        except (TypeError, ValueError) as e:  # a field's type, the layout, the bytes or the values
+            raise ValueError(f"checkpoint: {e}") from e

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy  # loaded before forks_here looks for its OpenBLAS, whatever workers imports
 import pytest
@@ -35,3 +36,19 @@ def forks(monkeypatch):
     made, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
     return made
+
+
+def through_fifo(load, path):
+    """load applied to a FIFO that carries path's bytes.
+
+    A reader cannot learn a FIFO's size before reading it (fstat gives 0).
+    """
+    fifo = path.with_name("data.fifo")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        return load(fifo)
+    finally:
+        writer.join()
+        fifo.unlink()

@@ -6,9 +6,9 @@ The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many, which labels shares of a set's rows
 in forked workers, must match bit for bit. The training loops at the end,
 which hand the oracles a fresh SampleSet take on every call, are the
-references for the array-backed trainer. Last, checkpoint text is built from
-the format's description with struct, not numpy, then spoiled one field at a
-time for the model and CLI tests of load_params.
+references for the array-backed trainer. Last, checkpoint bytes are built
+from the format's description with struct, not numpy, then spoiled one field
+at a time for the model and CLI tests of load_params.
 """
 
 import base64
@@ -151,43 +151,66 @@ def lower_values_lists(noise, params, samples):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: version 2 is one JSON line whose "values" is the base64 of the
-# parameter vector's little-endian float64 bytes.
+# Checkpoints: version 3 is one JSON header line, then the parameter vector's
+# little-endian float64 bytes. Version 2 was one JSON line whose "values" was
+# the base64 of those bytes.
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+def _header(sizes, p_max, n) -> str:
+    return (f'{{"version": 3, "layer_sizes": {list(sizes)}, "p_max": {p_max!r}, '
+            f'"arrays": [["values", "<f8", [{n}]]]}}\n')
 
 
-def checkpoint_text(params) -> str:
-    """The line save_params must write for params, spelled out key by key."""
+def checkpoint_bytes(params) -> bytes:
+    """The bytes save_params must write for params, spelled out key by key."""
     raw = struct.pack(f"<{params.values.size}d", *params.values)
-    return (f'{{"version": 2, "layer_sizes": {list(params.layer_sizes)}, "p_max": {params.p_max!r}, '
-            f'"values": "{_b64(raw)}"}}\n')
+    return _header(params.layer_sizes, params.p_max, params.values.size).encode() + raw
+
+
+def _count(sizes) -> int:
+    return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
 
 
 def bad_checkpoints(params) -> list:
-    """(name, text, message pattern) of checkpoints of params with one fault each."""
-    good = json.loads(checkpoint_text(params))
-    raw = base64.b64decode(good["values"])
-    no_version = {k: v for k, v in good.items() if k != "version"}
-    sizes = good["layer_sizes"]
-    cases = [
-        ("version 1", dict(no_version, values=params.values.tolist()), "version 1.*rerun faircl run"),
-        ("no version", dict(no_version), "missing field 'version'"),
-        ("invalid base64", dict(good, values="*" + good["values"][1:]), "not valid base64"),
-        ("ragged bytes", dict(good, values=_b64(raw + bytes(4))),
-         f"{len(raw) + 4} bytes, not a whole number of float64s"),
-        ("short count", dict(good, values=_b64(raw[:-8])), f"expected {params.values.size} parameter values"),
-        ("NaN bytes", dict(good, values=_b64(struct.pack("<d", math.nan) + raw[8:])), "must be finite"),
-        ("infinite p_max", dict(good, p_max=math.inf), "p_max must be a positive finite number, got inf"),
-        ("bool p_max", dict(good, p_max=True), "checkpoint: p_max must be a positive finite number, got True"),
-        ("string p_max", dict(good, p_max="1.0"), "checkpoint: p_max must be a positive finite number, got '1.0'"),
-        ("sizes not a list", dict(good, layer_sizes=4), "checkpoint: .*not iterable"),
+    """(name, bytes, message pattern) of checkpoints of params with one fault each."""
+    good = checkpoint_bytes(params)
+    line, raw = good[:good.index(b"\n") + 1], good[good.index(b"\n") + 1:]
+    head = json.loads(line)
+    n, sizes = params.values.size, head["layer_sizes"]
+    no_version = {k: v for k, v in head.items() if k != "version"}
+    v1 = {"layer_sizes": sizes, "p_max": params.p_max, "values": params.values.tolist()}
+    v2 = {"version": 2, "layer_sizes": sizes, "p_max": params.p_max, "values": base64.b64encode(raw).decode()}
+    # 8 PB of values, past any address space; 2**65 bytes, past numpy's byte count
+    huge, past_memory = [10**7, 10**8, 1], [2**31, 2**31, 2]
+    nan = struct.pack("<d", math.nan) + raw[8:]
+    cases = [  # (name, header, values bytes, message pattern)
+        ("version 1", v1, b"", "version 1.*rerun faircl run"),
+        ("version 2", v2, b"", "checkpoint version 2 is not 3; rerun faircl run"),
+        ("no version", no_version, raw, "missing field 'version'"),
+        ("no arrays", {k: v for k, v in head.items() if k != "arrays"}, raw, "missing field 'arrays'"),
+        ("non-JSON header", "{not json", raw, "checkpoint header is not JSON"),
+        ("ragged bytes", head, raw[:-4], "checkpoint: file ends inside array 'values'"),
+        ("short file", head, raw[:-8], "checkpoint: file ends inside array 'values'"),
+        ("trailing bytes", head, raw + bytes(8), "checkpoint: bytes after the last array"),
+        ("short count", dict(head, arrays=[["values", "<f8", [n - 1]]]), raw[:-8],
+         rf"checkpoint: arrays \[\['values', '<f8', \[{n - 1}\]\]\] are not the .* that layer_sizes give"),
+        ("float64 big-endian", dict(head, arrays=[["values", ">f8", [n]]]), raw, "not the .* that layer_sizes give"),
+        ("NaN bytes", head, nan, "must be finite"),
+        ("infinite p_max", dict(head, p_max=math.inf), raw, "p_max must be a positive finite number, got inf"),
+        ("bool p_max", dict(head, p_max=True), raw, "checkpoint: p_max must be a positive finite number, got True"),
+        ("string p_max", dict(head, p_max="1.0"), raw, "checkpoint: p_max must be a positive finite number, got '1.0'"),
+        ("sizes not a list", dict(head, layer_sizes=4), raw, "checkpoint: .*not iterable"),
         # ModelParams would read 4.9 as 4 and True as 1
-        ("float layer size", dict(good, layer_sizes=[sizes[0] + 0.9, *sizes[1:]]),
+        ("float layer size", dict(head, layer_sizes=[sizes[0] + 0.9, *sizes[1:]]), raw,
          f"checkpoint: layer size {sizes[0] + 0.9!r} is not an integer"),
-        ("bool layer size", dict(good, layer_sizes=[*sizes[:-1], True]), "checkpoint: layer size True is not an integer"),
-        ("not an object", [good], "not a JSON object"),
+        ("bool layer size", dict(head, layer_sizes=[*sizes[:-1], True]), raw,
+         "checkpoint: layer size True is not an integer"),
+        ("oversized layer_sizes", dict(head, layer_sizes=huge, arrays=[["values", "<f8", [_count(huge)]]]), raw,
+         rf"checkpoint: layer sizes \[10000000, 100000000, 1\] ask for {_count(huge)} values, more than memory holds"),
+        ("layer_sizes past memory", dict(head, layer_sizes=past_memory,
+                                         arrays=[["values", "<f8", [_count(past_memory)]]]), raw,
+         f"ask for {_count(past_memory)} values, more than memory holds"),
+        ("not an object", [head], raw, "not a JSON object"),
     ]
-    return [(name, json.dumps(doc) + "\n", match) for name, doc, match in cases]
+    return [(name, (doc if isinstance(doc, str) else json.dumps(doc)).encode() + b"\n" + tail, match)
+            for name, doc, tail, match in cases]

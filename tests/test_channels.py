@@ -7,8 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from faircl import channels, workers, wsr
-from conftest import forks_here
+from faircl import channels, harness, model, workers, wsr
+from conftest import forks_here, through_fifo
 
 
 def rng(seed=0):
@@ -298,26 +298,37 @@ def test_save_that_fails_leaves_the_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["data.jsonl"]  # no temp file behind
 
 
-def test_save_writes_a_fifo_and_a_symlink_in_place(tmp_path):
-    stream = small_stream(True)
-    want = tmp_path / "want.jsonl"
-    channels.save_dataset(stream, want)
-    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+def _write_in_place(save, tmp_path, suffix):
+    # save(path) through a symlink, then into a FIFO: each writes the bytes
+    # that save writes to a new file, leaving the link and the FIFO in place
+    want = tmp_path / f"want{suffix}"
+    save(want)
+    target, link = tmp_path / f"target{suffix}", tmp_path / f"link{suffix}"
     target.write_text("old\n")
     link.symlink_to(target)
-    channels.save_dataset(stream, link)
+    save(link)
     assert link.is_symlink() and target.read_bytes() == want.read_bytes()
-    fifo = tmp_path / "fifo"
+    fifo = tmp_path / f"fifo{suffix}"
     os.mkfifo(fifo)
     read = []
     reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
     reader.start()
     try:
-        channels.save_dataset(stream, fifo)
+        save(fifo)
     finally:
         reader.join()
     assert read == [want.read_bytes()]
-    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.jsonl", "target.jsonl", "want.jsonl"]
+    return [f"{name}{suffix}" for name in ("fifo", "link", "target", "want")]
+
+
+def test_save_writes_a_fifo_and_a_symlink_in_place(tmp_path):
+    stream = small_stream(True)
+    params = model.init((4, 3, 2), 1.0, rng(0))
+    rows = [harness.MetricsRow(4, "TL", [0.5, 0.25], [1.0, 0.5], 0.375, 0)]
+    names = _write_in_place(lambda p: channels.save_dataset(stream, p), tmp_path, ".jsonl")
+    names += _write_in_place(lambda p: model.save_params(params, p), tmp_path, ".json")
+    names += _write_in_place(lambda p: harness.write_metrics_csv(p, rows), tmp_path, ".csv")
+    assert sorted(os.listdir(tmp_path)) == sorted(names)  # no temp file behind
 
 
 def test_load_truncated_inside_each_array(tmp_path):
@@ -392,12 +403,13 @@ def test_load_of_a_header_claiming_more_rows_than_memory_holds(tmp_path):
     path = tmp_path / "data.jsonl"
     channels.save_dataset(small_stream(True), path)
     header, arrays = read_parts(path)
-    n = 10**15
-    header["specs"][0].update(n_train=n - 2)
-    header["arrays"] = [["h", "<c16", [n, 2, 2]], ["labels", "<f8", [n, 2]], ["rbar", "<f8", [n]]]
-    write_parts(path, header, arrays)
-    with pytest.raises(channels.DatasetFormatError, match=f"^header: {n} rows are more than memory holds$"):
-        channels.load_dataset(path)
+    # 64 PB of h, past any address space; 2**64 bytes of h, past numpy's byte count
+    for n in (10**15, 2**58):
+        header["specs"][0].update(n_train=n - 2)
+        header["arrays"] = [["h", "<c16", [n, 2, 2]], ["labels", "<f8", [n, 2]], ["rbar", "<f8", [n]]]
+        write_parts(path, header, arrays)
+        with pytest.raises(channels.DatasetFormatError, match=f"^header: {n} rows are more than memory holds$"):
+            channels.load_dataset(path)
 
 
 def test_load_names_a_version_1_file_as_one_to_regenerate(tmp_path):
@@ -451,20 +463,6 @@ def test_load_names_the_row_of_each_value_rule(tmp_path):
     assert loaded.samples[4].rbar is None and loaded.samples[4].p_label is not None
 
 
-def _through_fifo(load, path):
-    # load applied to a FIFO that carries path's bytes: a reader cannot learn
-    # a FIFO's size before reading it (fstat gives 0)
-    fifo = path.with_name("data.fifo")
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
-    writer.start()
-    try:
-        return load(fifo)
-    finally:
-        writer.join()
-        fifo.unlink()
-
-
 def _outcome(load, path):
     try:
         return load(path).samples
@@ -481,7 +479,7 @@ def test_load_reads_a_fifo(tmp_path):
     stream.label()
     path = tmp_path / "data.jsonl"
     channels.save_dataset(stream, path)
-    loaded = _through_fifo(channels.load_dataset, path)
+    loaded = through_fifo(channels.load_dataset, path)
     assert len(loaded.samples) == 15
     assert_streams_equal(loaded, channels.load_dataset(path))
     # a short, a long and a corrupt file read through a FIFO fail as read from disk
@@ -491,7 +489,7 @@ def test_load_reads_a_fifo(tmp_path):
     for bad in (data[:-1], data + data[:1], bytes(corrupt)):
         path.write_bytes(bad)
         want = _outcome(channels.load_dataset, path)
-        assert isinstance(want, str) and _through_fifo(lambda p: _outcome(channels.load_dataset, p), path) == want
+        assert isinstance(want, str) and through_fifo(lambda p: _outcome(channels.load_dataset, p), path) == want
 
 
 # ------------------------------------------------------------- labelling

@@ -672,6 +672,19 @@ def test_eval_wmmse_policy(tmp_path, data_path, capsys):
     assert sum(int(row.split(",")[2]) for row in lines[1:]) == 8
 
 
+def test_eval_histogram_write_that_fails_leaves_the_old_file(tmp_path, data_path, monkeypatch, capsys):
+    out = tmp_path / "eval"
+    argv = ["eval", "--data", str(data_path), "--out", str(out), "--policy", "wmmse"]
+    assert main(argv) == 0
+    before = (out / "histogram.csv").read_bytes()
+    # the bins are written one line at a time: fail after the header line
+    monkeypatch.setattr(harness, "pooled_histogram", lambda scores, width: [(0.0, 0.1, 3), None])
+    with pytest.raises(TypeError):
+        main(argv)
+    assert (out / "histogram.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["histogram.csv"]
+
+
 def test_eval_scores_at_the_datasets_noise_and_p_max(tmp_path, monkeypatch):
     # labels solved at p_max 2 and noise 0.5: the solver scored there gets ratio 1
     path, data = tmp_path / "p2.json", tmp_path / "data.jsonl"
@@ -766,15 +779,16 @@ def test_eval_k_mismatch(tmp_path, data_path, capsys):
 BAD_CHECKPOINTS = bad_checkpoints(model.init((4, 6, 2), 1.0, np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("name,text,match", BAD_CHECKPOINTS, ids=[c[0] for c in BAD_CHECKPOINTS])
-def test_eval_rejects_malformed_checkpoint(tmp_path, data_path, capsys, name, text, match):
+@pytest.mark.parametrize("name,data,match", BAD_CHECKPOINTS, ids=[c[0] for c in BAD_CHECKPOINTS])
+def test_eval_rejects_malformed_checkpoint(tmp_path, data_path, capsys, name, data, match):
     ckpt = tmp_path / "bad.json"
-    ckpt.write_text(text)
+    ckpt.write_bytes(data)
     capsys.readouterr()
     out = tmp_path / "e"
     assert main(["eval", "--data", str(data_path), "--out", str(out), "--checkpoint", str(ckpt)]) == 1
     console = capsys.readouterr()
     assert re.search(match, console.err), console.err
+    assert console.err.startswith("error: ") and console.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from faircl import model
-from oracles import bad_checkpoints, checkpoint_text, fd_gradient, rel_error
+from conftest import through_fifo
+from oracles import bad_checkpoints, checkpoint_bytes, fd_gradient, rel_error
 
 
 def test_param_count():
@@ -158,12 +159,31 @@ def test_checkpoint_round_trip_exact(tmp_path):
         assert back.values.tobytes() == params.values.tobytes()  # bit for bit: -0.0 is not 0.0
 
 
-def test_checkpoint_bytes_pin_base64_layout(tmp_path):
+def test_checkpoint_bytes_pin_raw_layout(tmp_path):
     path = tmp_path / "ckpt.json"
     for params in _checkpoint_cases():
         model.save_params(params, path)
-        assert path.read_text() == checkpoint_text(params)
-        json.loads(path.read_text())  # still one valid JSON object
+        data = path.read_bytes()
+        assert data == checkpoint_bytes(params)
+        # the first line is one JSON object; the values are 8 bytes each after it
+        head = data.index(b"\n") + 1
+        assert json.loads(data[:head])["arrays"] == [["values", "<f8", [params.values.size]]]
+        assert len(data) - head == 8 * params.values.size
+
+
+def test_checkpoint_loads_through_a_fifo(tmp_path):
+    path = tmp_path / "ckpt.json"
+    params = model.init((4, 5, 2), 0.75, np.random.default_rng(12))
+    model.save_params(params, path)
+    back = through_fifo(model.load_params, path)
+    assert back.layer_sizes == params.layer_sizes and back.p_max == params.p_max
+    assert back.values.tobytes() == params.values.tobytes()
+    # a short and a long checkpoint read through a FIFO fail as read from disk
+    data = path.read_bytes()
+    for bad, match in ((data[:-1], "file ends inside array 'values'"), (data + data[:1], "bytes after the last array")):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=match):
+            through_fifo(model.load_params, path)
 
 
 def test_checkpoint_saves_are_byte_identical(tmp_path):
@@ -178,10 +198,10 @@ def test_checkpoint_saves_are_byte_identical(tmp_path):
 BAD_CHECKPOINTS = bad_checkpoints(model.init((4, 5, 2), 1.0, np.random.default_rng(11)))
 
 
-@pytest.mark.parametrize("name,text,match", BAD_CHECKPOINTS, ids=[c[0] for c in BAD_CHECKPOINTS])
-def test_checkpoint_rejects_malformed(tmp_path, name, text, match):
+@pytest.mark.parametrize("name,data,match", BAD_CHECKPOINTS, ids=[c[0] for c in BAD_CHECKPOINTS])
+def test_checkpoint_rejects_malformed(tmp_path, name, data, match):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(ValueError, match=match):
         model.load_params(path)
 
