@@ -20,6 +20,11 @@ Every command is deterministic given (config, seed): reruns reproduce
 output files byte for byte. To keep that guarantee the persisted metrics
 zero out the wall_ms column; real timings go to the console instead.
 
+main(argv) may be called any number of times in one process. It builds
+its parser on the first call and reuses it, and it looks up cmd_gen,
+cmd_run or cmd_eval each time it runs one, so a function replaced on
+this module after the first call is the one that runs.
+
 Exit codes: 0 success, 1 usage or input error, 2 runtime failure.
 """
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -282,6 +288,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="faircl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -290,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", help="config JSON; omit for the stock desk-scale setup")
     gen.add_argument("--seed", type=int, help="override the config seed")
     gen.add_argument("--out", required=True, help="dataset file to write")
-    gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="train strategies over a dataset")
     run.add_argument("--config", help="config JSON; omit for the stock desk-scale setup")
@@ -298,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", required=True, help="dataset file from gen")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--methods", help="comma-separated subset of methods")
-    run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="score a checkpoint or the solver on a dataset")
     ev.add_argument("--checkpoint", help="model checkpoint JSON")
@@ -306,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output directory")
     ev.add_argument("--policy", choices=["checkpoint", "wmmse"], default="checkpoint")
     ev.add_argument("--bin-width", type=_positive_float, default=0.1)
-    ev.set_defaults(func=cmd_eval)
     return parser
 
 
@@ -314,9 +318,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval" and args.policy == "checkpoint" and not args.checkpoint:
-            raise UsageError("--checkpoint is required unless --policy wmmse")
-        return args.func(args)
+        if args.command == "eval":
+            if args.policy == "checkpoint" and not args.checkpoint:
+                raise UsageError("--checkpoint is required unless --policy wmmse")
+            if args.policy == "wmmse" and args.checkpoint is not None:
+                raise UsageError("--checkpoint cannot be used with --policy wmmse")
+        # looked up per call, not stored in the cached parser, so a
+        # replaced cmd_* (a tracing wrapper, a test's spy) is what runs
+        command = {"gen": cmd_gen, "run": cmd_run, "eval": cmd_eval}[args.command]
+        return command(args)
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -797,6 +797,18 @@ def test_eval_needs_checkpoint_or_wmmse(tmp_path, data_path, capsys):
     assert "--checkpoint" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_checkpoint_under_wmmse(tmp_path, data_path, capsys):
+    # the checkpoint was never opened, even a missing one, and the output read as WMMSE's score
+    capsys.readouterr()
+    out = tmp_path / "e"
+    argv = ["eval", "--data", str(data_path), "--out", str(out), "--policy", "wmmse"]
+    assert main(argv + ["--checkpoint", str(tmp_path / "missing.json")]) == 1
+    console = capsys.readouterr()
+    assert console.out == ""
+    assert console.err == "error: --checkpoint cannot be used with --policy wmmse\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("width", ["0", "-0.1", "nan", "inf", "wide"])
 def test_eval_rejects_bad_bin_width_before_loading(tmp_path, data_path, capsys, width):
     capsys.readouterr()
@@ -829,3 +841,59 @@ def test_bad_invocations(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["gen"]) == 1
     capsys.readouterr()
+
+
+# ------------------------------------------------ many calls, one process
+
+@pytest.fixture
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()  # the next test builds its own, of the real class
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, cfg_path, monkeypatch, fresh_parser, capsys):
+    made = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kw):
+            made.append(kw["prog"])
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    data, runs = tmp_path / "data.bin", tmp_path / "runs"
+    assert gen(cfg_path, data) == 0
+    assert run_cmd(cfg_path, data, runs, "--methods", "TL") == 0
+    for policy in (["--policy", "wmmse"], ["--checkpoint", str(runs / "model_TL.json")]):
+        assert main(["eval", "--data", str(data), "--out", str(tmp_path / "e"), *policy]) == 0
+    # the top-level parser and its three subparsers, each once
+    assert made == ["faircl", "faircl gen", "faircl run", "faircl eval"]
+
+
+@pytest.mark.parametrize("refused", [[], ["--out", "{tmp}/refused", "--bin-width", "0"]], ids=["no --out", "bin width 0"])
+def test_a_refused_call_leaves_the_next_one_as_it_was(tmp_path, data_path, capsys, refused):
+    argv = ["eval", "--data", str(data_path), "--policy", "wmmse"]
+    assert main(argv + ["--out", str(tmp_path / "before")]) == 0
+    capsys.readouterr()
+    assert refused_in_one_line(capsys, main(argv + [f.format(tmp=tmp_path) for f in refused]))
+    assert main(argv + ["--out", str(tmp_path / "after")]) == 0
+    after, before = ((tmp_path / out / "histogram.csv").read_bytes() for out in ("after", "before"))
+    assert after == before
+    assert not (tmp_path / "refused").exists()
+
+
+def test_repeated_evals_write_what_a_fresh_process_writes(tmp_path, cfg_path, data_path):
+    # each case differs from the one before it in a flag the next one leaves at its default
+    runs = tmp_path / "runs"
+    assert run_cmd(cfg_path, data_path, runs, "--methods", "TL") == 0
+    checkpoint = ["--checkpoint", str(runs / "model_TL.json")]
+    cases = [checkpoint + ["--bin-width", "0.5"], checkpoint, ["--policy", "wmmse"], checkpoint]
+    for i, flags in enumerate(cases):
+        assert main(["eval", "--data", str(data_path), "--out", str(tmp_path / f"in-process-{i}"), *flags]) == 0
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    for i, flags in enumerate(cases):
+        fresh = ["eval", "--data", str(data_path), "--out", str(tmp_path / f"fresh-{i}"), *flags]
+        subprocess.run([sys.executable, "-m", "faircl", *fresh], env=env, capture_output=True, check=True)
+        want = (tmp_path / f"fresh-{i}" / "histogram.csv").read_bytes()
+        assert (tmp_path / f"in-process-{i}" / "histogram.csv").read_bytes() == want, flags

@@ -5,6 +5,8 @@ getattr on the faircl module, perfbench/bench.py reads fields off the
 rows of EpisodeStream.all_samples(), and bench.set_up writes the configs
 that every benchmark command loads. A rename, or a config key the package
 no longer takes, breaks the benchmark without failing any other test here.
+So does a cli.main that keeps the cmd_* functions it found on its first
+call, which would skip the wrappers spans.py installs after it.
 """
 
 import importlib
@@ -12,6 +14,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from faircl import channels, cli
 
@@ -55,3 +58,23 @@ def test_benchmark_configs_load(tmp_path, monkeypatch):
             cfg = cli.load_config(path)
             for method in methods.split(","):
                 cfg.strategy(method)
+
+
+# the paths name no file, so the real command, if it ran, would fail fast
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("gen", ["--config", "{tmp}/missing.json", "--out", "{tmp}/data.bin"]),
+        ("run", ["--config", "{tmp}/missing.json", "--data", "{tmp}/data.bin", "--out", "{tmp}/runs"]),
+        ("eval", ["--data", "{tmp}/data.bin", "--out", "{tmp}/eval", "--policy", "wmmse"]),
+    ],
+)
+def test_main_runs_the_command_the_module_holds_when_called(tmp_path, monkeypatch, capsys, command, flags):
+    # spans.py replaces cli.cmd_* with its timing wrappers after main may
+    # have built its parser; a parser that kept the functions would skip them
+    assert cli.main(["gen"]) == 1  # refused, with the parser built
+    ran = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: ran.append(args.command) or 7)
+    assert cli.main([command, *(f.format(tmp=tmp_path) for f in flags)]) == 7
+    assert ran == [command]
+    capsys.readouterr()
