@@ -24,8 +24,8 @@ test_sets.
 A dataset file is one JSON header line, then the raw bytes of the set's
 h, labels and rbar arrays (see save_dataset), so a load of a save is
 bit-exact. A checkpoint has the same layout, and model.write_arrays and
-model.read_arrays write and read both; this module checks the dataset's
-header and rows.
+model.read_file write and read both, by model's input rules; this module
+gives the header's fields and checks the rows.
 
 Labelling (add_wmmse_labels) solves the whole set in one call, in the
 calling process: at the stock 8,400 rows the solve takes about 0.2 s, and
@@ -35,7 +35,6 @@ the CPUs would not pay for its code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -162,12 +161,10 @@ class EpisodeSpec:
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}, expected one of {DISTRIBUTIONS}")
-        if self.distribution == GEOMETRY:
-            if type(self.area_side_m) not in (int, float) or not 0 < self.area_side_m < math.inf:
-                raise ValueError(f"geometry episodes need a positive finite area_side_m, got {self.area_side_m!r}")
-        counts = (self.n_train, self.n_test, self.n_batches)
-        if any(type(n) is not int for n in counts) or min(counts) < 1:
-            raise ValueError(f"n_train, n_test, n_batches must be positive integers, got {counts}")
+        for name in ("n_train", "n_test", "n_batches"):
+            model.check_count(name, getattr(self, name), 1)
+        # null outside geometry, which places its users in an area_side_m square
+        model.check_positive("area_side_m", self.area_side_m, nullable=self.distribution != GEOMETRY)
         if self.n_train % self.n_batches != 0:
             raise ValueError(f"n_train={self.n_train} not divisible by n_batches={self.n_batches}")
 
@@ -332,49 +329,25 @@ def save_dataset(stream: EpisodeStream, path) -> None:
     model.write_arrays(path, header, [getattr(samples, name) for name, _, _ in layout])
 
 
-def _header(fh):
-    """(k, specs, noise, p_max, layout) of a dataset's header line, checked."""
-    try:
-        header = json.loads(fh.readline())
-        version = header["version"]
-    except (ValueError, KeyError, TypeError) as e:  # UnicodeDecodeError is a ValueError
-        raise DatasetFormatError(f"header: not a dataset header ({e})") from e
-    if version != DATASET_VERSION:
-        old = "; it is the JSON-lines format, regenerate the dataset with faircl gen" if version == 1 else ""
-        raise DatasetFormatError(f"header: unsupported version {version}{old}")
-    try:
-        k, noise, p_max, specs = header["k"], header["noise"], header["p_max"], header["specs"]
-        counts = [k] + [sp[n] for sp in specs for n in ("n_train", "n_test", "n_batches")]
-    except (KeyError, TypeError) as e:
-        raise DatasetFormatError(f"header: bad header ({e})") from e
-    if any(type(n) is not int for n in counts) or k < 1:
-        raise DatasetFormatError("header: k and the specs' counts must be positive integers")
-    try:
-        specs = [EpisodeSpec(**sp) for sp in specs]
-    except (TypeError, ValueError) as e:
-        raise DatasetFormatError(f"header: bad header ({e})") from e
-    for name, value in (("noise", noise), ("p_max", p_max)):
-        if type(value) not in (int, float) or not 0 < value < math.inf:
-            raise DatasetFormatError(f"header: {name} must be a positive finite number, got {value!r}")
-    layout = _layout(k, sum(sp.n_train + sp.n_test for sp in specs))
-    if header.get("arrays") != layout:
-        raise DatasetFormatError(f"header: arrays {header.get('arrays')} are not the {layout} that k and specs give")
-    return k, specs, noise, p_max, layout
+def _header_fields(header):
+    """((k, specs, noise, p_max), arrays layout) of a dataset header, for model.read_file."""
+    k = model.check_count("k", header["k"], 1)
+    specs = [model.build(EpisodeSpec, sp, "episode") for sp in model.check_array("specs", header["specs"])]
+    noise, p_max = (model.check_positive(name, header[name]) for name in ("noise", "p_max"))
+    return (k, specs, noise, p_max), _layout(k, sum(sp.n_train + sp.n_test for sp in specs))
 
 
 def load_dataset(path) -> EpisodeStream:
     """The stream a dataset file holds, read in one pass.
 
-    The header is checked before any array is read; model.read_arrays then
-    reads each array into one of the shape the header gives, so a pipe is
-    read as a file is and no file size is trusted. A row whose labels are
-    all NaN has none, and a NaN rbar is no rbar; every other value must pass
+    model.read_file checks the header before any array is read, then reads
+    each array into one of the shape the header gives, so a pipe is read
+    as a file is and no file size is trusted. A row whose labels are all
+    NaN has none, and a NaN rbar is no rbar; every other value must pass
     the sample rules.
     """
-    with open(path, "rb") as fh:
-        k, specs, noise, p_max, layout = _header(fh)
-        too_big = f"header: {layout[0][2][0]} rows are more than memory holds"
-        h, labels, rbar = model.read_arrays(fh, layout, too_big, DatasetFormatError)
+    (k, specs, noise, p_max), (h, labels, rbar) = model.read_file(
+        path, DATASET_VERSION, _header_fields, "header", "faircl gen", DatasetFormatError)
     has_label, has_rbar = ~np.isnan(labels).all(1), ~np.isnan(rbar)
     bad = _first_invalid(h, np.where(has_label[:, None], labels, 0.0), np.where(has_rbar, rbar, 1.0))
     if bad is not None:

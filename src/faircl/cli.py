@@ -63,13 +63,11 @@ class ExperimentConfig(harness.Training):
 
     def __post_init__(self):
         super().__post_init__()
-        for name, least in (("seed", 0), ("k_pairs", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not self.episodes:
+        model.check_count("seed", self.seed, 0)
+        model.check_count("k_pairs", self.k_pairs, 1)
+        if not model.check_array("episodes", self.episodes):
             raise ValueError("config needs at least one episode")
-        for m in self.methods:
+        for m in model.check_array("methods", self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
 
@@ -95,34 +93,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dict(dataclasses.asdict(cfg), hidden_sizes=list(cfg.hidden_sizes))
 
 
-def _build_nested(cls, raw: dict, label: str):
-    if not isinstance(raw, dict):
-        raise ValueError(f"{label} must be a JSON object, got {raw!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    extra = set(raw) - known
-    if extra:
-        raise ValueError(
-            f"unknown {label} keys: {', '.join(sorted(extra))}; valid: {', '.join(sorted(known))}"
-        )
-    return cls(**raw)
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ValueError(f"config must be a JSON object, got {raw!r}")
-    for key in ("seed", "k_pairs", "episodes"):
-        if key not in raw:
-            raise ValueError(f"config missing {key!r}")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    extra = set(raw) - known
-    if extra:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(extra))}")
-    for key in ("episodes", "methods"):
-        if key in raw and not isinstance(raw[key], list):
-            raise ValueError(f"config {key!r} must be a JSON array, got {raw[key]!r}")
-    kw = dict(raw)
-    kw["episodes"] = [_build_nested(EpisodeSpec, e, "episode") for e in raw["episodes"]]
-    return ExperimentConfig(**kw)
+    """The config a JSON object gives; model.build refuses a missing or an unknown key."""
+    cfg = model.build(ExperimentConfig, raw, "config")
+    cfg.episodes = [model.build(EpisodeSpec, e, "episode") for e in cfg.episodes]
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -14,7 +14,8 @@ and then the batch's, and never sees episode boundaries; only evaluation
 groups the held-out sets by episode.
 
 Training declares the training fields once and checks their types and
-ranges; StrategyConfig adds the method and Minimax's two-timescale check.
+ranges by model's input rules; StrategyConfig adds the method and
+Minimax's two-timescale check.
 """
 
 from __future__ import annotations
@@ -78,20 +79,17 @@ class Training:
     gda_alpha_lambda: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.hidden_sizes, (list, tuple)):
-            raise ValueError(f"hidden_sizes must be an array of integers >= 1, got {self.hidden_sizes!r}")
-        self.hidden_sizes = tuple(self.hidden_sizes)
-        counts = [("memory_capacity", self.memory_capacity, 0), ("epochs", self.epochs, 0),
-                  ("minibatch_size", self.minibatch_size, 1)]
-        for name, value, least in counts + [("hidden_sizes entry", n, 1) for n in self.hidden_sizes]:
-            if type(value) is bool or not isinstance(value, int) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        objective.check_positive("noise", self.noise)
-        objective.check_positive("p_max", self.p_max)
-        objective.check_positive("alpha", self.alpha)
-        objective.check_positive("beta", self.beta, most=1)
-        objective.check_positive("gda_alpha_theta", self.gda_alpha_theta, nullable=True)
-        objective.check_positive("gda_alpha_lambda", self.gda_alpha_lambda, nullable=True)
+        self.hidden_sizes = tuple(model.check_array("hidden_sizes", self.hidden_sizes))
+        for name, least in (("memory_capacity", 0), ("epochs", 0), ("minibatch_size", 1)):
+            model.check_count(name, getattr(self, name), least)
+        for n in self.hidden_sizes:
+            model.check_count("hidden_sizes entry", n, 1)
+        model.check_positive("noise", self.noise)
+        model.check_positive("p_max", self.p_max)
+        model.check_positive("alpha", self.alpha)
+        model.check_positive("beta", self.beta, most=1)
+        model.check_positive("gda_alpha_theta", self.gda_alpha_theta, nullable=True)
+        model.check_positive("gda_alpha_lambda", self.gda_alpha_lambda, nullable=True)
 
 
 @dataclass

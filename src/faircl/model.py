@@ -14,8 +14,12 @@ the trainers do when they build the next parameter vector in it.
 
 A checkpoint is one JSON header line (version, layer_sizes, p_max and the
 arrays layout), then the flat vector's little-endian float64 bytes: the
-layout of a dataset file. write_arrays and read_arrays are the one writer
+layout of a dataset file. write_arrays and read_file are the one writer
 and reader of both kinds, and every output file goes through replacing.
+
+Every JSON input (a config, its episodes, a dataset's or a checkpoint's
+header) is read by the rules here: check_count, check_positive,
+check_array, build for an object and read_file for a file.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +53,7 @@ class ModelParams:
             raise ValueError(f"expected {want} parameter values, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("parameter values must be finite")
-        self.p_max = float(self.p_max)
-        if not 0 < self.p_max < math.inf:
-            raise ValueError(f"p_max must be a positive finite number, got {self.p_max!r}")
+        self.p_max = float(check_positive("p_max", self.p_max))
         self.layers = _views(values, spans)
 
     @classmethod
@@ -205,6 +207,52 @@ def replacing(path, mode="w", newline=None):
         tmp.unlink(missing_ok=True)
 
 
+# ------------------------------------------------------------- input rules
+
+
+def check_count(name, value, least):
+    """value, if it is a JSON integer >= least; a bool, a float or a string raises ValueError."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_positive(name, value, most=math.inf, nullable=False):
+    """value, if a number in (0, most], or None if nullable: a bool, NaN and +-inf raise ValueError."""
+    if nullable and value is None:
+        return value
+    if type(value) is bool or not isinstance(value, (int, float)) or not (0 < value < math.inf and value <= most):
+        want = "a positive finite number" if most == math.inf else f"a number in (0, {most}]"
+        raise ValueError(f"{name} must be {'null or ' if nullable else ''}{want}, got {value!r}")
+    return value
+
+
+def check_array(name, value):
+    """value, if it is a JSON array (a list, or a tuple built in code); anything else raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return value
+
+
+def build(cls, raw, label):
+    """The dataclass cls made of the JSON object raw, whose __post_init__ checks the values.
+
+    A raw that is not an object, that lacks a field without a default, or
+    that has a key that is no field raises ValueError naming it by label.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{label} must be a JSON object, got {raw!r}")
+    declared = fields(cls)
+    for f in declared:
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            raise ValueError(f"{label} missing {f.name!r}")
+    known = {f.name for f in declared}
+    extra = set(raw) - known
+    if extra:
+        raise ValueError(f"unknown {label} keys: {', '.join(sorted(extra))}; valid: {', '.join(sorted(known))}")
+    return cls(**raw)
+
+
 # Checkpoints and datasets share one file layout: a JSON header line whose
 # "arrays" entry lists [name, dtype, shape] of each array in file order,
 # then each array's C-order bytes in that dtype, with nothing after them.
@@ -244,6 +292,35 @@ def read_arrays(fh, layout, too_big: str, error=ValueError) -> list:
     return arrays
 
 
+def read_file(path, version, check, label, again, error=ValueError):
+    """(fields, arrays) of the file at path, read in one pass.
+
+    The header line must be a JSON object of this version. check(header)
+    checks its other fields and returns (fields, layout): what the caller
+    keeps, and the arrays entry the header must hold, which read_arrays
+    then reads. A header error raises error with a message that starts
+    with label; a file of another version is told to be written again with again.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as e:  # UnicodeDecodeError is a ValueError
+            raise error(f"{label}: not JSON ({e})") from e
+        try:
+            if not isinstance(header, dict):
+                raise ValueError("not a JSON object")
+            if header.get("version") != version:
+                raise ValueError(f"version {header.get('version')!r} is not {version}; write the file again with {again}")
+            fields, layout = check(header)
+            if header["arrays"] != layout:
+                raise ValueError(f"arrays {header['arrays']} are not the {layout} that the header's fields give")
+        except KeyError as e:
+            raise error(f"{label}: missing field {e}") from e
+        except ValueError as e:
+            raise error(f"{label}: {e}") from e
+        return fields, read_arrays(fh, layout, f"{label}: arrays {layout} are more than memory holds", error)
+
+
 CHECKPOINT_VERSION = 3
 
 
@@ -259,36 +336,14 @@ def save_params(params: ModelParams, path):
     write_arrays(path, header, [params.values])
 
 
+def _checkpoint_fields(header):
+    """((layer_sizes, p_max), arrays layout) of a checkpoint header, for read_file."""
+    sizes = tuple(check_count("layer_sizes entry", s, 1) for s in check_array("layer_sizes", header["layer_sizes"]))
+    p_max = check_positive("p_max", header["p_max"])
+    return (sizes, p_max), [["values", "<f8", [_layout(sizes)[-1][2]]]]
+
+
 def load_params(path) -> ModelParams:
-    """The ModelParams a checkpoint holds, read in one pass; a malformed one raises ValueError."""
-    with open(path, "rb") as fh:
-        try:
-            doc = json.loads(fh.readline())
-        except ValueError as e:  # UnicodeDecodeError is a ValueError
-            raise ValueError(f"checkpoint header is not JSON ({e})") from e
-        if not isinstance(doc, dict):
-            raise ValueError("checkpoint is not a JSON object")
-        if "version" not in doc and isinstance(doc.get("values"), list):
-            raise ValueError("checkpoint is version 1 (values as a list of floats); rerun faircl run to write it again")
-        try:
-            version = doc["version"]
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"checkpoint version {version!r} is not {CHECKPOINT_VERSION}; rerun faircl run")
-            sizes, p_max, arrays = doc["layer_sizes"], doc["p_max"], doc["arrays"]
-        except KeyError as e:
-            raise ValueError(f"checkpoint missing field {e}") from e
-        try:
-            sizes = tuple(sizes)
-            for s in sizes:
-                if type(s) is not int:  # ModelParams would truncate 4.9 to 4 and take True as 1
-                    raise ValueError(f"layer size {s!r} is not an integer")
-            if type(p_max) not in (int, float):  # ModelParams would read true and "1.0" as 1.0
-                raise ValueError(f"p_max must be a positive finite number, got {p_max!r}")
-            n = _layout(sizes)[-1][2]
-            layout = [["values", "<f8", [n]]]
-            if arrays != layout:
-                raise ValueError(f"arrays {arrays} are not the {layout} that layer_sizes give")
-            (values,) = read_arrays(fh, layout, f"layer sizes {list(sizes)} ask for {n} values, more than memory holds")
-            return ModelParams(sizes, values, p_max)  # the finiteness and p_max range checks
-        except (TypeError, ValueError) as e:  # a field's type, the layout, the bytes or the values
-            raise ValueError(f"checkpoint: {e}") from e
+    """The ModelParams a checkpoint holds, read in one pass by read_file; a malformed one raises ValueError."""
+    (sizes, p_max), (values,) = read_file(path, CHECKPOINT_VERSION, _checkpoint_fields, "checkpoint", "faircl run")
+    return ModelParams(sizes, values, p_max)  # the finiteness check

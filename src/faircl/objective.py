@@ -35,6 +35,9 @@ around its y update; they share the g and f pull-back formulas with g_eval
 and f_eval. step_terms reads phi and xi as one Batch, phi's rows first,
 which the trainer takes from its pool in one row take per step.
 
+This module holds no input rule: the config's numbers it computes with
+were checked when the config was read, by model's rules.
+
 Every gradient an oracle returns is model.backward's fresh vector, which
 the caller owns: the trainers build their next parameters inside it.
 weighted_upper takes one scalar weight (SGD's 1/n) or one weight per row.
@@ -65,15 +68,6 @@ class TrackingCollapseError(RuntimeError):
 
 class GuardExceededError(ValueError):
     """Some |u| exceeded U_GUARD, so e^u is no longer a usable weight."""
-
-
-def check_positive(name, value, most=math.inf, nullable=False):
-    """Refuse all but a number in (0, most], or None if nullable: a bool, NaN and +-inf fail."""
-    if nullable and value is None:
-        return
-    if type(value) is bool or not isinstance(value, (int, float)) or not (0 < value < math.inf and value <= most):
-        want = "a positive finite number" if most == math.inf else f"a number in (0, {most}]"
-        raise ValueError(f"{name} must be {'null or ' if nullable else ''}{want}, got {value!r}")
 
 
 @dataclass(eq=False)

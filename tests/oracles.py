@@ -184,33 +184,37 @@ def bad_checkpoints(params) -> list:
     huge, past_memory = [10**7, 10**8, 1], [2**31, 2**31, 2]
     nan = struct.pack("<d", math.nan) + raw[8:]
     cases = [  # (name, header, values bytes, message pattern)
-        ("version 1", v1, b"", "version 1.*rerun faircl run"),
-        ("version 2", v2, b"", "checkpoint version 2 is not 3; rerun faircl run"),
-        ("no version", no_version, raw, "missing field 'version'"),
+        ("version 1", v1, b"", "^checkpoint: version None is not 3; write the file again with faircl run$"),
+        ("version 2", v2, b"", "^checkpoint: version 2 is not 3; write the file again with faircl run$"),
+        ("no version", no_version, raw, "^checkpoint: version None is not 3; write the file again with faircl run$"),
         ("no arrays", {k: v for k, v in head.items() if k != "arrays"}, raw, "missing field 'arrays'"),
-        ("non-JSON header", "{not json", raw, "checkpoint header is not JSON"),
-        ("ragged bytes", head, raw[:-4], "checkpoint: file ends inside array 'values'"),
-        ("short file", head, raw[:-8], "checkpoint: file ends inside array 'values'"),
-        ("trailing bytes", head, raw + bytes(8), "checkpoint: bytes after the last array"),
+        ("non-JSON header", "{not json", raw, r"^checkpoint: not JSON \(Expecting property name"),
+        ("ragged bytes", head, raw[:-4], "^file ends inside array 'values'$"),
+        ("short file", head, raw[:-8], "^file ends inside array 'values'$"),
+        ("trailing bytes", head, raw + bytes(8), "^bytes after the last array$"),
         ("short count", dict(head, arrays=[["values", "<f8", [n - 1]]]), raw[:-8],
-         rf"checkpoint: arrays \[\['values', '<f8', \[{n - 1}\]\]\] are not the .* that layer_sizes give"),
-        ("float64 big-endian", dict(head, arrays=[["values", ">f8", [n]]]), raw, "not the .* that layer_sizes give"),
-        ("NaN bytes", head, nan, "must be finite"),
+         rf"^checkpoint: arrays \[\['values', '<f8', \[{n - 1}\]\]\] are not the \[\['values', '<f8', \[{n}\]\]\] "
+         "that the header's fields give$"),
+        ("float64 big-endian", dict(head, arrays=[["values", ">f8", [n]]]), raw,
+         "^checkpoint: arrays .* are not the .* that the header's fields give$"),
+        ("NaN bytes", head, nan, "^parameter values must be finite$"),
         ("infinite p_max", dict(head, p_max=math.inf), raw, "p_max must be a positive finite number, got inf"),
         ("bool p_max", dict(head, p_max=True), raw, "checkpoint: p_max must be a positive finite number, got True"),
         ("string p_max", dict(head, p_max="1.0"), raw, "checkpoint: p_max must be a positive finite number, got '1.0'"),
-        ("sizes not a list", dict(head, layer_sizes=4), raw, "checkpoint: .*not iterable"),
+        ("sizes not a list", dict(head, layer_sizes=4), raw, "^checkpoint: layer_sizes must be a JSON array, got 4$"),
+        ("sizes an object", dict(head, layer_sizes={"a": 1}), raw,
+         r"^checkpoint: layer_sizes must be a JSON array, got \{'a': 1\}$"),
         # ModelParams would read 4.9 as 4 and True as 1
         ("float layer size", dict(head, layer_sizes=[sizes[0] + 0.9, *sizes[1:]]), raw,
-         f"checkpoint: layer size {sizes[0] + 0.9!r} is not an integer"),
+         f"^checkpoint: layer_sizes entry must be an integer >= 1, got {sizes[0] + 0.9!r}$"),
         ("bool layer size", dict(head, layer_sizes=[*sizes[:-1], True]), raw,
-         "checkpoint: layer size True is not an integer"),
+         "^checkpoint: layer_sizes entry must be an integer >= 1, got True$"),
         ("oversized layer_sizes", dict(head, layer_sizes=huge, arrays=[["values", "<f8", [_count(huge)]]]), raw,
-         rf"checkpoint: layer sizes \[10000000, 100000000, 1\] ask for {_count(huge)} values, more than memory holds"),
+         rf"^checkpoint: arrays \[\['values', '<f8', \[{_count(huge)}\]\]\] are more than memory holds$"),
         ("layer_sizes past memory", dict(head, layer_sizes=past_memory,
                                          arrays=[["values", "<f8", [_count(past_memory)]]]), raw,
-         f"ask for {_count(past_memory)} values, more than memory holds"),
-        ("not an object", [head], raw, "not a JSON object"),
+         rf"^checkpoint: arrays \[\['values', '<f8', \[{_count(past_memory)}\]\]\] are more than memory holds$"),
+        ("not an object", [head], raw, "^checkpoint: not a JSON object$"),
     ]
     return [(name, (doc if isinstance(doc, str) else json.dumps(doc)).encode() + b"\n" + tail, match)
             for name, doc, tail, match in cases]

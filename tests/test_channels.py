@@ -355,7 +355,7 @@ def test_load_rejects_trailing_bytes(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    with pytest.raises(channels.DatasetFormatError, match="^header: not a dataset header"):
+    with pytest.raises(channels.DatasetFormatError, match=r"^header: not JSON \(Expecting value: line 1 column 1 \(char 0\)\)$"):
         channels.load_dataset(path)
 
 
@@ -366,36 +366,49 @@ def test_load_rejects_a_header_that_does_not_give_the_arrays(tmp_path):
     h_dtype = [["h", ">c16", [6, 2, 2]]] + header["arrays"][1:]
     h_shape = [["h", "<c16", [6, 4]]] + header["arrays"][1:]
     no_rbar = header["arrays"][:2]
+    spec = header["specs"][0]
+    no_batches = {key: v for key, v in spec.items() if key != "n_batches"}
     for fields, message in (
-        ({"arrays": h_dtype}, "header: arrays .* are not the .* that k and specs give"),
-        ({"arrays": h_shape}, "header: arrays .* are not the .* that k and specs give"),
-        ({"arrays": no_rbar}, "header: arrays .* are not the .* that k and specs give"),
-        ({"k": 3}, "header: arrays .* are not the .* that k and specs give"),
-        ({"k": 0}, "^header: k and the specs' counts must be positive integers$"),
-        ({"k": 2.0}, "^header: k and the specs' counts must be positive integers$"),
-        ({"specs": [dict(header["specs"][0], n_train=4.0)]}, "^header: k and the specs' counts must be"),
-        ({"specs": [dict(header["specs"][0], n_test=3)]}, "header: arrays .* are not the .* that k and specs give"),
-        ({"specs": [dict(header["specs"][0], n_batches=3)]}, "^header: bad header .*divisible"),
-        ({"specs": [dict(header["specs"][0], note=1)]}, "^header: bad header .*note"),
-        ({"specs": [dict(header["specs"][0], distribution="geometry", area_side_m=float("inf"))]},
-         "^header: bad header .*positive finite area_side_m, got inf"),
-        ({"specs": "rayleigh"}, "^header: bad header"),
+        ({"arrays": h_dtype}, "^header: arrays .* are not the .* that the header's fields give$"),
+        ({"arrays": h_shape}, "^header: arrays .* are not the .* that the header's fields give$"),
+        ({"arrays": no_rbar}, "^header: arrays .* are not the .* that the header's fields give$"),
+        ({"k": 3}, "^header: arrays .* are not the .* that the header's fields give$"),
+        ({"k": 0}, "^header: k must be an integer >= 1, got 0$"),
+        ({"k": 2.0}, "^header: k must be an integer >= 1, got 2.0$"),
+        ({"specs": [dict(spec, n_train=4.0)]}, "^header: n_train must be an integer >= 1, got 4.0$"),
+        ({"specs": [dict(spec, n_test=3)]}, "^header: arrays .* are not the .* that the header's fields give$"),
+        ({"specs": [dict(spec, n_batches=3)]}, "^header: n_train=4 not divisible by n_batches=3$"),
+        ({"specs": [dict(spec, note=1)]},
+         "^header: unknown episode keys: note; valid: area_side_m, distribution, n_batches, n_test, n_train$"),
+        ({"specs": [no_batches]}, "^header: episode missing 'n_batches'$"),
+        ({"specs": [dict(spec, distribution="geometry", area_side_m=float("inf"))]},
+         "^header: area_side_m must be a positive finite number, got inf$"),
+        ({"specs": [dict(spec, area_side_m="x")]}, "^header: area_side_m must be null or a positive finite number, got 'x'$"),
+        ({"specs": [dict(spec, area_side_m=True)]}, "^header: area_side_m must be null or a positive finite number, got True$"),
+        ({"specs": [dict(spec, area_side_m=-1)]}, "^header: area_side_m must be null or a positive finite number, got -1$"),
+        ({"specs": "rayleigh"}, "^header: specs must be a JSON array, got 'rayleigh'$"),
+        ({"specs": [5]}, "^header: episode must be a JSON object, got 5$"),
         ({"noise": 0.0}, "^header: noise must be a positive finite number, got 0.0$"),
         ({"noise": "1.0"}, "^header: noise must be a positive finite number, got '1.0'$"),
         ({"p_max": float("inf")}, "^header: p_max must be a positive finite number, got inf$"),
         ({"p_max": True}, "^header: p_max must be a positive finite number, got True$"),
-        ({"version": 9}, "^header: unsupported version 9$"),
+        ({"version": 9}, "^header: version 9 is not 2; write the file again with faircl gen$"),
     ):
         write_parts(path, dict(header, **fields), arrays)
         with pytest.raises(channels.DatasetFormatError, match=message):
             channels.load_dataset(path)
     for missing in ("k", "specs", "noise", "p_max"):
         write_parts(path, {key: v for key, v in header.items() if key != missing}, arrays)
-        with pytest.raises(channels.DatasetFormatError, match=f"^header: bad header \\('{missing}'\\)$"):
+        with pytest.raises(channels.DatasetFormatError, match=f"^header: missing field '{missing}'$"):
             channels.load_dataset(path)
-    for line in (b"{not json", b"[1, 2]", b"\xff\xfe", b'{"k": 2}'):
+    for line, message in (
+        (b"{not json", r"^header: not JSON \(Expecting property name enclosed in double quotes: line 1 column 2 \(char 1\)\)$"),
+        (b"[1, 2]", "^header: not a JSON object$"),
+        (b"\xff\xfe", r"^header: not JSON \('utf-16-le' codec can't decode byte 0x0a in position 2: truncated data\)$"),
+        (b'{"k": 2}', "^header: version None is not 2; write the file again with faircl gen$"),
+    ):
         path.write_bytes(line + b"\n")
-        with pytest.raises(channels.DatasetFormatError, match="^header: not a dataset header"):
+        with pytest.raises(channels.DatasetFormatError, match=message):
             channels.load_dataset(path)
 
 
@@ -408,7 +421,8 @@ def test_load_of_a_header_claiming_more_rows_than_memory_holds(tmp_path):
         header["specs"][0].update(n_train=n - 2)
         header["arrays"] = [["h", "<c16", [n, 2, 2]], ["labels", "<f8", [n, 2]], ["rbar", "<f8", [n]]]
         write_parts(path, header, arrays)
-        with pytest.raises(channels.DatasetFormatError, match=f"^header: {n} rows are more than memory holds$"):
+        with pytest.raises(channels.DatasetFormatError,
+                           match=rf"^header: arrays \[\['h', '<c16', \[{n}, 2, 2\]\], .* are more than memory holds$"):
             channels.load_dataset(path)
 
 
@@ -417,8 +431,7 @@ def test_load_names_a_version_1_file_as_one_to_regenerate(tmp_path):
     spec = {"distribution": "rayleigh", "n_train": 2, "n_test": 1, "n_batches": 1, "area_side_m": None}
     record = {"k": 1, "episode": 0, "h_re": [0.5], "h_im": [0.25], "p_label": [1.0], "rbar": 0.1}
     path.write_text("\n".join(json.dumps(r) for r in [{"version": 1, "k": 1, "specs": [spec]}] + [record] * 3) + "\n")
-    with pytest.raises(channels.DatasetFormatError, match="^header: unsupported version 1; it is the JSON-lines "
-                       "format, regenerate the dataset with faircl gen$"):
+    with pytest.raises(channels.DatasetFormatError, match="^header: version 1 is not 2; write the file again with faircl gen$"):
         channels.load_dataset(path)
 
 

@@ -111,6 +111,12 @@ MALFORMED_CONFIGS = {
     "loss a list": dict(TINY, loss=[]),
     # the nested loss object of earlier releases, which held a second noise
     "loss an object": dict(TINY, loss={"noise": 1.0}),
+    # a missing key escaped cli.main as a TypeError traceback
+    "episode missing n_test": dict(TINY, episodes=[{"distribution": "rayleigh", "n_train": 4, "n_batches": 2}]),
+    "episode missing distribution": dict(TINY, episodes=[{"n_train": 4, "n_test": 2, "n_batches": 2}]),
+    # outside geometry, gen wrote any area_side_m into the dataset header
+    "area_side_m a string": dict(TINY, episodes=[dict(TINY["episodes"][0], area_side_m="x")]),
+    "area_side_m a bool": dict(TINY, episodes=[dict(TINY["episodes"][0], area_side_m=True)]),
 }
 
 
@@ -179,6 +185,8 @@ OUT_OF_RANGE = {
     "noise NaN": dict(TINY, noise=math.nan),
     # rng.uniform raised an OverflowError in gen, and the header loaded
     "area_side_m Infinity": dict(TINY, episodes=[dict(TINY["episodes"][0], distribution="geometry", area_side_m=math.inf)]),
+    # a rayleigh episode wrote it into the dataset header, and the header loaded
+    "area_side_m -1": dict(TINY, episodes=[dict(TINY["episodes"][0], area_side_m=-1)]),
 }
 
 
@@ -407,7 +415,7 @@ def test_run_rejects_a_malformed_dataset(tmp_path, cfg_path, data_path, capsys):
     for bad, message in (
         (data[:-1], "file ends inside array 'rbar'"),
         (data + b"\n", "bytes after the last array"),
-        (b'{"version": 1, "k": 2, "specs": []}\n', "unsupported version 1; it is the JSON-lines format"),
+        (b'{"version": 1, "k": 2, "specs": []}\n', "error: header: version 1 is not 2; write the file again with faircl gen\n"),
     ):
         data_path.write_bytes(bad)
         capsys.readouterr()
@@ -787,8 +795,8 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, data_path, capsys, name, da
     out = tmp_path / "e"
     assert main(["eval", "--data", str(data_path), "--out", str(out), "--checkpoint", str(ckpt)]) == 1
     console = capsys.readouterr()
-    assert re.search(match, console.err), console.err
     assert console.err.startswith("error: ") and console.err.count("\n") == 1
+    assert re.search(match, console.err.removeprefix("error: ").removesuffix("\n")), console.err
     assert not out.exists()
 
 

@@ -261,7 +261,7 @@ REFUSED_STRATEGIES = {
     "epochs a bool": (dict(epochs=True), "epochs must be an integer"),
     "minibatch_size 0": (dict(minibatch_size=0), "minibatch_size must be an integer >= 1"),
     "hidden_sizes [0]": (dict(hidden_sizes=[0]), "hidden_sizes entry must be an integer >= 1"),
-    "hidden_sizes a number": (dict(hidden_sizes=5), "hidden_sizes must be an array"),
+    "hidden_sizes a number": (dict(hidden_sizes=5), "^hidden_sizes must be a JSON array, got 5$"),
     "p_max 0": (dict(p_max=0), "p_max must be a positive finite number, got 0"),
     "p_max a bool": (dict(p_max=True), "p_max must be a positive finite number"),
     "noise 0": (dict(noise=0), "noise must be a positive finite number, got 0"),

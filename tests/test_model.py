@@ -208,8 +208,8 @@ def test_checkpoint_rejects_malformed(tmp_path, name, data, match):
 
 def test_checkpoint_missing_field(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"layer_sizes": [2, 2]}\n')
-    with pytest.raises(ValueError, match="missing field"):
+    path.write_text('{"version": 3, "layer_sizes": [2, 2]}\n')
+    with pytest.raises(ValueError, match="^checkpoint: missing field 'p_max'$"):
         model.load_params(path)
 
 
