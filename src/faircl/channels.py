@@ -218,16 +218,14 @@ def _episode_stream(k_pairs, specs, samples, noise=1.0, p_max=1.0) -> EpisodeStr
 
 def gen_rayleigh(k_pairs: int, n: int, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. Rayleigh-fading samples, E|h|^2 = 1."""
-    _check_gen_args(k_pairs, n)
-    shape = (n, k_pairs, k_pairs)
+    shape = _shape(k_pairs, n)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return SampleSet(h)
 
 
 def gen_rician(k_pairs: int, n: int, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. samples with Re, Im ~ (1 + N(0,1))/2."""
-    _check_gen_args(k_pairs, n)
-    shape = (n, k_pairs, k_pairs)
+    shape = _shape(k_pairs, n)
     re = (1.0 + rng.standard_normal(shape)) / 2.0
     im = (1.0 + rng.standard_normal(shape)) / 2.0
     return SampleSet(re + 1j * im)
@@ -240,23 +238,20 @@ def pathloss_fading(f: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def gen_geometry(k_pairs: int, n: int, area_side_m: float, rng: np.random.Generator) -> SampleSet:
     """n i.i.d. samples from the uniform-placement pathloss model."""
-    _check_gen_args(k_pairs, n)
-    if not area_side_m > 0:
-        raise ValueError("area_side_m must be positive")
+    shape = _shape(k_pairs, n)
+    model.check_positive("area_side_m", area_side_m)
     tx = rng.uniform(0.0, area_side_m, size=(n, k_pairs, 2))
     rx = rng.uniform(0.0, area_side_m, size=(n, k_pairs, 2))
     # d[s, k, j] = distance from transmitter j to receiver k in sample s
     d = np.linalg.norm(rx[:, :, None, :] - tx[:, None, :, :], axis=3)
-    shape = (n, k_pairs, k_pairs)
     f = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return SampleSet(pathloss_fading(f, d))
 
 
-def _check_gen_args(k_pairs, n):
-    if k_pairs < 1:
-        raise ValueError("k_pairs must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _shape(k_pairs, n) -> tuple[int, int, int]:
+    """(n, k_pairs, k_pairs), the shape of n samples' channels; each must be an integer >= 1."""
+    k = model.check_count("k_pairs", k_pairs, 1)
+    return model.check_count("n", n, 1), k, k
 
 
 def _generate(spec: EpisodeSpec, k_pairs: int, n: int, rng) -> SampleSet:

@@ -270,36 +270,17 @@ def write_arrays(path, header: dict, arrays) -> None:
             fh.write(np.ascontiguousarray(array, dtype=dtype).data)
 
 
-def read_arrays(fh, layout, too_big: str, error=ValueError) -> list:
-    """The arrays layout names, read from fh after its header line, then the file's end.
-
-    Each array is read into one of the shape its entry gives, so a pipe is
-    read as a file is and no file size is trusted. A short file, or bytes
-    after the last array, raise error; so does a shape that asks for more
-    memory than there is, with the message too_big.
-    """
-    arrays = []
-    for name, dtype, shape in layout:
-        try:
-            array = np.empty(shape, dtype)
-        except (MemoryError, ValueError) as e:  # numpy refuses a byte count past the address space
-            raise error(too_big) from e
-        if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
-            raise error(f"file ends inside array {name!r}")
-        arrays.append(array)
-    if fh.read(1):
-        raise error("bytes after the last array")
-    return arrays
-
-
 def read_file(path, version, check, label, again, error=ValueError):
     """(fields, arrays) of the file at path, read in one pass.
 
     The header line must be a JSON object of this version. check(header)
     checks its other fields and returns (fields, layout): what the caller
-    keeps, and the arrays entry the header must hold, which read_arrays
-    then reads. A header error raises error with a message that starts
-    with label; a file of another version is told to be written again with again.
+    keeps, and the arrays entry the header must hold. Each array is then
+    read into one of the shape its entry gives, so a pipe is read as a file
+    is and no file size is trusted. A malformed header, a short file, bytes
+    after the last array or a shape that asks for more memory than there is
+    raise error with a message that starts with label; a file of another
+    version is told to be written again with again.
     """
     with open(path, "rb") as fh:
         try:
@@ -314,11 +295,22 @@ def read_file(path, version, check, label, again, error=ValueError):
             fields, layout = check(header)
             if header["arrays"] != layout:
                 raise ValueError(f"arrays {header['arrays']} are not the {layout} that the header's fields give")
+            arrays = []
+            for name, dtype, shape in layout:
+                try:
+                    array = np.empty(shape, dtype)
+                except (MemoryError, ValueError) as e:  # numpy refuses a byte count past the address space
+                    raise ValueError(f"arrays {layout} are more than memory holds") from e
+                if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+                    raise ValueError(f"file ends inside array {name!r}")
+                arrays.append(array)
+            if fh.read(1):
+                raise ValueError("bytes after the last array")
         except KeyError as e:
             raise error(f"{label}: missing field {e}") from e
         except ValueError as e:
             raise error(f"{label}: {e}") from e
-        return fields, read_arrays(fh, layout, f"{label}: arrays {layout} are more than memory holds", error)
+        return fields, arrays
 
 
 CHECKPOINT_VERSION = 3

@@ -2,11 +2,11 @@
 
 run() calls a job once per key and hands each outcome to a report callback
 in key order. On Linux with OpenBLAS, and more than one usable CPU, the
-jobs run in forked children, one per CPU at a time, which inherit the
-caller's arrays instead of receiving them pickled; elsewhere they run in
-this process, in turn. Either way OpenBLAS runs one thread while a job
-runs, so a job's floating-point results do not depend on where it ran or
-on the BLAS's own thread count.
+jobs run in children of multiprocessing's fork context, one per CPU at a
+time, which inherit the caller's arrays unpickled and die with it;
+elsewhere they run in this process, in turn. Either way OpenBLAS runs one
+thread while a job runs, so a job's floating-point results do not depend
+on where it ran or on the BLAS's own thread count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import ctypes
 import functools
 import os
 import pickle
-import selectors
 import signal
-import sys
 import threading
 import time
 
@@ -30,10 +28,7 @@ _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 
 class WorkerDied(RuntimeError):
-    """A forked worker that exited before it wrote its outcome.
-
-    secs is how long it ran.
-    """
+    """A forked worker that exited before it wrote its outcome; secs is how long it ran."""
 
     def __init__(self, message: str, secs: float):
         super().__init__(message)
@@ -71,10 +66,7 @@ def _openblas():
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Hold the loaded OpenBLAS, if one is found, to one thread for the block.
-
-    Its previous thread count is restored on exit.
-    """
+    """Hold the loaded OpenBLAS, if one is found, to one thread for the block, then restore its count."""
     blas = _openblas()
     if blas is None:
         yield
@@ -104,10 +96,7 @@ def worker_cpus() -> list[int]:
 
 @functools.cache
 def _libc():
-    """The C library with prctl declared; Linux only.
-
-    Cached like _openblas, so a forked child does not load it again.
-    """
+    """The C library with prctl declared (Linux only); cached like _openblas, so a child does not load it again."""
     libc = ctypes.CDLL(None)
     libc.prctl.argtypes, libc.prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     return libc
@@ -126,54 +115,23 @@ def _pickled_outcome(job, key) -> bytes:
             return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
-def _fork(job, key, cpu: int, cpus: list[int]) -> tuple[int, int]:
-    """(pipe read end, pid) of a child that writes _pickled_outcome and exits.
+def _child(job, key, cpu: int, cpus: list[int], parent: int, conn) -> None:
+    """Send _pickled_outcome(job, key) through conn: the body of a forked worker.
 
     The child starts on `cpu`, then may move among `cpus`: left alone, a
     kernel may keep short-lived children on their parent's CPU while
     another idles. Its BLAS runs one thread: the workers already share the
-    CPUs. It leaves only through os._exit, so this process's buffers and
-    atexit hooks never run in it; status 0 means its outcome is complete.
-    The kernel kills it when this process dies: a parent killed by SIGKILL
-    gets no chance to kill its children, which would work on.
+    CPUs. The kernel kills it when its parent dies: a parent killed by
+    SIGKILL gets no chance to kill its children, which would work on.
     """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            _libc().prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-            if os.getppid() != parent:  # the parent died before the prctl
-                os._exit(1)
-            with contextlib.suppress(OSError):  # a placement hint only
-                os.sched_setaffinity(0, {cpu})
-                os.sched_setaffinity(0, cpus)
-            with one_blas_thread():
-                data = _pickled_outcome(job, key)
-            with open(w, "wb") as fh:
-                fh.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return r, pid
-
-
-def _outcome(data: bytes, status: int, secs: float):
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return pickle.loads(data)
-    why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return WorkerDied(f"worker process {why}", secs)
+    _libc().prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before the prctl
+        return
+    with contextlib.suppress(OSError):  # a placement hint only
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+    with one_blas_thread():
+        conn.send_bytes(_pickled_outcome(job, key))
 
 
 def run(keys, job, cpus: list[int], report, start=None) -> None:
@@ -193,42 +151,50 @@ def run(keys, job, cpus: list[int], report, start=None) -> None:
             for key in keys:
                 report(key, job(key))
         return
+    import multiprocessing.connection  # here, as gen and eval never fork: the import takes about 10 ms
+    fork = multiprocessing.get_context("fork")  # a fork context's children inherit job unpickled
     queue = list(keys if start is None else start)
     free = cpus[: len(queue)]  # CPUs no live child started on
-    live, done = {}, {}  # live: read fd -> (key, pid, cpu, start time, chunks)
-    sel = selectors.DefaultSelector()
+    live, done = {}, {}  # live: read end -> (key, process, cpu, start time)
     try:
         for key in keys:
             while key not in done:
                 while queue and free:
                     k, cpu = queue.pop(0), free.pop(0)
-                    fd, pid = _fork(job, k, cpu, cpus)
-                    live[fd] = (k, pid, cpu, time.perf_counter(), [])
-                    sel.register(fd, selectors.EVENT_READ)
-                for sel_key, _ in sel.select():
-                    k, pid, cpu, began, chunks = live[sel_key.fd]
-                    chunk = os.read(sel_key.fd, 1 << 16)  # drained as it comes: no child blocks on a full pipe
-                    if chunk:
-                        chunks.append(chunk)
-                        continue
-                    _, status = os.waitpid(pid, 0)
-                    sel.unregister(sel_key.fd)
-                    os.close(sel_key.fd)
-                    del live[sel_key.fd]
+                    r, w = fork.Pipe(duplex=False)
+                    with w:  # the child's end: closed here once the child holds it
+                        proc = fork.Process(target=_child, args=(job, k, cpu, cpus, os.getpid(), w))
+                        try:
+                            proc.start()
+                        except BaseException:
+                            r.close()
+                            raise
+                    live[r] = (k, proc, cpu, time.perf_counter())
+                for r in multiprocessing.connection.wait(list(live)):
+                    k, proc, cpu, began = live[r]
+                    data = None
+                    with contextlib.suppress(EOFError, OSError):  # EOF: the child left no outcome
+                        data = r.recv_bytes()  # read before the join: no child blocks on a full pipe
+                    proc.join()
+                    code = proc.exitcode
+                    del live[r]
+                    r.close()
+                    proc.close()
                     free.append(cpu)
-                    done[k] = _outcome(b"".join(chunks), status, time.perf_counter() - began)
-                    if isinstance(done[k], Exception) and not isinstance(done[k], WorkerDied):
-                        queue = [q for q in queue if keys.index(q) < keys.index(k)]
+                    if code == 0 and data is not None:
+                        done[k] = pickle.loads(data)
+                        if isinstance(done[k], Exception):  # keys after it are not started
+                            queue = [q for q in queue if keys.index(q) < keys.index(k)]
+                    else:
+                        why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                        done[k] = WorkerDied(f"worker process {why}", time.perf_counter() - began)
             outcome = done.pop(key)
             if isinstance(outcome, Exception) and not isinstance(outcome, WorkerDied):
                 raise outcome
             report(key, outcome)
     finally:
-        for fd, (_, pid, *_) in live.items():
-            # an interrupt may fall between a child's reaping and its removal here
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-            os.close(fd)
-        sel.close()
+        for r, (_, proc, *_) in live.items():
+            proc.kill()
+            proc.join()
+            proc.close()
+            r.close()

@@ -189,9 +189,9 @@ def bad_checkpoints(params) -> list:
         ("no version", no_version, raw, "^checkpoint: version None is not 3; write the file again with faircl run$"),
         ("no arrays", {k: v for k, v in head.items() if k != "arrays"}, raw, "missing field 'arrays'"),
         ("non-JSON header", "{not json", raw, r"^checkpoint: not JSON \(Expecting property name"),
-        ("ragged bytes", head, raw[:-4], "^file ends inside array 'values'$"),
-        ("short file", head, raw[:-8], "^file ends inside array 'values'$"),
-        ("trailing bytes", head, raw + bytes(8), "^bytes after the last array$"),
+        ("ragged bytes", head, raw[:-4], "^checkpoint: file ends inside array 'values'$"),
+        ("short file", head, raw[:-8], "^checkpoint: file ends inside array 'values'$"),
+        ("trailing bytes", head, raw + bytes(8), "^checkpoint: bytes after the last array$"),
         ("short count", dict(head, arrays=[["values", "<f8", [n - 1]]]), raw[:-8],
          rf"^checkpoint: arrays \[\['values', '<f8', \[{n - 1}\]\]\] are not the \[\['values', '<f8', \[{n}\]\]\] "
          "that the header's fields give$"),

@@ -1,6 +1,7 @@
 """Channel generators, episode streams, and dataset persistence."""
 
 import json
+import math
 import os
 import threading
 
@@ -80,6 +81,18 @@ def test_generator_arg_validation():
         channels.gen_rician(2, 0, rng())
     with pytest.raises(ValueError):
         channels.gen_geometry(2, 5, -1.0, rng())
+    # each raised a TypeError, numpy's OverflowError or drew samples
+    gens = (lambda k, n: channels.gen_rayleigh(k, n, rng()), lambda k, n: channels.gen_rician(k, n, rng()),
+            lambda k, n: channels.gen_geometry(k, n, 10.0, rng()))
+    for bad in (2.5, True, math.inf, math.nan):
+        for gen in gens:
+            with pytest.raises(ValueError, match="^k_pairs must"):
+                gen(bad, 5)
+            with pytest.raises(ValueError, match="^n must"):
+                gen(2, bad)
+        if bad != 2.5:
+            with pytest.raises(ValueError, match="^area_side_m must"):
+                channels.gen_geometry(2, 5, bad, rng())
 
 
 # ---------------------------------------------------------------- specs and streams
@@ -340,7 +353,7 @@ def test_load_truncated_inside_each_array(tmp_path):
     for size, name in ((head, "h"), (head + 383, "h"), (head + 384, "labels"), (head + 400, "labels"),
                        (head + 480, "rbar"), (len(data) - 1, "rbar")):
         path.write_bytes(data[:size])
-        with pytest.raises(channels.DatasetFormatError, match=f"^file ends inside array '{name}'$"):
+        with pytest.raises(channels.DatasetFormatError, match=f"^header: file ends inside array '{name}'$"):
             channels.load_dataset(path)
 
 
@@ -348,7 +361,7 @@ def test_load_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "data.jsonl"
     channels.save_dataset(small_stream(True), path)
     path.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(channels.DatasetFormatError, match="^bytes after the last array$"):
+    with pytest.raises(channels.DatasetFormatError, match="^header: bytes after the last array$"):
         channels.load_dataset(path)
 
 

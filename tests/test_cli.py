@@ -413,8 +413,8 @@ def test_run_rejects_non_finite_label_at_load(tmp_path, cfg_path, data_path, cap
 def test_run_rejects_a_malformed_dataset(tmp_path, cfg_path, data_path, capsys):
     data = data_path.read_bytes()
     for bad, message in (
-        (data[:-1], "file ends inside array 'rbar'"),
-        (data + b"\n", "bytes after the last array"),
+        (data[:-1], "error: header: file ends inside array 'rbar'\n"),
+        (data + b"\n", "error: header: bytes after the last array\n"),
         (b'{"version": 1, "k": 2, "specs": []}\n', "error: header: version 1 is not 2; write the file again with faircl gen\n"),
     ):
         data_path.write_bytes(bad)
@@ -550,6 +550,78 @@ def test_run_child_killed_is_runtime_failure(
     written = {p.name for p in out.iterdir()}
     assert written == {f"{kind}_{m}.{ext}" for m in harness.METHODS if m != "Bilevel"
                        for kind, ext in (("model", "json"), ("metrics", "csv"))}
+
+
+@forks_here
+def test_run_child_exited_is_runtime_failure(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
+):
+    use_cpus(2)
+    parent = os.getpid()
+    run = harness.run_continual
+
+    def exits(stream, cfg, rng):
+        if cfg.method == "Bilevel" and os.getpid() != parent:  # never end the test's process
+            os._exit(3)
+        return run(stream, cfg, rng)
+
+    monkeypatch.setattr(harness, "run_continual", exits)
+    out = tmp_path / "runs"
+    assert run_cmd(cfg_path, data_path, out, "--methods", ALL_METHODS) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"Bilevel: ABORTED after 0 rounds \([0-9.]+s\): worker process exited with status 3", err)
+    written = {p.name for p in out.iterdir()}
+    assert written == {f"{kind}_{m}.{ext}" for m in harness.METHODS if m != "Bilevel"
+                       for kind, ext in (("model", "json"), ("metrics", "csv"))}
+
+
+class Odd(ValueError):
+    """An exception whose __init__ takes other arguments than its args, so it does not unpickle."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+@forks_here
+def test_run_child_error_that_does_not_unpickle_arrives_as_runtime_failure(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
+):
+    use_cpus(2)
+    parent = os.getpid()
+
+    def odd(stream, cfg, rng):
+        if os.getpid() == parent:
+            raise AssertionError("ran in the test's process")
+        raise Odd("a", "b")
+
+    monkeypatch.setattr(harness, "run_continual", odd)
+    assert run_cmd(cfg_path, data_path, tmp_path / "runs") == 2
+    assert "error: Odd: a/b" in capsys.readouterr().err
+
+
+@forks_here
+def test_run_leaves_no_file_descriptor_open(
+    tmp_path, cfg_path, data_path, monkeypatch, capsys, no_children, use_cpus
+):
+    use_cpus(2)
+    parent = os.getpid()
+    run = harness.run_continual
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def failing(stream, cfg, rng):
+        if cfg.method == "TL" and os.getpid() != parent:
+            raise ValueError("boom")
+        return run(stream, cfg, rng)
+
+    before = open_fds()
+    assert run_cmd(cfg_path, data_path, tmp_path / "ok", "--methods", ALL_METHODS) == 0
+    assert open_fds() == before
+    monkeypatch.setattr(harness, "run_continual", failing)
+    assert run_cmd(cfg_path, data_path, tmp_path / "failed", "--methods", ALL_METHODS) == 1
+    assert "error: boom" in capsys.readouterr().err
+    assert open_fds() == before
 
 
 @forks_here
@@ -798,6 +870,21 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, data_path, capsys, name, da
     assert console.err.startswith("error: ") and console.err.count("\n") == 1
     assert re.search(match, console.err.removeprefix("error: ").removesuffix("\n")), console.err
     assert not out.exists()
+
+
+def test_eval_names_the_file_whose_arrays_are_padded(tmp_path, data_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    model.save_params(model.init((4, 6, 2), 1.0, np.random.default_rng(0)), ckpt)
+    good_ckpt, good_data = ckpt.read_bytes(), data_path.read_bytes()
+    errors = []
+    for padded in (ckpt, data_path):
+        ckpt.write_bytes(good_ckpt)
+        data_path.write_bytes(good_data)
+        padded.write_bytes(padded.read_bytes() + b"\0")
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data_path), "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: checkpoint: bytes after the last array\n", "error: header: bytes after the last array\n"]
 
 
 def test_eval_needs_checkpoint_or_wmmse(tmp_path, data_path, capsys):

@@ -180,7 +180,8 @@ def test_checkpoint_loads_through_a_fifo(tmp_path):
     assert back.values.tobytes() == params.values.tobytes()
     # a short and a long checkpoint read through a FIFO fail as read from disk
     data = path.read_bytes()
-    for bad, match in ((data[:-1], "file ends inside array 'values'"), (data + data[:1], "bytes after the last array")):
+    for bad, match in ((data[:-1], "^checkpoint: file ends inside array 'values'$"),
+                       (data + data[:1], "^checkpoint: bytes after the last array$")):
         path.write_bytes(bad)
         with pytest.raises(ValueError, match=match):
             through_fifo(model.load_params, path)
