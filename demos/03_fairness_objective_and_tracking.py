@@ -47,7 +47,7 @@ channels.add_wmmse_labels(pool)
 params = model.init((4, 8, 2), 1.0, rng)
 state = trainer.init_state(params, alpha=0.005, beta=0.05, rng=rng)
 rows = []
-state = trainer.scsc_train(state, noise, pool, iters=800, minibatch_size=10,
+state = trainer.scsc_train(state, noise, pool, steps=800, minibatch_size=10,
                            trace=rows)
 print("\nstep   objective        y        |y - g|^2")
 for row in rows[::100] + [rows[-1]]:

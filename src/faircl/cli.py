@@ -17,8 +17,7 @@ checks them at load; run also builds each selected method's StrategyConfig
 before it writes or forks anything, so a bad config writes nothing.
 
 Every command is deterministic given (config, seed): reruns reproduce
-output files byte for byte. To keep that guarantee the persisted metrics
-zero out the wall_ms column; real timings go to the console instead.
+output files byte for byte, and timings go to the console only.
 
 main(argv) may be called any number of times in one process. It builds
 its parser on the first call and reuses it, and it looks up cmd_gen,
@@ -137,10 +136,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _zeroed(row: harness.MetricsRow) -> harness.MetricsRow:
-    return dataclasses.replace(row, wall_ms=0)
-
-
 def _run_method(strategy, stream, rng, out_dir):
     method = strategy.method
     start = time.perf_counter()
@@ -151,7 +146,7 @@ def _run_method(strategy, stream, rng, out_dir):
     except harness.TrainingAborted as exc:
         rows, err = exc.rows, str(exc)
     if rows:
-        harness.write_metrics_csv(out_dir / f"metrics_{method}.csv", [_zeroed(r) for r in rows])
+        harness.write_metrics_csv(out_dir / f"metrics_{method}.csv", rows)
     return rows, err, time.perf_counter() - start
 
 
@@ -194,8 +189,8 @@ def cmd_run(args) -> int:
             print(f"{method}: ABORTED after {len(rows)} rounds ({secs:.1f}s): {err}", file=sys.stderr)
             return
         print(
-            f"{method}: {len(rows)} rounds in {secs:.1f}s, "
-            f"final avg rate {rows[-1].avg_rate:.4f}, metrics in metrics_{method}.csv"
+            f"{method}: {len(rows)} rounds in {secs:.1f}s, final avg rate {rows[-1].avg_rate:.4f}, "
+            f"final mean ratio {np.mean(rows[-1].per_episode_ratio):.4f}, metrics in metrics_{method}.csv"
         )
 
     # the workers start in decreasing cost, so the last to finish is a

@@ -4,14 +4,17 @@ Six strategies consume the same episode stream. Each is one row of
 STRATEGIES: a trainer (sgd: plain SGD, scsc: the compositional trainer,
 gda: descent/ascent) paired with a memory rule (see memory). All of them
 train first and update their memory afterwards, warm-starting each round
-from the previous round's parameters. _train_round branches on the
-trainer and run_continual on the memory rule, never on a method name.
-Both call through the trainer and memory module attributes, so a tracer
-that replaces those attributes sees every call.
+from the previous round's parameters, and every trainer takes the same
+step count, cfg.epochs passes of minibatches over the round's pool.
+_train_round calls the row's trainer and run_continual its memory rule,
+never branching on a method name. Both call through the trainer and
+memory module attributes, so a tracer that replaces those attributes sees
+every call.
 
-Training takes the stream's sample set at row indices, the memory's first
-and then the batch's, and never sees episode boundaries; only evaluation
-groups the held-out sets by episode.
+Each round takes the columns training reads (mag, labels, rbar) of the
+stream's samples at row indices, the memory's first and then the batch's;
+training never sees episode boundaries, and only evaluation groups the
+held-out sets by episode.
 
 Training declares the training fields once and checks their types and
 ranges by model's input rules; StrategyConfig adds the method and
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,7 +35,7 @@ from . import model, objective, trainer, wsr
 
 
 class Strategy(NamedTuple):
-    trainer: str  # "sgd", "scsc" or "gda"
+    trainer: str  # "sgd", "scsc" or "gda": trainer.sgd_train, scsc_train or gda_train
     memory: str | None  # None, "reservoir", "top_m" or "joint"
 
 
@@ -118,7 +120,6 @@ class MetricsRow:
     per_episode_rate: list[float]
     per_episode_ratio: list[float]
     avg_rate: float
-    wall_ms: int
 
 
 def network_policy(params: model.ModelParams):
@@ -196,17 +197,25 @@ def ratio_histogram(policy, test_sets, bin_width: float, noise: float = 1.0):
 def _train_round(cfg, params, train_set, rng):
     """(params, scores): scores are the final dual for gda, else None."""
     kind = STRATEGIES[cfg.method].trainer
+    steps = cfg.epochs * math.ceil(len(train_set) / cfg.minibatch_size)
     if kind == "sgd":
-        return trainer.sgd_train(params, train_set, cfg.epochs, cfg.minibatch_size, cfg.alpha, rng), None
-    # the step count of cfg.epochs passes over the pool
-    iters = cfg.epochs * math.ceil(len(train_set) / cfg.minibatch_size)
+        return trainer.sgd_train(params, train_set, steps, cfg.minibatch_size, cfg.alpha, rng), None
     if kind == "scsc":
         state = trainer.init_state(params, cfg.alpha, cfg.beta, rng=rng)
-        state = trainer.scsc_train(state, cfg.noise, train_set, iters, cfg.minibatch_size)
-        return state.params, None
-    # gda: a fresh uniform dual each round
-    a_theta, a_lambda = cfg.gda_rates()
-    return trainer.gda_train(params, train_set, iters, a_theta, a_lambda)
+        return trainer.scsc_train(state, cfg.noise, train_set, steps, cfg.minibatch_size).params, None
+    return trainer.gda_train(params, train_set, steps, *cfg.gda_rates())  # a fresh uniform dual each round
+
+
+@dataclass(eq=False)
+class _Rows:
+    """The columns a round's training and top-M selection read, as a SampleSet has them."""
+
+    mag: np.ndarray
+    labels: np.ndarray
+    rbar: np.ndarray
+
+    def __len__(self):
+        return len(self.mag)
 
 
 def run_continual(stream, cfg: StrategyConfig, rng):
@@ -219,16 +228,17 @@ def run_continual(stream, cfg: StrategyConfig, rng):
     k = stream.k_pairs
     params = model.init((k * k, *cfg.hidden_sizes, k), cfg.p_max, rng)
     rule = STRATEGIES[cfg.method].memory
+    samples = stream.samples
     items: list = []  # the memory: row indices of stream.samples
     rows: list[MetricsRow] = []
     seen = 0
     for batch in stream.batches:
-        start = time.perf_counter()
         pool = items + list(batch)  # row indices: memory first, then the batch
         scores = None
         try:
             if pool:
-                train_set = stream.samples.take(pool)
+                idx = np.array(pool)
+                train_set = _Rows(samples.mag[idx], samples.labels[idx], samples.rbar[idx])
                 params, scores = _train_round(cfg, params, train_set, rng)
             if rule == "reservoir":
                 items = memory_mod.update_reservoir(items, batch, seen, cfg.memory_capacity, rng)
@@ -238,47 +248,22 @@ def run_continual(stream, cfg: StrategyConfig, rng):
                 items = memory_mod.update_bilevel(pool, scores, cfg.memory_capacity)
             elif rule == "joint":
                 items = memory_mod.update_joint(items, batch)
-        except (
-            trainer.DivergenceError,
-            objective.TrackingCollapseError,
-            objective.GuardExceededError,
-        ) as exc:
+        except (trainer.DivergenceError, objective.TrackingCollapseError, objective.GuardExceededError) as exc:
             raise TrainingAborted(f"{cfg.method}: {exc}", rows) from exc
         seen += len(batch)
         rates, ratios = evaluate(network_policy(params), stream.test_sets, cfg.noise)
-        row = MetricsRow(
-            seen_samples=seen,
-            method=cfg.method,
-            per_episode_rate=rates,
-            per_episode_ratio=ratios,
-            avg_rate=float(np.mean(rates)),
-            wall_ms=int(round((time.perf_counter() - start) * 1000)),
-        )
-        rows.append(row)
+        rows.append(MetricsRow(seen, cfg.method, rates, ratios, float(np.mean(rates))))
     return rows, params
 
 
-def metrics_header(n_episodes: int) -> list[str]:
-    return (
-        ["seen", "method"]
-        + [f"ep{i}_rate" for i in range(n_episodes)]
-        + [f"ep{i}_ratio" for i in range(n_episodes)]
-        + ["avg_rate", "wall_ms"]
-    )
-
-
 def write_metrics_csv(path, rows) -> None:
-    """One CSV row per round: seen,method,ep*_rate,ep*_ratio,avg_rate,wall_ms."""
+    """One CSV row per round: seen,method,ep*_rate,ep*_ratio,avg_rate."""
     if not rows:
         raise ValueError("no metrics rows")
-    n_episodes = len(rows[0].per_episode_rate)
+    eps = range(len(rows[0].per_episode_rate))
     with model.replacing(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(metrics_header(n_episodes))
+        writer.writerow(["seen", "method", *(f"ep{i}_rate" for i in eps), *(f"ep{i}_ratio" for i in eps), "avg_rate"])
         for r in rows:
-            writer.writerow(
-                [r.seen_samples, r.method]
-                + [repr(v) for v in r.per_episode_rate]
-                + [repr(v) for v in r.per_episode_ratio]
-                + [repr(r.avg_rate), r.wall_ms]
-            )
+            writer.writerow([r.seen_samples, r.method, *map(repr, r.per_episode_rate),
+                             *map(repr, r.per_episode_ratio), repr(r.avg_rate)])

@@ -1,45 +1,49 @@
 """Optimization loops for the power-control policy.
 
-Four training modes share the objective module's oracles:
+One loop, _loop, calls a step (state, rows) -> state a given number of
+times; rows is the pool's row take at each draw, or the whole pool for a
+None draw. A trainer is a lazy draw and a step, so zero steps draw nothing:
 
-  scsc_train  stochastic compositional updates for the weighted objective.
-              A scalar tracking variable y follows the inner mean
+  sgd_train   plain SGD on the unweighted mean training loss, the optimizer
+              behind the non-fairness baselines: one permutation per pass,
+              drawn when the pass's first minibatch is taken.
+  scsc_train  stochastic compositional updates for the weighted objective,
+              on two uniform minibatches per step, xi's drawn first. A
+              scalar tracking variable y follows the inner mean
               g(theta) = (1/n) sum e^{u_i}; each step refreshes y from two
-              correction terms on a fresh minibatch phi, then descends the
-              chain-rule gradient grad_g * d f/d z + grad_theta f evaluated
-              at z = y on an independent minibatch xi.
-  gd_train    full-batch gradient descent on the exact weighted objective.
-  sgd_train   plain epoch SGD on the unweighted mean training loss, the
-              optimizer behind the non-fairness baselines.
-  gda_train   two-timescale descent/ascent for the minimax baseline: theta
-              descends the dual-weighted loss while the dual, uniform at
-              the start, ascends by a multiplicative update that keeps it
-              on the simplex exactly.
+              correction terms on phi, then descends the chain-rule
+              gradient grad_g * d f/d z + grad_theta f at z = y on xi.
+  gda_train   two-timescale descent/ascent for the minimax baseline, on the
+              whole pool every step: theta descends the dual-weighted loss
+              while the dual, uniform at the start, ascends by a
+              multiplicative update that keeps it on the simplex exactly.
 
-Each loop takes its pool's arrays once (objective.as_batch), checking
-labels and rbar there, and takes minibatches as row indices. The two
-weighted loops take the noise power at which u's rates are computed; SGD
-and descent/ascent read only the squared error, which needs none. A
-compositional step is fused: scsc_train makes one row take of the pool
-per step, phi's rows above xi's, and one forward at theta over those
-stacked rows gives g on phi and every term of f on xi, one value-only
-forward at the previous theta gives g's old value on phi, a row view of
-the take, and once y is refreshed one backward pulls back the stacked
-upstream, phi's g rows scaled by d f/d z over xi's rows of grad_theta f.
-The network's backward is linear in its upstream, so this is the
-chain-rule gradient up to summation order.
+SGD and descent/ascent share one step, _descent; neither reads u, so
+neither takes a noise power. Each trainer takes its pool's arrays once
+(objective.as_batch), checking labels and rbar there. A compositional
+step is fused: one row take of the pool per step, phi's rows above xi's,
+and one forward at theta over those stacked rows gives g on phi and every
+term of f on xi, one value-only forward at the previous theta gives g's
+old value on phi, a row view of the take, and once y is refreshed one
+backward pulls back the stacked upstream, phi's g rows scaled by d f/d z
+over xi's rows of grad_theta f. The network's backward is linear in its
+upstream, so this is the chain-rule gradient up to summation order.
 
-Every loop owns the gradient vector model.backward returns, and _descend
+Every step owns the gradient vector model.backward returns, and _descend
 builds the next parameter vector inside it: theta - alpha * grad without a
 new array. The parameters a step starts from are never written, so a
 compositional state's params_prev and a caller's params stay as they were.
 
-y must stay above a small floor; a collapse aborts with diagnostics rather
-than being clamped, since downstream quantities divide by y.
+A diverging step overflows on its way to a non-finite loss, y or
+parameter, which the step reports, so the loop silences numpy's overflow
+and invalid-value warnings. y must stay above a small floor; a collapse
+aborts with diagnostics rather than being clamped, since downstream
+quantities divide by y.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +90,12 @@ class TrainerState:
 
 @dataclass
 class TraceRow:
-    """One instrumented training step; unused fields stay None."""
+    """One instrumented compositional step."""
 
     step: int
     objective: float
-    grad_norm: float | None = None
-    y: float | None = None
-    tracking_error: float | None = None
+    y: float
+    tracking_error: float
 
 
 def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, *, rng) -> TrainerState:
@@ -145,86 +148,94 @@ def _scsc_step(state: TrainerState, noise, rows, n_phi) -> TrainerState:
     return state._next(params_new, state.params, y_new, state.step + 1)
 
 
-def scsc_train(state: TrainerState, noise, pool, iters: int, minibatch_size: int, trace=None) -> TrainerState:
-    """iters compositional steps with fresh uniform minibatches per step.
+def _pool(pool, minibatch, need_u=True) -> objective.Batch:
+    # every trainer's one check of its pool and minibatch size, and its arrays
+    if not pool:
+        raise ValueError("empty training pool")
+    if minibatch < 1:
+        raise ValueError("minibatch_size must be at least 1")
+    return objective.as_batch(pool, need_u=need_u)
+
+
+def _loop(state, pool, steps: int, draws, step):
+    """state after steps calls of step(state, rows), rows the pool's take at the next draw.
+
+    A None draw passes the whole pool. The loop asks draws for no more
+    draws than it takes steps.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for draw in itertools.islice(draws, steps):
+            state = step(state, pool if draw is None else pool.take(draw))
+    return state
+
+
+def scsc_train(state: TrainerState, noise, pool, steps: int, minibatch_size: int, trace=None) -> TrainerState:
+    """steps compositional steps with fresh uniform minibatches per step.
 
     Trace rows, when requested, snapshot each step's pre-update params:
     the full-pool objective, the new y, and its squared tracking error
     against the full-pool g.
     """
-    if not pool:
-        raise ValueError("empty training pool")
-    if minibatch_size < 1:
-        raise ValueError("minibatch_size must be at least 1")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
-    pool = objective.as_batch(pool)
-    n = len(pool)
-    for _ in range(iters):
-        xi_idx = state.rng.integers(0, n, minibatch_size)
-        phi_idx = state.rng.integers(0, n, minibatch_size)
-        rows = pool.take(np.concatenate((phi_idx, xi_idx)))
-        if state.y is None:
+    pool = _pool(pool, minibatch_size)
+    n, rng = len(pool), state.rng
+
+    def draws():
+        while True:
+            xi = rng.integers(0, n, minibatch_size)
+            phi = rng.integers(0, n, minibatch_size)
+            yield np.concatenate((phi, xi))
+
+    def step(state, rows):
+        if state.y is None:  # from phi's rows; _scsc_step checks it against the floor
             y0 = objective.g_value(noise, state.params, rows.take(slice(minibatch_size)))
-            if not y0 >= Y_FLOOR:
-                raise TrackingCollapseError(
-                    f"tracking collapsed at initialization: y = {y0!r} (floor {Y_FLOOR})"
-                )
             state = state._next(state.params, state.params_prev, y0, state.step)
         before = state.params
         state = _scsc_step(state, noise, rows, minibatch_size)
         if trace is not None:
             f_val, g_bar = objective.pool_stats(noise, before, pool)
-            trace.append(
-                TraceRow(
-                    step=state.step - 1,
-                    objective=f_val,
-                    y=state.y,
-                    tracking_error=(state.y - g_bar) ** 2,
-                )
-            )
-    return state
+            trace.append(TraceRow(state.step - 1, f_val, state.y, (state.y - g_bar) ** 2))
+        return state
+
+    return _loop(state, pool, steps, draws(), step)
 
 
-def gd_train(params, noise, dataset, iters: int, alpha: float, trace=None) -> model.ModelParams:
-    """Full-batch descent on the weighted objective."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    if iters < 0 or alpha < 0:
-        raise ValueError("iters and alpha must be nonnegative")
-    dataset = objective.as_batch(dataset)
-    for k in range(iters):
-        value, grad = objective.full_objective(noise, params, dataset)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise DivergenceError(f"objective diverged at iteration {k}; reduce alpha")
-        if trace is not None:
-            trace.append(TraceRow(step=k, objective=value, grad_norm=float(np.linalg.norm(grad))))
-        params = _descend(params, grad, alpha)
-    return params
-
-
-def sgd_train(params, dataset, epochs: int, minibatch: int, alpha: float, rng) -> model.ModelParams:
-    """Epoch SGD on the unweighted mean training loss."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    if minibatch < 1:
-        raise ValueError("minibatch must be at least 1")
-    if epochs < 0 or alpha < 0:
-        raise ValueError("epochs and alpha must be nonnegative")
-    pool = objective.as_batch(dataset, need_u=False)
-    n = len(pool)
-    for _ in range(epochs):
+def _passes(rng, n, minibatch):
+    # one permutation per pass over n rows, drawn when its first minibatch is taken
+    while True:
         perm = rng.permutation(n)
         for s in range(0, n, minibatch):
-            batch = pool.take(perm[s : s + minibatch])
-            ells, grad = objective.weighted_upper(params, batch, 1.0 / len(batch))
-            if not np.all(np.isfinite(ells)):
-                raise DivergenceError("training loss diverged; reduce alpha")
-            params = _descend(params, grad, alpha)
-    return params
+            yield perm[s : s + minibatch]
 
 
-def gda_train(params, dataset, iters: int, alpha_theta: float, alpha_lambda: float):
+def _descent(alpha, dual=None, alpha_lambda=0.0):
+    # SGD's step on the rows' mean training loss, or descent/ascent's on the
+    # dual-weighted one; the dual then ascends in place from the same losses
+    hint = "alpha" if dual is None else "alpha_theta"
+
+    def step(params, rows):
+        ells, grad = objective.weighted_upper(params, rows, 1.0 / len(rows) if dual is None else dual)
+        if not np.all(np.isfinite(ells)):
+            raise DivergenceError(f"training loss diverged; reduce {hint}")
+        params = _descend(params, grad, alpha)
+        if dual is not None:
+            lam = dual * np.exp(alpha_lambda * (ells - ells.max()))
+            np.divide(lam, lam.sum(), out=dual)
+        return params
+
+    return step
+
+
+def sgd_train(params, pool, steps: int, minibatch: int, alpha: float, rng) -> model.ModelParams:
+    """steps SGD steps on the unweighted mean training loss, passes of a permuted pool."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    pool = _pool(pool, minibatch, need_u=False)
+    return _loop(params, pool, steps, _passes(rng, len(pool), minibatch), _descent(alpha))
+
+
+def gda_train(params, pool, steps: int, alpha_theta: float, alpha_lambda: float):
     """Two-timescale minimax: simultaneous theta descent and dual ascent.
 
     The dual starts uniform on the simplex. Both updates at step k use the
@@ -232,19 +243,10 @@ def gda_train(params, dataset, iters: int, alpha_theta: float, alpha_lambda: flo
     lam_i <- lam_i * exp(alpha_lambda * ell_i), max-shifted and renormalized,
     so it stays on the simplex exactly. Returns (params, lam).
     """
-    if not dataset:
-        raise ValueError("empty dataset")
     if not alpha_lambda > alpha_theta:
         raise ValueError("two-timescale ascent needs alpha_lambda > alpha_theta")
-    if alpha_theta < 0 or iters < 0:
-        raise ValueError("alpha_theta and iters must be nonnegative")
-    pool = objective.as_batch(dataset, need_u=False)
+    if alpha_theta < 0:
+        raise ValueError("alpha_theta must be nonnegative")
+    pool = _pool(pool, 1, need_u=False)
     lam = np.full(len(pool), 1.0 / len(pool))
-    for _ in range(iters):
-        ells, grad = objective.weighted_upper(params, pool, lam)
-        if not np.all(np.isfinite(ells)):
-            raise DivergenceError("training loss diverged; reduce alpha_theta")
-        params = _descend(params, grad, alpha_theta)
-        lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
-        lam = lam / lam.sum()
-    return params, lam
+    return _loop(params, pool, steps, itertools.repeat(None), _descent(alpha_theta, lam, alpha_lambda)), lam

@@ -6,9 +6,10 @@ The sequential WMMSE solver below, one sample and one start at a time, is the
 reference that the batched wsr.wmmse_many, which labels shares of a set's rows
 in forked workers, must match bit for bit. The training loops at the end,
 which hand the oracles a fresh SampleSet take on every call, are the
-references for the array-backed trainer. Last, checkpoint bytes are built
-from the format's description with struct, not numpy, then spoiled one field
-at a time for the model and CLI tests of load_params.
+references for the array-backed trainer; full-batch descent on the exact
+weighted objective is the descent gates' reference. Last, checkpoint bytes
+are built from the format's description with struct, not numpy, then
+spoiled one field at a time for the model and CLI tests of load_params.
 """
 
 import base64
@@ -16,10 +17,11 @@ import dataclasses
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
-from faircl import model, objective, wsr
+from faircl import model, objective, trainer, wsr
 
 
 def fd_gradient(fn, x, step=1e-5):
@@ -141,6 +143,18 @@ def gda_train_lists(params, lam, dataset, iters, alpha_theta, alpha_lambda):
         lam = lam * np.exp(alpha_lambda * (ells - ells.max()))
         lam = lam / lam.sum()
     return params, lam
+
+
+def gd_train(params, noise, dataset, iters, alpha, trace=None):
+    """Full-batch descent on the weighted objective; trace rows hold step, objective and grad_norm."""
+    for k in range(iters):
+        value, grad = objective.full_objective(noise, params, dataset)
+        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise trainer.DivergenceError(f"objective diverged at iteration {k}; reduce alpha")
+        if trace is not None:
+            trace.append(SimpleNamespace(step=k, objective=value, grad_norm=float(np.linalg.norm(grad))))
+        params = trainer._descend(params, grad, alpha)
+    return params
 
 
 def lower_values_lists(noise, params, samples):

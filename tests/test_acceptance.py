@@ -18,7 +18,7 @@ import numpy as np
 
 from faircl import channels, cli, harness, memory, model, objective, trainer, wsr
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, gd_train, rel_error
 
 
 def fd_param_gradient(fn, params, step=1e-5):
@@ -167,7 +167,7 @@ def test_tracking_error_contracts_over_training():
     params = model.init((4, 8, 2), 1.0, rng)
     state = trainer.init_state(params, alpha=0.005, beta=0.05, rng=rng)
     rows = []
-    trainer.scsc_train(state, NOISE, pool, iters=2000, minibatch_size=10,
+    trainer.scsc_train(state, NOISE, pool, steps=2000, minibatch_size=10,
                        trace=rows)
     te = np.array([r.tracking_error for r in rows])
     ys = np.array([r.y for r in rows])
@@ -186,7 +186,7 @@ def test_gradient_norm_keeps_shrinking_past_early_iterations():
     data = labeled_rayleigh(2, 10, np.random.default_rng(7))
     params = model.init((4, 8, 2), 1.0, np.random.default_rng(7))
     rows = []
-    trainer.gd_train(params, NOISE, data, iters=1000, alpha=0.05, trace=rows)
+    gd_train(params, NOISE, data, iters=1000, alpha=0.05, trace=rows)
     g2 = np.array([r.grad_norm for r in rows]) ** 2
     early, late = g2[:100].min(), g2.min()
     assert late < early

@@ -337,7 +337,7 @@ def _write_in_place(save, tmp_path, suffix):
 def test_save_writes_a_fifo_and_a_symlink_in_place(tmp_path):
     stream = small_stream(True)
     params = model.init((4, 3, 2), 1.0, rng(0))
-    rows = [harness.MetricsRow(4, "TL", [0.5, 0.25], [1.0, 0.5], 0.375, 0)]
+    rows = [harness.MetricsRow(4, "TL", [0.5, 0.25], [1.0, 0.5], 0.375)]
     names = _write_in_place(lambda p: channels.save_dataset(stream, p), tmp_path, ".jsonl")
     names += _write_in_place(lambda p: model.save_params(params, p), tmp_path, ".json")
     names += _write_in_place(lambda p: harness.write_metrics_csv(p, rows), tmp_path, ".csv")

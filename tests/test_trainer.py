@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,7 @@ from faircl import channels, memory, model, objective, trainer
 from faircl.objective import TrackingCollapseError
 from faircl.trainer import DivergenceError
 
-from oracles import gda_train_lists, lower_values_lists, rel_error, scsc_step_unfused, sgd_train_lists
+from oracles import gd_train, gda_train_lists, lower_values_lists, rel_error, scsc_step_unfused, sgd_train_lists
 
 K = 2
 SIZES = (K * K, 6, K)
@@ -92,7 +94,7 @@ def test_collapse_raises_with_step():
 def test_zero_iters_returns_state_unchanged():
     pool = constant_pool()
     state = fresh_state(zero_params())
-    out = trainer.scsc_train(state, NOISE, pool, iters=0, minibatch_size=2)
+    out = trainer.scsc_train(state, NOISE, pool, steps=0, minibatch_size=2)
     assert out is state
 
 
@@ -102,7 +104,7 @@ def test_y_converges_geometrically_on_fixture():
     beta = 0.25
     state = fresh_state(zero_params(), beta=beta, y=0.5)
     for k in range(1, 11):
-        state = trainer.scsc_train(state, NOISE, pool, iters=1, minibatch_size=2)
+        state = trainer.scsc_train(state, NOISE, pool, steps=1, minibatch_size=2)
         assert state.y - 1.0 == pytest.approx(-0.5 * (1 - beta) ** k, rel=1e-12)
 
 
@@ -111,7 +113,7 @@ def test_y_initialized_from_first_minibatch():
     params = model.init(SIZES, 1.0, rng)
     pool = labeled_batch(rng, 8)
     state = trainer.init_state(params, alpha=1e-3, beta=0.2, rng=np.random.default_rng(3))
-    out = trainer.scsc_train(state, NOISE, pool, iters=1, minibatch_size=4)
+    out = trainer.scsc_train(state, NOISE, pool, steps=1, minibatch_size=4)
     # replay the draws: y0 = g on the phi batch, and one step leaves y at y0
     r = np.random.default_rng(3)
     r.integers(0, 8, 4)
@@ -126,7 +128,7 @@ def test_scsc_deterministic():
 
     def run():
         state = trainer.init_state(params, alpha=0.01, beta=0.2, rng=np.random.default_rng(9))
-        return trainer.scsc_train(state, NOISE, pool, iters=40, minibatch_size=4)
+        return trainer.scsc_train(state, NOISE, pool, steps=40, minibatch_size=4)
 
     a, b = run(), run()
     assert np.array_equal(a.params.values, b.params.values)
@@ -139,25 +141,25 @@ def test_tracking_error_contracts():
     pool = labeled_batch(rng, 20)
     state = trainer.init_state(params, alpha=0.005, beta=0.05, rng=np.random.default_rng(6))
     rows = []
-    trainer.scsc_train(state, NOISE, pool, iters=400, minibatch_size=5, trace=rows)
+    trainer.scsc_train(state, NOISE, pool, steps=400, minibatch_size=5, trace=rows)
     errs = np.array([r.tracking_error for r in rows])
     assert errs[-50:].mean() < errs[:50].mean()
     assert min(r.y for r in rows) >= 1e-8
 
 
-# ---------------------------------------------------------------- gd_train
+# ------------------------------------------------- gd_train, the oracle's
 
 def test_gd_zero_gradient_fixture():
     pool = constant_pool()
     params = zero_params()
-    out = trainer.gd_train(params, NOISE, pool, iters=5, alpha=0.1)
+    out = gd_train(params, NOISE, pool, iters=5, alpha=0.1)
     assert np.array_equal(out.values, params.values)
 
 
 def test_gd_zero_alpha():
     rng = np.random.default_rng(7)
     params = model.init(SIZES, 1.0, rng)
-    out = trainer.gd_train(params, NOISE, labeled_batch(rng, 4), iters=3, alpha=0.0)
+    out = gd_train(params, NOISE, labeled_batch(rng, 4), iters=3, alpha=0.0)
     assert np.array_equal(out.values, params.values)
 
 
@@ -166,7 +168,7 @@ def test_gd_descends_and_trend():
     params = model.init(SIZES, 1.0, rng)
     pool = labeled_batch(rng, 8)
     rows = []
-    trainer.gd_train(params, NOISE, pool, iters=300, alpha=0.05, trace=rows)
+    gd_train(params, NOISE, pool, iters=300, alpha=0.05, trace=rows)
     norms2 = np.array([r.grad_norm for r in rows]) ** 2
     assert rows[-1].objective < rows[0].objective
     assert norms2.min() < norms2[:30].min()
@@ -176,7 +178,7 @@ def test_gd_divergence_error():
     # distant labels give gradients ~1e4; this alpha overflows the update
     pool = zero_gain_set(2, [1e4, 0.5], rbar=1.0)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="alpha"):
-        trainer.gd_train(zero_params(), NOISE, pool, iters=2, alpha=1e306)
+        gd_train(zero_params(), NOISE, pool, iters=2, alpha=1e306)
 
 
 # ---------------------------------------------------------------- sgd_train
@@ -184,7 +186,7 @@ def test_gd_divergence_error():
 def test_sgd_zero_upstream_fixture():
     params = zero_params()
     pool = zero_gain_set(4, np.full(K, 0.5))
-    out = trainer.sgd_train(params, pool, 5, 2, 0.5, np.random.default_rng(0))
+    out = trainer.sgd_train(params, pool, 10, 2, 0.5, np.random.default_rng(0))  # 5 passes
     assert np.array_equal(out.values, params.values)
 
 
@@ -200,7 +202,7 @@ def test_sgd_overfits_tiny_set():
     params = model.init((K * K, 8, K), 1.0, rng)
     pool = channels.gen_rayleigh(K, 4, rng)
     pool.labels[:] = rng.uniform(0.2, 0.8, size=(4, K))
-    out = trainer.sgd_train(params, pool, 500, 2, 0.5, np.random.default_rng(12))
+    out = trainer.sgd_train(params, pool, 1000, 2, 0.5, np.random.default_rng(12))  # 500 passes
     final = np.mean([objective.loss_upper(out, pool[i : i + 1])[0] for i in range(len(pool))])
     assert final < 1e-3
 
@@ -250,6 +252,36 @@ def test_gda_validation():
         trainer.gda_train(params, pool, 1, -0.1, 0.1)
     with pytest.raises(ValueError, match="empty"):
         trainer.gda_train(params, pool.take(np.arange(0)), 1, 0.01, 0.1)
+
+
+# ------------------------------------------------------------------- draws
+
+def test_zero_steps_draw_nothing():
+    rng = np.random.default_rng(17)
+    params = model.init(SIZES, 1.0, rng)
+    pool = labeled_batch(rng, 5)
+    r = np.random.default_rng(3)
+    untouched = r.bit_generator.state
+    assert trainer.sgd_train(params, pool, 0, 2, 0.1, r) is params
+    state = trainer.init_state(params, rng=r)
+    assert trainer.scsc_train(state, NOISE, pool, 0, 2) is state
+    assert r.bit_generator.state == untouched
+    # descent/ascent draws the whole pool, and no random numbers
+    out, lam = trainer.gda_train(params, pool, 0, 0.01, 0.1)
+    assert out is params and lam.tolist() == [0.2] * 5
+
+
+@pytest.mark.parametrize("steps, passes", [(1, 1), (3, 1), (4, 2), (6, 2)])
+def test_sgd_draws_a_permutation_when_a_pass_starts(steps, passes):
+    # 5 rows in minibatches of 2 make 3 steps a pass
+    rng = np.random.default_rng(18)
+    params = model.init(SIZES, 1.0, rng)
+    pool = labeled_batch(rng, 5)
+    r, want = np.random.default_rng(4), np.random.default_rng(4)
+    trainer.sgd_train(params, pool, steps, 2, 0.1, r)
+    for _ in range(passes):
+        want.permutation(5)
+    assert r.bit_generator.state == want.bit_generator.state
 
 
 # ---------------------------------------------------------------- plumbing
@@ -304,7 +336,7 @@ def test_fused_step_matches_unfused_reference(k, hidden, mb, draw):
 @pytest.mark.parametrize("draw", range(4))
 def test_sgd_and_gda_bitwise_equal_list_reference(k, hidden, mb, draw):
     _, pool, params, _ = reference_case(k, hidden, draw)
-    got = trainer.sgd_train(params, pool, 2, mb, 0.1, np.random.default_rng(1))
+    got = trainer.sgd_train(params, pool, 2 * math.ceil(len(pool) / mb), mb, 0.1, np.random.default_rng(1))
     want = sgd_train_lists(params, pool, 2, mb, 0.1, np.random.default_rng(1))
     assert np.array_equal(got.values, want.values)
 
@@ -345,7 +377,7 @@ def test_pool_checks_raise_once_per_pool():
     pool = labeled_batch(rng, 6)
     pool.labels[4] = np.nan
     with pytest.raises(ValueError, match="sample 4 has no p_label"):
-        trainer.sgd_train(params, pool, 1, 2, 0.1, rng)
+        trainer.sgd_train(params, pool, 3, 2, 0.1, rng)
     with pytest.raises(ValueError, match="sample 4 has no p_label"):
         trainer.scsc_train(trainer.init_state(params, rng=rng), NOISE, pool, 1, 2)
     pool = labeled_batch(rng, 6)
@@ -353,7 +385,7 @@ def test_pool_checks_raise_once_per_pool():
     with pytest.raises(ValueError, match="sample 2 is degenerate: rbar must be positive, got None"):
         trainer.scsc_train(trainer.init_state(params, rng=rng), NOISE, pool, 1, 2)
     # SGD reads no rbar
-    trainer.sgd_train(params, pool, 1, 2, 0.1, rng)
+    trainer.sgd_train(params, pool, 3, 2, 0.1, rng)
 
 
 def _bits(values):
@@ -395,7 +427,7 @@ def test_updates_never_write_a_live_parameter_vector(draw):
     assert _bits(params.values) == kept and _bits(prev.values) == kept_prev
     assert not np.shares_memory(trained.params.values, params.values)
 
-    got = trainer.sgd_train(params, pool, 2, 20, 0.1, np.random.default_rng(1))
+    got = trainer.sgd_train(params, pool, 6, 20, 0.1, np.random.default_rng(1))
     assert _bits(params.values) == kept and not np.shares_memory(got.values, params.values)
     got, _ = trainer.gda_train(params, pool, 3, 0.05, 0.5)
     assert _bits(params.values) == kept and not np.shares_memory(got.values, params.values)
