@@ -33,10 +33,11 @@ print(f"worst sample {int(np.argmax(u))} carries the largest weight")
 # The weighted sum and the composed form are the same number; the chain rule
 # through (g, f) matches the direct gradient to machine precision.
 value, grad = objective.full_objective(noise, params, pool)
-ev = objective.eval_composition(noise, params, pool)
-chain = ev.grad_g * ev.grad1_f + ev.grad2_f
+g, grad_g = objective.g_eval(noise, params, pool)
+f, grad1_f, grad2_f = objective.f_eval(noise, params, pool, z=g)
+chain = grad_g * grad1_f + grad2_f
 print(f"\nweighted objective {value:.10f}")
-print(f"composed  f(g)     {ev.f_value:.10f}")
+print(f"composed  f(g)     {f:.10f}")
 print(f"gradient gap       {np.max(np.abs(chain - grad)):.2e}")
 
 # Training with the two-sequence scheme: y is corrected toward the running

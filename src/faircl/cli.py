@@ -166,7 +166,7 @@ def cmd_run(args) -> int:
             f"config says noise={cfg.noise}, p_max={cfg.p_max}"
         )
     selected = cfg.methods
-    if args.methods:
+    if args.methods is not None:
         selected = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not selected:
         raise UsageError("no methods selected")

@@ -16,9 +16,8 @@ composition F = f(g(theta); theta) with
   f(z; theta) = (1/(n z)) sum_i e^{u_i} ell_i
 
 which is the form the stochastic compositional trainer consumes: g_eval and
-f_eval below are its (minibatch) value/gradient oracles, eval_composition
-is the one followed by the other at z = g, and full_objective evaluates F
-with its exact gradient
+f_eval below are its (minibatch) value/gradient oracles, and full_objective
+evaluates F with its exact gradient
 
   grad F = grad g * d f/d z + grad_theta f,
 
@@ -30,10 +29,11 @@ trainer's tracking variable follows.
 The oracles take a SampleSet or a Batch, never single samples: a sample is
 a one-row set. The labels and rbar a set's columns feed are checked on
 entry, while a trainer checks its pool once and passes row takes.
-step_terms and chain_gradient split the compositional trainer's fused step
-around its y update; they share the g and f pull-back formulas with g_eval
-and f_eval. step_terms reads phi and xi as one Batch, phi's rows first,
-which the trainer takes from its pool in one row take per step.
+step_terms and chain_gradient split trainer.scsc_step, the compositional
+trainer's one fused step, around its y update; they share the g and f
+pull-back formulas with g_eval and f_eval. step_terms reads phi and xi as
+one Batch, phi's rows first, which the trainer takes from its pool in one
+row take per step.
 
 This module holds no input rule: the config's numbers it computes with
 were checked when the config was read, by model's rules.
@@ -68,17 +68,6 @@ class TrackingCollapseError(RuntimeError):
 
 class GuardExceededError(ValueError):
     """Some |u| exceeded U_GUARD, so e^u is no longer a usable weight."""
-
-
-@dataclass(eq=False)
-class CompositionalEval:
-    """One batch's compositional pieces at a given z."""
-
-    g_value: float
-    f_value: float
-    grad_g: np.ndarray
-    grad1_f: float
-    grad2_f: np.ndarray
 
 
 @dataclass(eq=False)
@@ -262,17 +251,6 @@ def f_eval(noise: float, params, batch, z: float):
     return value, grad1, model.backward(params, t.trace, upstream)
 
 
-def eval_composition(noise: float, params, batch, z: float | None = None) -> CompositionalEval:
-    """All compositional pieces of one batch: g_eval, then f_eval at z.
-
-    With z omitted, f is evaluated at the batch's own raw g value, so
-    f_value is the batch's compositional objective.
-    """
-    gv, grad_g = g_eval(noise, params, batch)
-    fv, grad1, grad2 = f_eval(noise, params, batch, gv if z is None else z)
-    return CompositionalEval(gv, fv, grad_g, grad1, grad2)
-
-
 @dataclass(eq=False)
 class StepTerms:
     """One forward at params over the stacked [phi; xi] rows of a compositional step."""
@@ -281,16 +259,6 @@ class StepTerms:
     g_upstream: np.ndarray  # phi's rows of the upstream pulling back grad g
     rows: _BatchTerms  # every per-sample term of [phi; xi]
     n_phi: int
-
-
-def stack(top: Batch, bottom: Batch) -> Batch:
-    """One Batch of top's rows above bottom's."""
-    return Batch(np.concatenate((top.mag, bottom.mag)), _concat(top.labels, bottom.labels),
-                 _concat(top.neg_alpha, bottom.neg_alpha))
-
-
-def _concat(a, b):
-    return None if a is None else np.concatenate((a, b))
 
 
 def step_terms(noise: float, params, rows: Batch, n_phi: int) -> StepTerms:

@@ -20,9 +20,11 @@ None draw. A trainer is a lazy draw and a step, so zero steps draw nothing:
 
 SGD and descent/ascent share one step, _descent; neither reads u, so
 neither takes a noise power. Each trainer takes its pool's arrays once
-(objective.as_batch), checking labels and rbar there. A compositional
-step is fused: one row take of the pool per step, phi's rows above xi's,
-and one forward at theta over those stacked rows gives g on phi and every
+(objective.as_batch), checking labels and rbar there. scsc_step is the one
+compositional step, which scsc_train looks up in this module at every
+draw; a state whose y is None starts y at g's value on phi. The step is
+fused: one row take of the pool per step, phi's rows above xi's, and one
+forward at theta over those stacked rows gives g on phi and every
 term of f on xi, one value-only forward at the previous theta gives g's
 old value on phi, a row view of the take, and once y is refreshed one
 backward pulls back the stacked upstream, phi's g rows scaled by d f/d z
@@ -99,7 +101,7 @@ class TraceRow:
 
 
 def init_state(params, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA, *, rng) -> TrainerState:
-    """Fresh state at step 0; y is set from the first minibatch seen."""
+    """Fresh state at step 0; y is None until the first step sets it from phi's rows."""
     return TrainerState(params, params, None, 0, alpha, beta, rng)
 
 
@@ -117,28 +119,26 @@ def _descend(params, grad, alpha) -> model.ModelParams:
     return model.ModelParams._checked(params.layer_sizes, values, params.p_max)
 
 
-def scsc_step(state: TrainerState, noise, batch_xi, batch_phi) -> TrainerState:
+def scsc_step(state: TrainerState, noise, rows, n_phi) -> TrainerState:
     """One fused compositional update: refresh y, then descend at z = y.
 
-    The minibatches are SampleSets or objective.Batch row takes: xi feeds
-    f's terms, phi g's at the current and the previous params.
+    rows is a SampleSet or an objective.Batch row take, phi's n_phi rows
+    above xi's: phi feeds g at the current and the previous params, xi f's
+    terms. A state whose y is None takes g's value on phi at its params.
     """
-    phi = objective.as_batch(batch_phi)
-    return _scsc_step(state, noise, objective.stack(phi, objective.as_batch(batch_xi)), len(phi))
-
-
-def _scsc_step(state: TrainerState, noise, rows, n_phi) -> TrainerState:
-    # rows is one Batch, phi's n_phi rows above xi's
-    if state.y is None:
-        raise ValueError("tracking variable not initialized; run scsc_train or set y")
-    if not state.y >= Y_FLOOR:
+    rows = objective.as_batch(rows)
+    if not 0 < n_phi < len(rows):
+        raise ValueError(f"n_phi = {n_phi} leaves phi or xi empty in {len(rows)} rows")
+    phi = rows.take(slice(n_phi))
+    y = objective.g_value(noise, state.params, phi) if state.y is None else state.y
+    if not y >= Y_FLOOR:
         raise TrackingCollapseError(
-            f"tracking collapsed at step {state.step}: y = {state.y!r} (floor {Y_FLOOR})"
+            f"tracking collapsed at step {state.step}: y = {y!r} (floor {Y_FLOOR})"
         )
     terms = objective.step_terms(noise, state.params, rows, n_phi)
     g_cur = terms.g_value
-    g_prev = objective.g_value(noise, state.params_prev, rows.take(slice(n_phi)))
-    y_new = (1.0 - state.beta) * (state.y + g_cur - g_prev) + state.beta * g_cur
+    g_prev = objective.g_value(noise, state.params_prev, phi)
+    y_new = (1.0 - state.beta) * (y + g_cur - g_prev) + state.beta * g_cur
     if not y_new >= Y_FLOOR:
         raise TrackingCollapseError(
             f"tracking collapsed at step {state.step}: y = {y_new!r} (floor {Y_FLOOR})"
@@ -188,11 +188,8 @@ def scsc_train(state: TrainerState, noise, pool, steps: int, minibatch_size: int
             yield np.concatenate((phi, xi))
 
     def step(state, rows):
-        if state.y is None:  # from phi's rows; _scsc_step checks it against the floor
-            y0 = objective.g_value(noise, state.params, rows.take(slice(minibatch_size)))
-            state = state._next(state.params, state.params_prev, y0, state.step)
         before = state.params
-        state = _scsc_step(state, noise, rows, minibatch_size)
+        state = scsc_step(state, noise, rows, minibatch_size)
         if trace is not None:
             f_val, g_bar = objective.pool_stats(noise, before, pool)
             trace.append(TraceRow(state.step - 1, f_val, state.y, (state.y - g_bar) ** 2))

@@ -245,10 +245,11 @@ def test_run_checks_minimax_rates_only_when_minimax_runs(tmp_path, data_path, ca
 
 def test_run_refuses_an_empty_method_selection(tmp_path, data_path, capsys, use_cpus, forks):
     use_cpus(2)
-    path, out = tmp_path / "none.json", tmp_path / "runs"
-    path.write_text(json.dumps(dict(TINY, methods=[])))
+    none, tiny, out = tmp_path / "none.json", tmp_path / "tiny.json", tmp_path / "runs"
+    none.write_text(json.dumps(dict(TINY, methods=[])))
+    tiny.write_text(json.dumps(TINY))
     capsys.readouterr()
-    for extra in ((), ("--methods", ",")):
+    for path, extra in ((none, ()), (none, ("--methods", ",")), (tiny, ("--methods", ""))):
         assert refused_in_one_line(capsys, run_cmd(path, data_path, out, *extra))
         assert not out.exists() and forks == []
 

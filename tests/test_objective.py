@@ -248,25 +248,12 @@ def test_chain_rule_matches_weighted_form():
     for _ in range(5):
         params = rand_params(rng)
         batch = labeled_batch(rng, 8)
-        ev = objective.eval_composition(NOISE, params, batch)
+        g, grad_g = objective.g_eval(NOISE, params, batch)
+        f, grad1_f, grad2_f = objective.f_eval(NOISE, params, batch, z=g)
         value, grad = objective.full_objective(NOISE, params, batch)
-        chain = ev.grad_g * ev.grad1_f + ev.grad2_f
-        assert abs(ev.f_value - value) <= 1e-10 * max(1.0, abs(value))
+        chain = grad_g * grad1_f + grad2_f
+        assert abs(f - value) <= 1e-10 * max(1.0, abs(value))
         assert rel_error(chain, grad) <= 1e-10
-
-
-def test_eval_composition_matches_parts():
-    rng = np.random.default_rng(19)
-    params = rand_params(rng)
-    batch = labeled_batch(rng, 4)
-    ev = objective.eval_composition(NOISE, params, batch, z=1.7)
-    gv, gg = objective.g_eval(NOISE, params, batch)
-    fv, g1, g2 = objective.f_eval(NOISE, params, batch, z=1.7)
-    assert ev.g_value == gv
-    assert ev.f_value == fv
-    assert ev.grad1_f == g1
-    assert_allclose(ev.grad_g, gg, rtol=0, atol=0)
-    assert_allclose(ev.grad2_f, g2, rtol=0, atol=0)
 
 
 def test_full_objective_matches_per_sample_reference():

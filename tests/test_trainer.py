@@ -42,6 +42,11 @@ def fresh_state(params, alpha=0.1, beta=0.5, seed=0, y=None, step=0):
     return trainer.TrainerState(params, params, y, step, alpha, beta, np.random.default_rng(seed))
 
 
+def step_on(state, xi, phi):
+    # the compositional step on phi's rows above xi's, as scsc_train takes them
+    return trainer.scsc_step(state, NOISE, channels.SampleSet.concat([phi, xi]), len(phi))
+
+
 # ---------------------------------------------------------------- scsc_step
 
 def test_beta_one_sets_y_to_batch_g():
@@ -49,7 +54,7 @@ def test_beta_one_sets_y_to_batch_g():
     params = model.init(SIZES, 1.0, rng)
     batch = labeled_batch(rng, 3)
     state = fresh_state(params, beta=1.0, y=0.123)
-    out = trainer.scsc_step(state, NOISE, batch, batch)
+    out = step_on(state, batch, batch)
     assert out.y == objective.g_value(NOISE, params, batch)
 
 
@@ -62,7 +67,7 @@ def test_y_update_arithmetic():
     rbar = np.full(n, 2.0 * np.log(1.5) / np.log(2.0))
     pool = channels.SampleSet(np.tile(np.eye(K, dtype=complex), (n, 1, 1)), np.full((n, K), 0.5), rbar)
     state = fresh_state(zero_params(), beta=0.5, y=1.0)
-    out = trainer.scsc_step(state, NOISE, pool, pool)
+    out = step_on(state, pool, pool)
     assert out.y == pytest.approx(0.75, abs=1e-12)
     assert out.step == 1
     assert out.params_prev is state.params
@@ -71,22 +76,33 @@ def test_y_update_arithmetic():
 def test_constant_losses_fix_params():
     pool = constant_pool()
     state = fresh_state(zero_params(), y=1.0)
-    out = trainer.scsc_step(state, NOISE, pool, pool)
+    out = step_on(state, pool, pool)
     assert np.array_equal(out.params.values, state.params.values)
     assert out.y == 1.0
 
 
-def test_uninitialized_y_rejected():
-    pool = constant_pool()
-    with pytest.raises(ValueError, match="not initialized"):
-        trainer.scsc_step(fresh_state(zero_params()), NOISE, pool, pool)
+def test_fresh_y_is_g_on_phi():
+    # a state without y steps as one whose y is g on phi's rows at its params
+    rng = np.random.default_rng(2)
+    params = model.init(SIZES, 1.0, rng)
+    xi, phi = labeled_batch(rng, 3), labeled_batch(rng, 4)
+    got = step_on(fresh_state(params), xi, phi)
+    want = step_on(fresh_state(params, y=objective.g_value(NOISE, params, phi)), xi, phi)
+    assert got.y == want.y and got.step == want.step == 1
+    assert got.params.values.tobytes() == want.params.values.tobytes()
+
+
+@pytest.mark.parametrize("n_phi", [0, 4])
+def test_step_refuses_an_empty_phi_or_xi(n_phi):
+    with pytest.raises(ValueError, match="leaves phi or xi empty in 4 rows"):
+        trainer.scsc_step(fresh_state(zero_params(), y=1.0), NOISE, constant_pool(), n_phi)
 
 
 def test_collapse_raises_with_step():
     pool = constant_pool()
     state = fresh_state(zero_params(), y=1e-9, step=7)
     with pytest.raises(TrackingCollapseError, match="step 7"):
-        trainer.scsc_step(state, NOISE, pool, pool)
+        step_on(state, pool, pool)
 
 
 # ---------------------------------------------------------------- scsc_train
@@ -96,6 +112,22 @@ def test_zero_iters_returns_state_unchanged():
     state = fresh_state(zero_params())
     out = trainer.scsc_train(state, NOISE, pool, steps=0, minibatch_size=2)
     assert out is state
+
+
+def test_every_step_goes_through_scsc_step(monkeypatch):
+    # a wrapper installed on the module's scsc_step, as a tracer's, sees each step
+    calls = []
+    scsc_step = trainer.scsc_step
+
+    def counted(*args):
+        calls.append(args[3])
+        return scsc_step(*args)
+
+    monkeypatch.setattr(trainer, "scsc_step", counted)
+    rng = np.random.default_rng(8)
+    state = trainer.init_state(model.init(SIZES, 1.0, rng), rng=rng)
+    out = trainer.scsc_train(state, NOISE, labeled_batch(rng, 8), steps=6, minibatch_size=3)
+    assert calls == [3] * 6 and out.step == 6
 
 
 def test_y_converges_geometrically_on_fixture():
@@ -320,8 +352,8 @@ def test_fused_step_matches_unfused_reference(k, hidden, mb, draw):
         state = trainer.TrainerState(params, prev, 0.5 + rng.random(), 3, 0.1, 0.2, np.random.default_rng(0))
         want = scsc_step_unfused(state, NOISE, xi, phi)
         for got in (
-            trainer.scsc_step(state, NOISE, xi, phi),
-            trainer.scsc_step(state, NOISE, batch.take(xi_idx), batch.take(phi_idx)),
+            step_on(state, xi, phi),
+            trainer.scsc_step(state, NOISE, batch.take(np.concatenate((phi_idx, xi_idx))), mb),
         ):
             # y reads only g's values, whose arithmetic is unchanged
             assert got.y == want.y
@@ -404,9 +436,7 @@ def test_scsc_train_equals_steps_on_separate_takes(k, hidden, mb, draw):
     for _ in range(5):
         xi = pool.take(rng.integers(0, len(pool), mb))
         phi = pool.take(rng.integers(0, len(pool), mb))
-        if want.y is None:
-            want = trainer.TrainerState(params, params, objective.g_value(NOISE, params, phi), 0, 0.05, 0.2, rng)
-        want = trainer.scsc_step(want, NOISE, xi, phi)
+        want = step_on(want, xi, phi)
     assert got.y == want.y and got.step == want.step == 5
     assert _bits(got.params.values) == _bits(want.params.values)
     assert _bits(got.params_prev.values) == _bits(want.params_prev.values)
@@ -420,7 +450,7 @@ def test_updates_never_write_a_live_parameter_vector(draw):
     kept, kept_prev = _bits(params.values), _bits(prev.values)
 
     state = trainer.TrainerState(params, prev, 1.0, 3, 0.1, 0.2, np.random.default_rng(0))
-    out = trainer.scsc_step(state, NOISE, pool.take(np.arange(0, 20)), pool.take(np.arange(20, 40)))
+    out = step_on(state, pool.take(np.arange(0, 20)), pool.take(np.arange(20, 40)))
     assert _bits(state.params.values) == kept and _bits(state.params_prev.values) == kept_prev
     assert out.params_prev is params and not np.shares_memory(out.params.values, params.values)
     trained = trainer.scsc_train(state, NOISE, pool, 3, 20)
